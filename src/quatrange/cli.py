@@ -255,12 +255,13 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](args, out)
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (NumericalError, DegenerateRegionError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (fileio.ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, DegenerateRegionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

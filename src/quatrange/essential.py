@@ -601,11 +601,6 @@ class CombinationResult:
     triples: list[tuple[float, float, float]]
     error_constant: float
 
-    def dense_vectors(self, dim: int | None = None) -> list[QVector]:
-        if dim is None:
-            dim = 1 + max(max(i for i, _ in v.entries) for v in self.vectors)
-        return [v.to_qvector(dim) for v in self.vectors]
-
 
 def _combine(M: ModelOperator, seq1, seq2, alpha: float, depth: int) -> CombinationResult:
     om1, om2 = seq1.target, seq2.target

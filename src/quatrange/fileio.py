@@ -4,7 +4,9 @@ Quaternion literals are four-element lists [w, x, y, z].  A matrix file is
 ``{"n": int, "entries": [[quaternion, ...], ...]}``.  An operator file is
 ``{"block": matrix, "tail": {"kind": ...}, "limit_set": [...], "bound": r}``
 where a limit entry is either a sphere ``[a, b]`` or a segment
-``{"segment": {"a": a, "b0": b0, "b1": b1}}``.
+``{"segment": {"a": a, "b0": b0, "b1": b1}}``.  Every number must be finite
+(``NaN``, ``Infinity`` and overflowing literals such as ``1e400`` are parse
+errors), and a matrix file must not be empty (an operator's block may be).
 
 All writers format floats with repr (shortest round-trip) and iterate in
 fixed orders, so identical data produces identical bytes.
@@ -13,6 +15,7 @@ fixed orders, so identical data produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,20 +46,30 @@ class ParseError(ValueError):
     """Malformed input file."""
 
 
+def _real(value) -> float:
+    """A finite float; json reads NaN/Infinity literals and 1e400 as non-finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad number {value!r}") from exc
+    if not math.isfinite(x):
+        raise ParseError(f"non-finite number {value!r}")
+    return x
+
+
 def _quaternion(obj) -> Quaternion:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise ParseError(f"quaternion literal must be [w, x, y, z], got {obj!r}")
-    try:
-        return Quaternion(*(float(v) for v in obj))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad quaternion literal {obj!r}") from exc
+    return Quaternion(*(_real(v) for v in obj))
 
 
 def _matrix_from_obj(obj) -> QMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError("matrix object needs an 'entries' field")
     entries = obj["entries"]
-    n = int(obj.get("n", len(entries)))
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ParseError("matrix entries must be a list of rows")
+    n = int(_real(obj.get("n", len(entries))))
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ParseError("matrix entries are not n x n")
     if n == 0:
@@ -76,7 +89,11 @@ def load_matrix(path) -> QMatrix:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-    return _matrix_from_obj(data)
+    T = _matrix_from_obj(data)
+    if T.n == 0:
+        # an operator's block may be empty, a matrix to analyse may not
+        raise ParseError(f"matrix file {path} holds an empty matrix")
+    return T
 
 
 def dump_matrix(T: QMatrix, path) -> None:
@@ -87,16 +104,16 @@ _TAIL_KINDS = {
     "constant": lambda d: ConstantTail(_quaternion(d["value"])),
     "periodic": lambda d: PeriodicTail([_quaternion(v) for v in d["values"]]),
     "explicit": lambda d: ExplicitTail([_quaternion(v) for v in d["values"]]),
-    "rationals_i": lambda d: RationalsITail(float(d.get("half", 0.5))),
+    "rationals_i": lambda d: RationalsITail(_real(d.get("half", 0.5))),
 }
 
 
 def _limit_from_obj(obj):
     if isinstance(obj, dict) and "segment" in obj:
         seg = obj["segment"]
-        return LimitSegment(float(seg["a"]), float(seg["b0"]), float(seg["b1"]))
+        return LimitSegment(_real(seg["a"]), _real(seg["b0"]), _real(seg["b1"]))
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return SimilaritySphere(float(obj[0]), float(obj[1]))
+        return SimilaritySphere(_real(obj[0]), _real(obj[1]))
     raise ParseError(f"bad limit entry {obj!r}")
 
 
@@ -113,7 +130,7 @@ def load_operator(path) -> ModelOperator:
             raise ParseError(f"unknown tail kind {kind!r}")
         tail = _TAIL_KINDS[kind](tail_spec)
         limits = [_limit_from_obj(o) for o in data["limit_set"]]
-        bound = float(data["bound"])
+        bound = _real(data["bound"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise

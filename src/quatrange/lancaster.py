@@ -36,7 +36,6 @@ __all__ = [
     "LancasterReport",
     "nonclosedness_probe",
     "ProbeReport",
-    "union_distance",
     "hausdorff_union_convex",
 ]
 
@@ -124,10 +123,6 @@ def iconv(P: np.ndarray, S) -> IconvRegion:
 
 
 # -- distances between a piece union and a convex polygon -----------------------------
-
-def union_distance(region: IconvRegion, points: np.ndarray) -> np.ndarray:
-    return region.distance_to(points)
-
 
 def _polygon_grid(poly: np.ndarray, res: float) -> np.ndarray:
     """Grid points of a convex polygon plus a dense boundary sampling."""

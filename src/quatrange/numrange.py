@@ -62,13 +62,6 @@ def _unit_samples(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return x / norms[:, None, None]
 
 
-def _values_dense(T: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """<Tx, x> for a batch X (m, n, 4) against a dense block T (n, n, 4)."""
-    forms = _component_forms(T)
-    Xf = np.ascontiguousarray(X).reshape(X.shape[0], -1)
-    return _values_forms(forms, Xf)
-
-
 def _values_forms(forms: np.ndarray, Xf: np.ndarray) -> np.ndarray:
     """Quadratic values for flattened real coordinates Xf (m, 4n)."""
     out = np.empty((Xf.shape[0], 4))
@@ -100,14 +93,6 @@ def _values_diag_fast(X4: np.ndarray, packed: np.ndarray, out: np.ndarray) -> No
     """Accumulate <Dx, x> into out for component-major samples X4 (4, m, k)."""
     for idx, (a, b) in enumerate(_PAIRS):
         out += (X4[a] * X4[b]) @ packed[idx]
-
-
-def _values_diag(d: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """<Dx, x> for a batch X (m, k, 4) against a diagonal with entries d (k, 4)."""
-    out = np.zeros((X.shape[0], 4))
-    _values_diag_fast(np.ascontiguousarray(X.transpose(2, 0, 1)),
-                      _packed_diag_forms(d), out)
-    return out
 
 
 def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
@@ -220,23 +205,16 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     return h, points
 
 
-def support_offsets(T: QMatrix, thetas: np.ndarray, check_every: int = 0) -> np.ndarray:
+def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
     """Support values h(theta) = max over unit x of cos(theta) Re<Tx,x> + sin(theta) |Im<Tx,x>|.
 
     Because the set of values is closed under similarity rotations, the target
     equals the maximum of the real quadratic form Re((cos t - sin t * i)<Tx,x>),
     i.e. the top eigenvalue of cos(t) M_0 + sin(t) M_1, computed on the
     complex adjoint matrix of the dense block.  Block-diagonal structure of T
-    is exploited; set check_every > 0 to re-certify a subsample of angles
-    against the residual-checked scalar solver.
+    is exploited.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    h, _ = _support_points(T, thetas)
-    if check_every > 0:
-        for idx in range(0, len(thetas), check_every):
-            ref = upper_bild_support(T, float(thetas[idx]))
-            if abs(ref - h[idx]) > 1e-8 * (1.0 + abs(ref)):
-                raise NumericalError("support certification failed")
+    h, _ = _support_points(T, np.asarray(thetas, dtype=float))
     return h
 
 

@@ -115,9 +115,6 @@ class QMatrix:
     def adjoint(self) -> "QMatrix":
         return QMatrix(qconj(self._arr).transpose(1, 0, 2))
 
-    def conj_entrywise(self) -> "QMatrix":
-        return QMatrix(qconj(self._arr))
-
     def frobenius(self) -> float:
         return float(np.sqrt(np.sum(self._arr * self._arr)))
 

@@ -31,7 +31,6 @@ __all__ = [
     "rotation_aligning",
     "unit_conjugator",
     "random_unit_quaternions",
-    "random_unit_imaginaries",
 ]
 
 
@@ -371,12 +370,3 @@ def random_unit_quaternions(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform unit quaternions via normalized Gaussian 4-tuples, shape (size, 4)."""
     g = rng.standard_normal((size, 4))
     return g / qabs(g)[:, None]
-
-
-def random_unit_imaginaries(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform unit imaginary quaternions, shape (size, 4) with zero real part."""
-    g = rng.standard_normal((size, 3))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    out = np.zeros((size, 4))
-    out[:, 1:] = g
-    return out

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .eigen import NumericalError
-from .qmatrix import QMatrix, delta
-from .quaternion import Quaternion, SimilaritySphere
+from .qmatrix import QMatrix
+from .quaternion import SimilaritySphere
 
 __all__ = ["SphereSet", "s_spectrum"]
 
@@ -53,11 +53,13 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
                singular_tol: float | None = None) -> SphereSet:
     """Similarity spheres on which the pencil T^2 - 2 Re(q) T + |q|^2 I is singular.
 
-    Eigenvalues of the complex adjoint representation come in conjugate pairs;
-    those with nonnegative imaginary part are the canonical representatives.
-    Every representative is cross-checked by the smallest singular value of
-    the pencil, which must fall below singular_tol (default scales with
-    ||T||_F^2 because the pencil is quadratic in T).
+    Eigenvalues of the complex adjoint representation C = chi(T) come in
+    conjugate pairs; those with nonnegative imaginary part are the canonical
+    representatives.  Every representative (a, b) is cross-checked by the
+    smallest singular value of the pencil, which must fall below singular_tol
+    (default scales with ||T||_F^2 because the pencil is quadratic in T).
+    chi is a unital ring homomorphism, so the pencil's adjoint is
+    C^2 - 2a C + (a^2 + b^2) I exactly; C^2 is formed once.
     """
     rep = T.complex_rep()
     eigs = np.linalg.eigvals(rep)
@@ -68,10 +70,12 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
     if singular_tol is None:
         nf = T.frobenius()
         singular_tol = 1e-8 * (1.0 + nf * nf)
+    rep2 = rep @ rep
+    eye = np.eye(rep.shape[0])
     spheres = []
     for a, b in merged:
-        q = Quaternion(float(a), float(b), 0.0, 0.0)
-        smallest = np.linalg.svd(delta(T, q).complex_rep(), compute_uv=False)[-1]
+        pencil = rep2 - (2.0 * a) * rep + (a * a + b * b) * eye
+        smallest = np.linalg.svd(pencil, compute_uv=False)[-1]
         if smallest > singular_tol:
             raise NumericalError(
                 f"eigenvalue candidate ({a:.6g}, {b:.6g}) fails the pencil "

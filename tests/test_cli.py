@@ -150,6 +150,57 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["essential", str(bad), "--out", str(out)]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_numerical_failure_exit_code(tmp_path):
+    # LinAlgError subclasses ValueError but is a numerical failure, not a parse error
+    big = Quaternion(1e300, 0, 0, 0)
+    T = qr.QMatrix.from_quaternions([[big, -big], [big, big]])
+    path = tmp_path / "huge.json"
+    fileio.dump_matrix(T, path)
+    assert main(["sspec", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_numbers_rejected(remark_file, tmp_path, literal):
+    out = tmp_path / "out"
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"n": 1, "entries": [[[%s, 0, 0, 0]]]}' % literal)
+    with pytest.raises(fileio.ParseError, match="non-finite"):
+        fileio.load_matrix(matrix)
+    assert main(["sspec", str(matrix), "--out", str(out)]) == 2
+
+    # key paths into an otherwise valid operator file
+    spots = [("block", "entries", 0, 0, 1), ("tail", "half"),
+             ("limit_set", 0, "segment", "b1"), ("bound",)]
+    for spot in spots:
+        data = json.loads(remark_file.read_text())
+        node = data
+        for key in spot[:-1]:
+            node = node[key]
+        node[spot[-1]] = "X"
+        path = tmp_path / f"op_{spot[0]}.json"
+        path.write_text(json.dumps(data).replace('"X"', literal))
+        with pytest.raises(fileio.ParseError, match="non-finite"):
+            fileio.load_operator(path)
+        assert main(["essential", str(path), "--out", str(out)]) == 2
+
+
+def test_empty_matrix_is_a_parse_error(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "entries": []}')
+    assert main(["bild", str(path), "--out", str(tmp_path / "out")]) == 2
+    # an operator's block may still be empty
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(Quaternion(0, 1, 0, 0)),
+                         [qr.SimilaritySphere(0.0, 1.0)], bound=1.5)
+    op = tmp_path / "op.json"
+    fileio.dump_operator(M, op)
+    data = json.loads(op.read_text())
+    data["block"] = {"n": 0, "entries": []}
+    op.write_text(json.dumps(data))
+    assert fileio.load_operator(op).block_size == 0
+
+
 def test_validation_error_exit_code(tmp_path):
     M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(Quaternion(0, 1, 0, 0)),
                          [qr.SimilaritySphere(4.0, 0.0)], bound=1.5)

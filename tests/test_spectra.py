@@ -69,3 +69,28 @@ def test_sspec_inside_outer_bild():
         for s in spheres:
             slack = float((region.offsets - dirs @ np.array(s.point())).min())
             assert slack >= -1e-6
+
+
+def test_complex_adjoint_of_pencil_is_pencil_of_adjoint():
+    # s_spectrum's cross-check relies on chi(delta(T, q)) = C^2 - 2a C + |q|^2 I
+    mats = [random_qmatrix(60 + n, n) for n in range(1, 6)]
+    rng = np.random.default_rng(5)
+    mats.append(qr.QMatrix.block_diag(random_qmatrix(66, 3), rng.standard_normal((6, 4))))
+    for T in mats:
+        C = T.complex_rep()
+        nf = T.frobenius()
+        for _ in range(4):
+            a, b = rng.uniform(-1.0, 1.0) * nf, rng.uniform(0.0, 1.0) * nf
+            ref = qr.delta(T, Quaternion(a, b, 0.0, 0.0)).complex_rep()
+            pencil = C @ C - (2.0 * a) * C + (a * a + b * b) * np.eye(C.shape[0])
+            err = np.max(np.abs(ref - pencil))
+            assert err <= 1e-12 * (1.0 + nf * nf)
+
+
+def test_cross_check_rejects_off_spectrum_candidate(monkeypatch):
+    T = random_qmatrix(3, 4)
+    assert len(qr.s_spectrum(T)) == 4
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 0.5)
+    with pytest.raises(qr.NumericalError, match="pencil singularity cross-check"):
+        qr.s_spectrum(T)
