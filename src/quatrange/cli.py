@@ -170,7 +170,7 @@ def _cmd_lancaster(args, out: Path) -> int:
             "hausdorff_outer": row.hausdorff_outer,
             "hausdorff_target": row.hausdorff_target,
             "n_satellites": row.n_satellites,
-            "sampling_gap": row.gap,
+            "hausdorff_gap": row.gap,
         } for row in report.rows],
         "residuals": {str(k): v for k, v in residuals.items()},
         "essential_polygon": [[float(a), float(b)] for a, b in report.essential_polygon],

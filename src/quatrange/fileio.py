@@ -22,6 +22,7 @@ import numpy as np
 
 from .essential import (
     ConstantTail,
+    DecayingPeriodicTail,
     ExplicitTail,
     LimitSegment,
     ModelOperator,
@@ -105,6 +106,8 @@ _TAIL_KINDS = {
     "periodic": lambda d: PeriodicTail([_quaternion(v) for v in d["values"]]),
     "explicit": lambda d: ExplicitTail([_quaternion(v) for v in d["values"]]),
     "rationals_i": lambda d: RationalsITail(_real(d.get("half", 0.5))),
+    "decaying_periodic": lambda d: DecayingPeriodicTail(
+        [_quaternion(v) for v in d["targets"]], _real(d["amplitude"])),
 }
 
 

@@ -5,9 +5,10 @@ Two independent routes are combined:
 * an inner route of attained values <Tx, x> mapped to bild coordinates
   (a, b) = (Re q, |Im q|): values at sampled unit vectors, plus the value at
   each support angle's top eigenvector, which lies on the support line;
-* an outer route computing the support function of the upper bild as the top
-  eigenvalue of a Hermitian form on the complex adjoint matrix, exact up to
-  eigensolver precision.
+* an outer route computing the support function of the upper bild: for the
+  dense block the top eigenvalue of a Hermitian form on the complex adjoint
+  matrix chi(T), exact up to eigensolver precision, and for the diagonal tail
+  a closed form.
 
 The gap between the convex hull of the inner values and the outer polygon is
 reported as an explicit certificate; the outer polygon is only supported in
@@ -22,18 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import NumericalError, batched_eig_max, sym_eig
+from .eigen import NumericalError, sym_eig
 from .geometry import convex_hull, halfplane_intersection, hausdorff_convex
 from .qmatrix import QMatrix
-from .quaternion import (
-    CONJ_SIGNS,
-    HAMILTON,
-    TRIPLE,
-    QVector,
-    qconj,
-    qmul,
-    rotation_aligning,
-)
+from .quaternion import CONJ_SIGNS, HAMILTON, TRIPLE, rotation_aligning
 
 __all__ = [
     "BildRegion",
@@ -62,12 +55,35 @@ def _unit_samples(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return x / norms[:, None, None]
 
 
-def _values_forms(forms: np.ndarray, Xf: np.ndarray) -> np.ndarray:
-    """Quadratic values for flattened real coordinates Xf (m, 4n)."""
-    out = np.empty((Xf.shape[0], 4))
-    for c in range(4):
-        out[:, c] = np.einsum("mi,mi->m", Xf @ forms[c], Xf)
-    return out
+def _to_u(x: np.ndarray) -> np.ndarray:
+    """First column of chi(x) for quaternion vectors x (..., n, 4), shape (..., 2n).
+
+    Writing x = A + B j with complex A = x0 + i x1 and B = x2 + i x3, the
+    column is (A, -conj(B)).
+    """
+    return np.concatenate([x[..., 0] + 1j * x[..., 1], -x[..., 2] + 1j * x[..., 3]],
+                          axis=-1)
+
+
+def _from_u(u: np.ndarray) -> np.ndarray:
+    """Inverse of _to_u: quaternion vectors (..., n, 4) from columns (..., 2n)."""
+    n = u.shape[-1] // 2
+    return np.stack([u[..., :n].real, u[..., :n].imag, -u[..., n:].real, u[..., n:].imag],
+                    axis=-1)
+
+
+def _chi_values(u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+    """Values <Tx, x> (..., 4) from u = _to_u(x) and cu = chi(T) u.
+
+    chi(x)^H chi(T) chi(x) = [[z1, z2], [-conj(z2), conj(z1)]] is chi of
+    <Tx, x> = z1 + z2 j.  Here z1 = u^H cu, and the second column w of chi(x)
+    has conj(w) = (-u2, u1), so w^H cu = -conj(z2) needs no conjugation.
+    """
+    n = u.shape[-1] // 2
+    z1 = np.einsum("...k,...k->...", u.conj(), cu)
+    wcu = (np.einsum("...k,...k->...", u[..., :n], cu[..., n:])
+           - np.einsum("...k,...k->...", u[..., n:], cu[..., :n]))
+    return np.stack([z1.real, z1.imag, -wcu.real, wcu.imag], axis=-1)
 
 
 _PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
@@ -107,7 +123,7 @@ def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
     b = T.block_split()
     diag_tail = T.diagonal()[b:, :]
     packed = _packed_diag_forms(diag_tail) if b < n else None
-    block_forms = _component_forms(T.arr[:b, :b, :]) if b > 0 else None
+    chi_t = QMatrix(T.arr[:b, :b, :]).complex_rep().T if b > 0 else None
     rng = _rng(seed, 0)
     chunk = max(1, _CHUNK_BUDGET // (4 * n))
     out = np.empty((m, 4))
@@ -119,8 +135,8 @@ def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
         X4 /= norms[None, :, None]
         vals = np.zeros((take, 4))
         if b > 0:
-            Xf = np.ascontiguousarray(X4[:, :, :b].transpose(1, 2, 0)).reshape(take, -1)
-            vals += _values_forms(block_forms, Xf)
+            u = _to_u(np.moveaxis(X4[:, :, :b], 0, -1))
+            vals += _chi_values(u, u @ chi_t)
         if b < n:
             _values_diag_fast(X4[:, :, b:], packed, vals)
         out[done:done + take] = vals
@@ -146,25 +162,17 @@ def _component_forms(T: np.ndarray) -> np.ndarray:
     return np.moveaxis(sym, -1, 0)
 
 
-def _diag_forms(d: np.ndarray) -> np.ndarray:
-    """Per-coordinate 4x4 forms for diagonal entries d (k, 4), shape (k, 4, 4, 4).
-
-    Output axis order is (coordinate, component, row, column).
-    """
-    raw = np.einsum("a,adbc,kd->kcab", CONJ_SIGNS, TRIPLE, d)
-    return 0.5 * (raw + raw.transpose(0, 1, 3, 2))
-
-
 def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Support values h(theta) and, per angle, a bild point that attains h(theta).
 
     For the dense block B, h(theta) is the top eigenvalue of the Hermitian
     part of exp(-i theta) chi(B), chi the complex adjoint matrix.  Its top
-    eigenvector v = (v1, v2) is the complex form of the unit vector
-    x = v1 - conj(v2) j, so <Bx, x> is an attained value on the support line
-    (Johnson's boundary points).  Angles are solved in chunks, which bounds
-    the eigen stack.  A diagonal tail entry d is the value at its basis
-    vector, so the tail attains its support at its best diagonal class.
+    eigenvector is the column _to_u(x) of a unit vector x, so <Bx, x> is an
+    attained value on the support line (Johnson's boundary points).  Angles
+    are solved in chunks, which bounds the eigen stack.  A diagonal tail
+    entry d has the similarity sphere of d as its values, so the tail's
+    support is the closed form max_k a_k cos(theta) + b_k sin(theta) over its
+    bild points (a_k, b_k), attained at its best diagonal class.
     """
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas < -1e-12) or np.any(thetas > math.pi + 1e-12):
@@ -176,32 +184,25 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     h = np.full(thetas.shape, -np.inf)
     points = np.zeros((len(thetas), 2))
     if b > 0:
-        block = QMatrix(T.arr[:b, :b, :])
-        chi = block.complex_rep()
+        chi = QMatrix(T.arr[:b, :b, :]).complex_rep()
         herm_re = 0.5 * (chi + chi.conj().T)
         herm_im = 0.5j * (chi.conj().T - chi)
-        forms = _component_forms(block.arr)
         for lo in range(0, len(thetas), _ANGLE_CHUNK):
             hi = min(lo + _ANGLE_CHUNK, len(thetas))
             stack = (cos[lo:hi, None, None] * herm_re
                      + sin[lo:hi, None, None] * herm_im)
             vals, vecs = np.linalg.eigh(stack)
             top = vecs[:, :, -1]
-            x = np.stack([top[:, :b].real, top[:, :b].imag,
-                          -top[:, b:].real, top[:, b:].imag], axis=2)
             h[lo:hi] = vals[:, -1]
-            points[lo:hi] = bild_points(_values_forms(forms, x.reshape(hi - lo, -1)))
+            points[lo:hi] = bild_points(_chi_values(top, top @ chi.T))
     if b < n:
-        tail = T.diagonal()[b:, :]
-        dforms = _diag_forms(tail)  # (k, 4, 4, 4)
-        stack = (cos[:, None, None, None] * dforms[None, :, 0]
-                 + sin[:, None, None, None] * dforms[None, :, 1])
-        per_coord = batched_eig_max(stack.reshape(-1, 4, 4)).reshape(len(thetas), -1)
-        best = np.argmax(per_coord, axis=1)
-        tail_h = per_coord[np.arange(len(thetas)), best]
+        tail = bild_points(T.diagonal()[b:, :])
+        reach = np.outer(cos, tail[:, 0]) + np.outer(sin, tail[:, 1])
+        best = np.argmax(reach, axis=1)
+        tail_h = reach[np.arange(len(thetas)), best]
         take = tail_h > h
         h = np.where(take, tail_h, h)
-        points[take] = bild_points(tail)[best[take]]
+        points[take] = tail[best[take]]
     return h, points
 
 
@@ -209,31 +210,28 @@ def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
     """Support values h(theta) = max over unit x of cos(theta) Re<Tx,x> + sin(theta) |Im<Tx,x>|.
 
     Because the set of values is closed under similarity rotations, the target
-    equals the maximum of the real quadratic form Re((cos t - sin t * i)<Tx,x>),
-    i.e. the top eigenvalue of cos(t) M_0 + sin(t) M_1, computed on the
-    complex adjoint matrix of the dense block.  Block-diagonal structure of T
-    is exploited.
+    equals the maximum of Re(exp(-i theta) u^H chi(T) u) over unit complex u,
+    the top eigenvalue of the Hermitian part of exp(-i theta) chi(T).  Only
+    the dense block is solved this way; the diagonal tail contributes the
+    closed form max_k a_k cos(theta) + b_k sin(theta) over its bild points.
     """
     h, _ = _support_points(T, np.asarray(thetas, dtype=float))
     return h
 
 
 def upper_bild_support(T: QMatrix, theta: float) -> float:
-    """Single support value, residual-certified via the scalar symmetric solver."""
+    """Single support value from the whole matrix's real 4n x 4n forms.
+
+    The top eigenvalue of cos(theta) M_0 + sin(theta) M_1, with M_c the real
+    symmetric form of component c of <Tx, x>, residual-certified by sym_eig.
+    It ignores block structure and chi(T), so it is an independent reference
+    for support_offsets.
+    """
     if not (0.0 - 1e-12 <= theta <= math.pi + 1e-12):
         raise ValueError("theta must lie in [0, pi]")
-    n = T.n
-    b = T.block_split()
-    best = -np.inf
-    c, s = math.cos(theta), math.sin(theta)
-    if b > 0:
-        forms = _component_forms(T.arr[:b, :b, :])
-        best = max(best, float(sym_eig(c * forms[0] + s * forms[1]).eigenvalues[-1]))
-    if b < n:
-        dforms = _diag_forms(T.diagonal()[b:, :])
-        for kk in range(dforms.shape[0]):
-            best = max(best, float(sym_eig(c * dforms[kk, 0] + s * dforms[kk, 1]).eigenvalues[-1]))
-    return best
+    forms = _component_forms(T.arr)
+    return float(sym_eig(math.cos(theta) * forms[0]
+                         + math.sin(theta) * forms[1]).eigenvalues[-1])
 
 
 # -- the bild region -------------------------------------------------------------
@@ -317,12 +315,11 @@ def _pair_values(T: QMatrix, i: int, j: int, gammas: np.ndarray, psis: np.ndarra
 
     x = e_i cos(g) + e_j u(psi) sin(g) where u(psi) rotates the imaginary
     direction of T_jj across the great circle through the direction of T_ii,
-    sweeping aligned to anti-aligned combinations.
+    sweeping aligned to anti-aligned combinations.  The values are taken on
+    chi of the 2 x 2 principal submatrix on i and j, in (g, psi) row order.
     """
     tii = T.entry(i, i)
     tjj = T.entry(j, j)
-    tij = T.entry(i, j).to_array()
-    tji = T.entry(j, i).to_array()
 
     bi, bj = tii.im_norm(), tjj.im_norm()
     if bi > 1e-14:
@@ -344,17 +341,12 @@ def _pair_values(T: QMatrix, i: int, j: int, gammas: np.ndarray, psis: np.ndarra
         target = math.cos(psi) * v_ref + math.sin(psi) * v_perp
         us[idx] = rotation_aligning(v_j, target).to_array()
 
-    ucon = qconj(us)
-    tjj_rot = qmul(qmul(ucon, tjj.to_array()[None, :]), us)  # (P, 4)
-    cross = (qmul(tij[None, :], us)
-             + qmul(ucon, tji[None, :]))  # <T e_j u, e_i> + <T e_i, e_j u> terms
-
-    cg = np.cos(gammas)[:, None, None]
-    sg = np.sin(gammas)[:, None, None]
-    vals = (cg * cg * tii.to_array()[None, None, :]
-            + sg * sg * tjj_rot[None, :, :]
-            + cg * sg * cross[None, :, :])
-    return vals.reshape(-1, 4)
+    x = np.zeros((len(gammas), len(psis), 2, 4))
+    x[:, :, 0, 0] = np.cos(gammas)[:, None]
+    x[:, :, 1, :] = np.sin(gammas)[:, None, None] * us[None, :, :]
+    chi = QMatrix(T.arr[np.ix_([i, j], [i, j])]).complex_rep()
+    u = _to_u(x)
+    return _chi_values(u, u @ chi.T).reshape(-1, 4)
 
 
 def _interest_coordinates(T: QMatrix, limit: int = 18) -> list[int]:
@@ -425,12 +417,16 @@ class RealSection:
     hi: float
 
 
-def _value_and_grad(T: QMatrix, x: np.ndarray):
-    """Value <Tx, x> and the per-component gradients w.r.t. the real coordinates."""
-    xv = QVector(x)
-    y = T.apply(xv).arr
-    w = T.adjoint().apply(xv).arr
-    val = qmul(qconj(x), y).sum(axis=0)
+def _value_and_grad(chi: np.ndarray, x: np.ndarray):
+    """Value <Tx, x> and its per-component gradients in the real coordinates, chi = chi(T).
+
+    With u = _to_u(x), chi u and chi^H u are the columns of Tx and T*x.
+    """
+    u = _to_u(x)
+    cu = chi @ u
+    y = _from_u(cu)
+    w = _from_u((u.conj() @ chi).conj())
+    val = _chi_values(u, cu)
     # d/dx_l <T dx, x> has component c equal to [conj((T*x)_l) e_b]_c,
     # and d/dx_l <Tx, dx> equals [conj(e_b) (Tx)_l]_c.
     g1 = np.einsum("a,la,abc->lbc", CONJ_SIGNS, w, HAMILTON)
@@ -438,9 +434,9 @@ def _value_and_grad(T: QMatrix, x: np.ndarray):
     return val, g1 + g2  # (n, 4, 4): last axis is the component
 
 
-def _refine_real(T: QMatrix, x0: np.ndarray, sign: float, penalty: float,
+def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float, penalty: float,
                  iters: int = 120) -> tuple[float, float]:
-    """Projected ascent of sign * Re<Tx,x> - penalty * |Im<Tx,x>| on the sphere."""
+    """Projected ascent of sign * Re<Tx,x> - penalty * |Im<Tx,x>| on the sphere, chi = chi(T)."""
     x = x0 / np.linalg.norm(x0)
     step = 0.1
 
@@ -448,7 +444,7 @@ def _refine_real(T: QMatrix, x0: np.ndarray, sign: float, penalty: float,
         im = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
         return sign * val[0] - penalty * im, im
 
-    val, grads = _value_and_grad(T, x)
+    val, grads = _value_and_grad(chi, x)
     fx, im = objective(val)
     for _ in range(iters):
         imn = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
@@ -465,7 +461,7 @@ def _refine_real(T: QMatrix, x0: np.ndarray, sign: float, penalty: float,
         while step > 1e-12:
             cand = x + step * g / gn
             cand /= np.linalg.norm(cand)
-            cval, cgrads = _value_and_grad(T, cand)
+            cval, cgrads = _value_and_grad(chi, cand)
             cf, cim = objective(cval)
             if cf > fx + 1e-15:
                 x, val, grads, fx, im = cand, cval, cgrads, cf, cim
@@ -512,14 +508,15 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
     penalty = penalty_scale * (1.0 + T.frobenius())
     rng = _rng(seed, 2)
     starts = [_unit_samples(rng, 1, n)[0] for _ in range(4)]
-    forms = _component_forms(T.arr) if n <= 48 else None
-    if forms is not None:
-        vecs = np.linalg.eigh(forms[0])[1]
-        starts.append(vecs[:, -1].reshape(n, 4))
-        starts.append(vecs[:, 0].reshape(n, 4))
+    chi = T.complex_rep()
+    if n <= 48:
+        # extreme eigenvectors of Re<Tx, x>, the Hermitian part of chi(T)
+        vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))[1]
+        starts.append(_from_u(vecs[:, -1]))
+        starts.append(_from_u(vecs[:, 0]))
     for sign in (1.0, -1.0):
         for x0 in starts:
-            re, im = _refine_real(T, x0, sign, penalty)
+            re, im = _refine_real(chi, x0, sign, penalty)
             best_im = min(best_im, im)
             if im <= tol:
                 found.append(re)

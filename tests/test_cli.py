@@ -58,6 +58,8 @@ def test_operator_all_tail_kinds(tmp_path):
         qr.ConstantTail(Quaternion(0, 0.5, 0, 0)),
         qr.PeriodicTail([Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.5, 0, 0)]),
         qr.ExplicitTail([Quaternion(1.0), Quaternion(0, 0.5, 0, 0)]),
+        qr.DecayingPeriodicTail([Quaternion(0.2, 0.5, 0, 0), Quaternion(-0.3, 0.1, 0, 0)],
+                                amplitude=0.05),
     ]
     for tail in tails:
         M = qr.ModelOperator(qr.QMatrix.zeros(0), tail,
@@ -67,6 +69,13 @@ def test_operator_all_tail_kinds(tmp_path):
         back = fileio.load_operator(path)
         assert back.tail.kind == tail.kind
         assert np.array_equal(back.tail.prefix(10), tail.prefix(10))
+    # the decaying_periodic loader checks its numbers like every other kind
+    for bad in ({"amplitude": "X"}, {"targets": [[0.2, "X", 0, 0]]}):
+        data = json.loads(path.read_text())
+        data["tail"].update(bad)
+        path.write_text(json.dumps(data).replace('"X"', "NaN"))
+        with pytest.raises(fileio.ParseError, match="non-finite"):
+            fileio.load_operator(path)
 
 
 def test_malformed_file_raises(tmp_path):
@@ -126,6 +135,8 @@ def test_lancaster_command(remark_file, tmp_path):
     assert len(lines) == 2
     summary = read_summary(out)
     assert summary["rows"][0]["hausdorff_target"] <= 0.05
+    assert "sampling_gap" not in summary["rows"][0]
+    assert summary["rows"][0]["hausdorff_gap"] > 0.0
     assert float(summary["residuals"]["40"]) > 0.0
 
 

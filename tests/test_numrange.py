@@ -10,7 +10,7 @@ from quatrange import numrange
 from quatrange.eigen import NumericalError
 from quatrange.numrange import _CHUNK_BUDGET, _rng
 
-from conftest import mirrored, random_qmatrix, slow_nr_values
+from conftest import mirrored, random_qmatrix, random_unit_qvector, slow_nr_values
 
 I = Quaternion.i
 J = Quaternion.j
@@ -266,6 +266,49 @@ def test_refined_values_are_genuine():
     pts = qr.bild_points(vals)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     assert float((pts @ dirs.T - offsets[None, :]).max()) <= 1e-9
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 4)], ids=["dense", "diagonal"])
+def test_pair_values_match_scalar_oracle(monkeypatch, pair):
+    T = _block_plus_diagonal()
+    exact = numrange.rotation_aligning
+    us = []
+
+    def recording(v_from, v_to):
+        u = exact(v_from, v_to)
+        us.append(u.to_array())
+        return u
+
+    monkeypatch.setattr(numrange, "rotation_aligning", recording)
+    gammas = np.linspace(0.0, math.pi / 2.0, 7)
+    psis = np.linspace(0.0, math.pi, 5)
+    vals = numrange._pair_values(T, *pair, gammas, psis)
+    assert vals.shape == (len(gammas) * len(psis), 4) and len(us) == len(psis)
+    vecs = []
+    for g in gammas:
+        for u in us:
+            x = np.zeros((T.n, 4))
+            x[pair[0], 0] = math.cos(g)
+            x[pair[1]] = math.sin(g) * u
+            vecs.append(x)
+    oracle = np.array([q.to_array() for q in slow_nr_values(T, vecs)])
+    assert np.max(np.abs(vals - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [random_qmatrix(22, 3), _block_plus_diagonal()],
+                         ids=["dense", "block_plus_diagonal"])
+def test_value_and_grad_match_oracle_and_differences(T):
+    chi = T.complex_rep()
+    x = random_unit_qvector(23, T.n).arr
+    val, grads = numrange._value_and_grad(chi, x)
+    assert np.max(np.abs(val - slow_nr_values(T, [x])[0].to_array())) <= 1e-12
+    step = 1e-6
+    for idx in np.ndindex(x.shape):
+        dx = np.zeros_like(x)
+        dx[idx] = step
+        diff = (slow_nr_values(T, [x + dx])[0].to_array()
+                - slow_nr_values(T, [x - dx])[0].to_array()) / (2.0 * step)
+        assert np.max(np.abs(grads[idx] - diff)) <= 1e-6
 
 
 def test_refined_values_reach_diagonal_classes():
