@@ -25,7 +25,10 @@ from .quaternion import (
     QVector,
     SimilaritySphere,
     csim,
-    unit_conjugator,
+    qabs,
+    qconj,
+    qconjugator,
+    qmul,
 )
 
 __all__ = [
@@ -158,22 +161,30 @@ class RationalsITail(Tail):
         if half <= 0:
             raise ValueError("half-width must be positive")
         self.half = float(half)
+        # the enumeration resumes at denominator _next_q; _pending holds the
+        # fractions already enumerated that the cache does not hold yet
+        self._next_q = 1
+        self._pending: list[float] = []
 
     def _generate(self, count: int) -> np.ndarray:
-        vals: list[float] = []
-        q = 1
-        while len(vals) < count:
+        done = self._cache.shape[0]
+        fresh = self._pending
+        q = self._next_q
+        while done + len(fresh) < count:
             pmax = int(math.floor(self.half * q - 1e-12))
             for p in range(-pmax, pmax + 1):
                 if p == 0 and q != 1:
                     continue
                 if math.gcd(abs(p), q) != 1:
                     continue
-                vals.append(p / q)
+                fresh.append(p / q)
             q += 1
-        out = np.zeros((len(vals), 4))
-        out[:, 1] = vals
-        return out[:count]
+        self._next_q = q
+        self._pending = fresh[count - done:]
+        out = np.zeros((count, 4))
+        out[:done] = self._cache
+        out[done:, 1] = fresh[:count - done]
+        return out
 
     def spec(self) -> dict:
         return {"kind": self.kind, "half": self.half}
@@ -261,14 +272,14 @@ class ModelOperator:
         return max(self.block.frobenius(), self.bound)
 
     def adjoint(self) -> "ModelOperator":
-        conj_tail = _MappedTail(self.tail, _conj_map, "adjoint")
+        conj_tail = _MappedTail(self.tail, "adjoint")
         return ModelOperator(self.block.adjoint(), conj_tail, self.limit_set, self.bound)
 
     def affine(self, a: float, b: float) -> "ModelOperator":
         """The operator a * T + b * I with real a, b, limits transformed exactly."""
         new_block = a * self.block + b * QMatrix.identity(self.block_size) \
             if self.block_size else self.block
-        new_tail = _MappedTail(self.tail, lambda v: _affine_map(v, a, b), "affine")
+        new_tail = _MappedTail(self.tail, "affine", a, b)
         parts = []
         for part in self.limit_set:
             if isinstance(part, SimilaritySphere):
@@ -278,14 +289,38 @@ class ModelOperator:
                 parts.append(LimitSegment(a * part.a + b, lo, hi))
         return ModelOperator(new_block, new_tail, parts, abs(a) * self.bound + abs(b))
 
-    def entry(self, i: int, j: int) -> Quaternion:
-        """Entry of the (infinite) matrix; tail coordinate k maps to s_{k - m0 + 1}."""
+    def entries(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero entries of the submatrix on coordinates rows x cols.
+
+        Returns (i, j, values) with T[rows[i[k]], cols[j[k]]] = values[k]:
+        block entries come from the block, tail coordinate n >= block_size
+        carries s_{n - block_size + 1} on the diagonal, and every entry not
+        listed is zero.
+        """
         m0 = self.block_size
-        if i < m0 and j < m0:
-            return self.block.entry(i, j)
-        if i == j:
-            return self.tail.value(i - m0 + 1)
-        return Quaternion.zero
+        rows = np.asarray(rows, dtype=np.intp).tolist()
+        cols = np.asarray(cols, dtype=np.intp).tolist()
+        # the structure is matched on the (short) coordinate lists, the values
+        # are gathered from the block and the tail prefix in one indexing each
+        i, j = [], []
+        if m0 and rows and cols and min(rows) < m0 and min(cols) < m0:
+            block_cols = [b for b, n in enumerate(cols) if n < m0]
+            for a, n in enumerate(rows):
+                if n < m0:
+                    i += [a] * len(block_cols)
+                    j += block_cols
+        nb = len(i)
+        col_of = {n: b for b, n in enumerate(cols) if n >= m0}
+        for a, n in enumerate(rows):
+            if n in col_of:
+                i.append(a)
+                j.append(col_of[n])
+        k = [rows[a] - m0 for a in i[nb:]]
+        values = self.tail.prefix(max(k) + 1)[k] if k else np.zeros((0, 4))
+        if nb:
+            block = self.block.arr[[rows[a] for a in i[:nb]], [cols[b] for b in j[:nb]]]
+            values = np.concatenate((block, values))
+        return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), values
 
     def validate(self, n_check: int = 200000, tol: float = 1e-3) -> None:
         """Check the declared limit parts against the generated tail prefix.
@@ -329,30 +364,31 @@ class ModelOperator:
                 f"limits={len(self.limit_set)}, bound={self.bound})")
 
 
-def _conj_map(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    out[:, 1:] = -out[:, 1:]
-    return out
-
-
-def _affine_map(values: np.ndarray, a: float, b: float) -> np.ndarray:
-    out = values * a
-    out[:, 0] += b
-    return out
-
-
 class _MappedTail(Tail):
-    def __init__(self, base: Tail, fn, label: str):
+    """A base tail mapped entrywise: conjugated ("adjoint") or a * s + b ("affine")."""
+
+    def __init__(self, base: Tail, label: str, a: float = 1.0, b: float = 0.0):
         super().__init__()
         self.base = base
-        self.fn = fn
+        self.label = label
+        self.a = float(a)
+        self.b = float(b)
         self.kind = f"{label}({base.kind})"
 
     def _generate(self, count: int) -> np.ndarray:
-        return self.fn(self.base.prefix(count).copy())
+        out = self.base.prefix(count).copy()
+        if self.label == "adjoint":
+            out[:, 1:] = -out[:, 1:]
+        else:
+            out *= self.a
+            out[:, 0] += self.b
+        return out
 
     def spec(self) -> dict:
-        raise NotImplementedError("mapped tails are not serializable")
+        spec = {"kind": self.label, "base": self.base.spec()}
+        if self.label == "affine":
+            spec.update(a=self.a, b=self.b)
+        return spec
 
 
 @dataclass(frozen=True)
@@ -450,66 +486,103 @@ def quasi_orth_select(T, xs, ys, N: int, eps: float) -> QuasiOrthSelection:
 
 # -- sparse vectors and essential sequences --------------------------------------------
 
-@dataclass(frozen=True)
 class SparseVec:
-    """Finitely supported vector in the model coordinate space."""
+    """Finitely supported vector in the model coordinate space.
 
-    entries: tuple[tuple[int, Quaternion], ...]
+    ``index`` holds the support coordinates in ascending order and ``coeffs``
+    the matching entries as an (s, 4) quaternion array; both are read-only.
+    """
+
+    __slots__ = ("index", "coeffs")
+
+    def __init__(self, index, coeffs):
+        index = np.array(index, dtype=np.intp).reshape(-1)
+        coeffs = np.array(coeffs, dtype=float).reshape(-1, 4)
+        if index.size != coeffs.shape[0]:
+            raise ValueError("one quaternion entry per support coordinate")
+        if np.any(index[1:] <= index[:-1]):
+            raise ValueError("support coordinates must be strictly increasing")
+        index.setflags(write=False)
+        coeffs.setflags(write=False)
+        self.index = index
+        self.coeffs = coeffs
+
+    @classmethod
+    def _of(cls, index: np.ndarray, coeffs: np.ndarray) -> "SparseVec":
+        """Wrap arrays this module built: ascending index, (s, 4) float coeffs."""
+        vec = cls.__new__(cls)
+        index.setflags(write=False)
+        coeffs.setflags(write=False)
+        vec.index = index
+        vec.coeffs = coeffs
+        return vec
+
+    def __repr__(self) -> str:
+        return f"SparseVec(index={self.index.tolist()}, coeffs={self.coeffs.tolist()})"
+
+    @property
+    def entries(self) -> tuple[tuple[int, Quaternion], ...]:
+        """The (coordinate, entry) pairs in coordinate order."""
+        return tuple((int(i), Quaternion.from_array(q))
+                     for i, q in zip(self.index, self.coeffs))
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.entries)
+        return frozenset(self.index.tolist())
 
     def norm(self) -> float:
-        return math.sqrt(sum(q.norm_sq() for _, q in self.entries))
+        return math.sqrt(np.vdot(self.coeffs, self.coeffs))
 
     def scaled(self, t: float) -> "SparseVec":
-        return SparseVec(tuple((i, q * t) for i, q in self.entries))
+        return SparseVec._of(self.index, self.coeffs * t)
 
     def add(self, other: "SparseVec") -> "SparseVec":
-        acc: dict[int, Quaternion] = {}
-        for i, q in self.entries + other.entries:
-            acc[i] = acc[i] + q if i in acc else q
-        return SparseVec(tuple(sorted(acc.items())))
+        index = self.index.tolist() + other.index.tolist()
+        order = sorted(range(len(index)), key=index.__getitem__)
+        coeffs = np.concatenate((self.coeffs, other.coeffs))[order]
+        # one run per coordinate; a coordinate in both supports sums its two entries
+        runs = [index[k] for k in order]
+        starts = [k for k in range(len(runs)) if k == 0 or runs[k] != runs[k - 1]]
+        if len(starts) < len(runs):
+            coeffs = np.add.reduceat(coeffs, starts, axis=0)
+        return SparseVec._of(np.array([runs[k] for k in starts], dtype=np.intp), coeffs)
 
     def inner(self, other: "SparseVec") -> Quaternion:
         """sum conj(other_k) self_k over the common support."""
-        mine = dict(self.entries)
-        total = Quaternion.zero
-        for i, q in other.entries:
-            if i in mine:
-                total = total + q.conj() * mine[i]
-        return total
+        i, j = (self.index[:, None] == other.index).nonzero()
+        if not i.size:
+            return Quaternion.zero
+        terms = qmul(qconj(other.coeffs[j]), self.coeffs[i])
+        return Quaternion(*np.add.reduce(terms, axis=0).tolist())
 
     def quad_value(self, M: ModelOperator) -> Quaternion:
         """<T z, z> evaluated entrywise against the model operator."""
-        total = Quaternion.zero
-        for i, zi in self.entries:
-            for j, zj in self.entries:
-                t = M.entry(i, j)
-                if t.norm_sq() != 0.0:
-                    total = total + zi.conj() * t * zj
-        return total
+        return self.op_inner(M, self)
 
     def op_inner(self, M: ModelOperator, other: "SparseVec", adjoint: bool = False) -> Quaternion:
-        """<T self, other> (or <T* self, other>) against the model operator."""
-        total = Quaternion.zero
-        for j, zj in self.entries:
-            for i, oi in other.entries:
-                t = M.entry(j, i).conj() if adjoint else M.entry(i, j)
-                if t.norm_sq() != 0.0:
-                    total = total + oi.conj() * t * zj
-        return total
+        """<T self, other> (or <T* self, other>) against the model operator.
+
+        The sum of conj(other_i) T_ij self_j over the nonzero entries T_ij with
+        i in other's support and j in self's, where T*_ij = conj(T_ji).
+        """
+        if adjoint:
+            j, i, t = M.entries(self.index, other.index)
+            t = qconj(t)
+        else:
+            i, j, t = M.entries(other.index, self.index)
+        if not i.size:
+            return Quaternion.zero
+        terms = qmul(qmul(qconj(other.coeffs[i]), t), self.coeffs[j])
+        return Quaternion(*np.add.reduce(terms, axis=0).tolist())
 
     def to_qvector(self, dim: int | None = None) -> QVector:
-        top = max((i for i, _ in self.entries), default=-1) + 1
+        top = int(self.index[-1]) + 1 if self.index.size else 0
         if dim is None:
             dim = top
         if dim < top:
             raise ValueError("dimension too small for the support")
         arr = np.zeros((dim, 4))
-        for i, q in self.entries:
-            arr[i] = q.to_array()
+        arr[self.index] = self.coeffs
         return QVector(arr)
 
 
@@ -527,9 +600,17 @@ class TailBasisSequence:
     Element p is e_{n_p} u_p where n_p runs along tail indices whose symbol
     class approaches csim(target) and u_p rotates the symbol onto target, so
     <T e u, e u> = conj(u) s u converges to the target at the scan rate.
+
+    Each tail entry is scanned once per sequence: when the scan window grows,
+    the new entries get their bild distance to the target class and the error
+    |conj(u) s u - target| of their rotated value, kept as two arrays.  The
+    rotations u and values themselves are kept for one block of at most
+    ``BLOCK`` consecutive entries, the one the picks are in.
     """
 
     MAX_SCAN = 2_000_000
+    BLOCK = 2048
+    SPAN = 256
 
     def __init__(self, M: ModelOperator, target: Quaternion):
         self.M = M
@@ -539,31 +620,62 @@ class TailBasisSequence:
             raise MissingSequenceError(
                 f"class ({sphere.a:.6g}, {sphere.b:.6g}) is not a declared limit")
         self._sphere = sphere
+        self._target = target.to_array()
+        self._dist = np.zeros(0)
+        self._err = np.zeros(0)
+        self._block = (0, np.zeros((0, 4)), np.zeros((0, 4)))
+
+    def _rotate_block(self, lo: int, hi: int) -> None:
+        """Rotations u and values conj(u) s u of tail entries lo .. hi - 1 (0-based)."""
+        s = self.M.tail.prefix(hi)[lo:]
+        u = qconjugator(s, self._target)
+        self._block = (lo, u, qmul(qmul(qconj(u), s), u))
+
+    def _scan(self, window: int) -> None:
+        """Extend the distance and error arrays to the first ``window`` entries."""
+        done = self._dist.size
+        if window <= done:
+            return
+        pts = bild_points(self.M.tail.prefix(window)[done:])
+        dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
+        err = np.empty(window - done)
+        for lo in range(done, window, self.BLOCK):
+            self._rotate_block(lo, min(lo + self.BLOCK, window))
+            value = self._block[2]
+            err[lo - done:lo - done + len(value)] = qabs(value - self._target)
+        self._dist = np.concatenate((self._dist, dist))
+        self._err = np.concatenate((self._err, err))
+
+    def _rotation(self, n0: int) -> tuple[np.ndarray, np.ndarray]:
+        """u and conj(u) s u of tail entry n0, rotating its block if needed."""
+        lo, u, value = self._block
+        if not lo <= n0 < lo + len(u):
+            self._rotate_block(n0, min(n0 + self.BLOCK, self._dist.size))
+            lo, u, value = self._block
+        return u[n0 - lo], value[n0 - lo]
 
     def pick(self, eps: float, cursor: int, forbidden=frozenset()):
         """First tail index > cursor with error <= eps and coordinate allowed.
 
         Returns (index, SparseVec, value, error); the coordinate of tail index
-        n is block_size + n - 1.
+        n is block_size + n - 1.  An entry qualifies when its class lies
+        within eps of the target class and its rotated value within
+        eps (1 + 1e-9) + 1e-15 of the target.
         """
         m0 = self.M.block_size
+        tol = eps * (1.0 + 1e-9) + 1e-15
         window = max(2048, 2 * (cursor + 1))
         while True:
             window = min(window, self.MAX_SCAN)
-            pref = self.M.tail.prefix(window)
-            pts = bild_points(pref)
-            d = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
-            for n0 in np.flatnonzero(d[cursor:] <= eps) + cursor:
-                coord = m0 + int(n0)
-                if coord in forbidden:
-                    continue
-                s = Quaternion.from_array(pref[n0])
-                u = unit_conjugator(s, self.target)
-                value = u.conj() * s * u
-                err = abs(value - self.target)
-                if err <= eps * (1.0 + 1e-9) + 1e-15:
-                    vec = SparseVec(((coord, u),))
-                    return int(n0) + 1, vec, value, err
+            self._scan(window)
+            # search in short spans: the first candidate usually lies a few entries on
+            for lo in range(cursor, window, self.SPAN):
+                for k in (self._dist[lo:min(lo + self.SPAN, window)] <= eps).nonzero()[0]:
+                    n0 = lo + int(k)
+                    if self._err[n0] <= tol and m0 + n0 not in forbidden:
+                        u, value = self._rotation(n0)
+                        return (n0 + 1, SparseVec._of(np.array([m0 + n0]), u[None].copy()),
+                                Quaternion(*value.tolist()), float(self._err[n0]))
             if window == self.MAX_SCAN:
                 raise MissingSequenceError(
                     f"no tail index with error <= {eps:g} beyond cursor {cursor}")

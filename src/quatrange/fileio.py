@@ -2,8 +2,9 @@
 
 Quaternion literals are four-element lists [w, x, y, z].  A matrix file is
 ``{"n": int, "entries": [[quaternion, ...], ...]}``.  An operator file is
-``{"block": matrix, "tail": {"kind": ...}, "limit_set": [...], "bound": r}``
-where a limit entry is either a sphere ``[a, b]`` or a segment
+``{"block": matrix, "tail": {"kind": ...}, "limit_set": [...], "bound": r}``;
+an ``adjoint`` or ``affine`` tail wraps the spec of its base tail under
+``"base"``.  A limit entry is either a sphere ``[a, b]`` or a segment
 ``{"segment": {"a": a, "b0": b0, "b1": b1}}``.  Every number must be finite
 (``NaN``, ``Infinity`` and overflowing literals such as ``1e400`` are parse
 errors), and a matrix file must not be empty (an operator's block may be).
@@ -28,6 +29,7 @@ from .essential import (
     ModelOperator,
     PeriodicTail,
     RationalsITail,
+    _MappedTail,
 )
 from .qmatrix import QMatrix
 from .quaternion import Quaternion, SimilaritySphere
@@ -101,6 +103,13 @@ def dump_matrix(T: QMatrix, path) -> None:
     Path(path).write_text(json.dumps(_matrix_to_obj(T), indent=2, sort_keys=True) + "\n")
 
 
+def _tail_from_obj(obj):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in _TAIL_KINDS:
+        raise ParseError(f"unknown tail kind {kind!r}")
+    return _TAIL_KINDS[kind](obj)
+
+
 _TAIL_KINDS = {
     "constant": lambda d: ConstantTail(_quaternion(d["value"])),
     "periodic": lambda d: PeriodicTail([_quaternion(v) for v in d["values"]]),
@@ -108,6 +117,10 @@ _TAIL_KINDS = {
     "rationals_i": lambda d: RationalsITail(_real(d.get("half", 0.5))),
     "decaying_periodic": lambda d: DecayingPeriodicTail(
         [_quaternion(v) for v in d["targets"]], _real(d["amplitude"])),
+    # tails of M.adjoint() and M.affine(a, b), around the spec of M's tail
+    "adjoint": lambda d: _MappedTail(_tail_from_obj(d["base"]), "adjoint"),
+    "affine": lambda d: _MappedTail(_tail_from_obj(d["base"]), "affine",
+                                    _real(d["a"]), _real(d["b"])),
 }
 
 
@@ -127,11 +140,7 @@ def load_operator(path) -> ModelOperator:
         raise ParseError(f"cannot read operator file {path}: {exc}") from exc
     try:
         block = _matrix_from_obj(data["block"]) if data.get("block") else QMatrix.zeros(0)
-        tail_spec = data["tail"]
-        kind = tail_spec.get("kind")
-        if kind not in _TAIL_KINDS:
-            raise ParseError(f"unknown tail kind {kind!r}")
-        tail = _TAIL_KINDS[kind](tail_spec)
+        tail = _tail_from_obj(data["tail"])
         limits = [_limit_from_obj(o) for o in data["limit_set"]]
         bound = _real(data["bound"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -76,14 +76,17 @@ def _chi_values(u: np.ndarray, cu: np.ndarray) -> np.ndarray:
     """Values <Tx, x> (..., 4) from u = _to_u(x) and cu = chi(T) u.
 
     chi(x)^H chi(T) chi(x) = [[z1, z2], [-conj(z2), conj(z1)]] is chi of
-    <Tx, x> = z1 + z2 j.  Here z1 = u^H cu, and the second column w of chi(x)
-    has conj(w) = (-u2, u1), so w^H cu = -conj(z2) needs no conjugation.
+    <Tx, x> = z1 + z2 j.  Here z1 = u^H cu, formed from the real and imaginary
+    views so that no conjugated copy of u is made, and the second column w of
+    chi(x) has conj(w) = (-u2, u1), so w^H cu = -conj(z2) needs no conjugation.
     """
     n = u.shape[-1] // 2
-    z1 = np.einsum("...k,...k->...", u.conj(), cu)
+    ur, ui, cr, ci = u.real, u.imag, cu.real, cu.imag
+    z1_re = np.einsum("...k,...k->...", ur, cr) + np.einsum("...k,...k->...", ui, ci)
+    z1_im = np.einsum("...k,...k->...", ur, ci) - np.einsum("...k,...k->...", ui, cr)
     wcu = (np.einsum("...k,...k->...", u[..., :n], cu[..., n:])
            - np.einsum("...k,...k->...", u[..., n:], cu[..., :n]))
-    return np.stack([z1.real, z1.imag, -wcu.real, wcu.imag], axis=-1)
+    return np.stack([z1_re, z1_im, -wcu.real, wcu.imag], axis=-1)
 
 
 _PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]

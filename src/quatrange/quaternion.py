@@ -28,6 +28,7 @@ __all__ = [
     "qmul",
     "qconj",
     "qabs",
+    "qconjugator",
     "rotation_aligning",
     "unit_conjugator",
     "random_unit_quaternions",
@@ -47,8 +48,7 @@ class Quaternion:
 
     @staticmethod
     def from_array(arr) -> "Quaternion":
-        w, x, y, z = (float(v) for v in arr)
-        return Quaternion(w, x, y, z)
+        return Quaternion(*np.asarray(arr, dtype=float).reshape(4).tolist())
 
     @staticmethod
     def from_real(t: float) -> "Quaternion":
@@ -149,31 +149,6 @@ Quaternion.k = K
 
 # -- vectorized quaternion arrays (..., 4) ------------------------------------
 
-def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternion arrays with shape (..., 4)."""
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        (
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ),
-        axis=-1,
-    )
-
-
-def qconj(p: np.ndarray) -> np.ndarray:
-    out = p.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def qabs(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(p * p, axis=-1))
-
-
 def _mult_table() -> np.ndarray:
     """H[a, b, c] = component c of e_a * e_b for the basis (1, i, j, k)."""
     units = [ONE, I, J, K]
@@ -190,6 +165,26 @@ CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # E[a, d, b, c] = component c of e_a * e_d * e_b; used to expand the bilinear
 # map (p, q) -> conj(p) * t * q into real coordinate forms.
 TRIPLE = np.einsum("ade,ebc->adbc", HAMILTON, HAMILTON)
+
+_HAMILTON_FLAT = HAMILTON.reshape(16, 4)
+
+
+def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternion arrays with shape (..., 4).
+
+    The sixteen products p_a q_b are contracted with the multiplication table
+    in one matrix product, which keeps small arrays cheap.
+    """
+    outer = np.einsum("...a,...b->...ab", p, q)
+    return np.matmul(outer.reshape(outer.shape[:-2] + (16,)), _HAMILTON_FLAT)
+
+
+def qconj(p: np.ndarray) -> np.ndarray:
+    return p * CONJ_SIGNS
+
+
+def qabs(p: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...a,...a->...", p, p))
 
 
 # -- similarity classes --------------------------------------------------------
@@ -322,46 +317,73 @@ def polarization(op, x: QVector, y: QVector) -> Quaternion:
 
 # -- rotations of imaginary directions -----------------------------------------
 
+_ALIGNED = 1.0 - 1e-14
+_PURE = np.array([0.0, 1.0, 1.0, 1.0])
+_ONE_ARRAY = ONE.to_array()
+
+
+def qconjugator(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Unit quaternions u (..., 4) with conj(u) * source * u aligned with target.
+
+    ``source`` has shape (..., 4) and ``target`` shape (4,).  Only imaginary
+    directions are rotated, so conj(u) s u equals target wherever csim(s)
+    equals csim(target).  Per row, with f and t the unit imaginary directions
+    of source and target and d = f . t:
+
+    * u = 1 where either imaginary part is zero or d >= 1 - 1e-14;
+    * where d <= -1 + 1e-14, u is the rotation by pi about f x e_k, with k the
+      component of f of least magnitude;
+    * otherwise u = conj(r) for the half-angle rotation r taking f to t about
+      f x t; conj(u) v u = r v conj(r).
+    """
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    bs = qabs(src[..., 1:])
+    bt = float(qabs(tgt[1:]))
+    live = (bs > 0.0) & (bt > 0.0)
+    # unit imaginary directions as pure quaternions; dead rows stay zero
+    f = src * _PURE / np.where(live, bs, 1.0)[..., None]
+    t = tgt * _PURE / (bt if bt > 0.0 else 1.0)
+    # f t = -(f . t) + f x t for pure f and t
+    ft = qmul(f, t)
+    d = -ft[..., 0]
+    turn = live & (d < _ALIGNED) & (d > -_ALIGNED)
+    axis = ft[..., 1:]
+    s = qabs(axis)
+    half = 0.5 * np.arctan2(s, d)
+    u = np.empty(src.shape)
+    u[..., 0] = np.cos(half)
+    u[..., 1:] = -(np.sin(half)[..., None] * (axis / np.where(turn, s, 1.0)[..., None]))
+    u = np.where(turn[..., None], u, _ONE_ARRAY)
+    flip = live & (d <= -_ALIGNED)
+    if flip.any():
+        fa = f[flip]
+        probe = np.zeros(fa.shape)
+        probe[np.arange(len(fa)), 1 + np.argmin(np.abs(fa[:, 1:]), axis=1)] = 1.0
+        # f e_k = -f_k + f x e_k
+        perp = qmul(fa, probe)
+        perp[:, 0] = 0.0
+        u[flip] = perp / qabs(perp)[:, None]
+    return u
+
+
 def rotation_aligning(v_from, v_to) -> Quaternion:
     """Unit quaternion u with conj(u) * (v_from as imaginary) * u = v_to.
 
-    Both arguments are unit 3-vectors.  Conjugation v -> conj(u) v u rotates
-    the imaginary part, so u is the half-angle rotation taking v_from to v_to,
-    conjugated.
+    Both arguments are unit 3-vectors; a one-row call of ``qconjugator``.
     """
-    f = np.asarray(v_from, dtype=float)
-    t = np.asarray(v_to, dtype=float)
-    d = float(np.dot(f, t))
-    if d >= 1.0 - 1e-14:
-        return ONE
-    if d <= -1.0 + 1e-14:
-        # antipodal: rotate by pi about any axis orthogonal to f
-        probe = np.zeros(3)
-        probe[int(np.argmin(np.abs(f)))] = 1.0
-        axis = np.cross(f, probe)
-        axis /= np.linalg.norm(axis)
-        return Quaternion(0.0, axis[0], axis[1], axis[2])
-    axis = np.cross(f, t)
-    s = np.linalg.norm(axis)
-    axis /= s
-    half = 0.5 * math.atan2(s, d)
-    r_w = math.cos(half)
-    r_v = math.sin(half) * axis
-    # conj(u) v u with u = conj(r) equals r v conj(r)
-    return Quaternion(r_w, -r_v[0], -r_v[1], -r_v[2])
+    src = np.concatenate(([0.0], np.asarray(v_from, dtype=float)))
+    tgt = np.concatenate(([0.0], np.asarray(v_to, dtype=float)))
+    return Quaternion.from_array(qconjugator(src, tgt))
 
 
 def unit_conjugator(source: Quaternion, target: Quaternion) -> Quaternion:
     """Unit u with conj(u) * source * u close to target.
 
     Requires csim(source) == csim(target) up to rounding; only the imaginary
-    direction is rotated.
+    direction is rotated.  A one-row call of ``qconjugator``.
     """
-    bs = source.im_norm()
-    bt = target.im_norm()
-    if bs == 0.0 or bt == 0.0:
-        return ONE
-    return rotation_aligning(source.im / bs, target.im / bt)
+    return Quaternion.from_array(qconjugator(source.to_array(), target.to_array()))
 
 
 # -- random sampling -----------------------------------------------------------

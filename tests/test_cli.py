@@ -78,6 +78,36 @@ def test_operator_all_tail_kinds(tmp_path):
             fileio.load_operator(path)
 
 
+def test_mapped_tail_operators_round_trip(tmp_path):
+    M = qr.remark_operator()
+    path = tmp_path / "mapped.json"
+    for op in (M.adjoint(), M.affine(2, -1), M.affine(0.5, 1).adjoint()):
+        fileio.dump_operator(op, path)
+        back = fileio.load_operator(path)
+        assert back.tail.kind == op.tail.kind
+        assert np.array_equal(back.tail.prefix(1000), op.tail.prefix(1000))
+        assert back.limit_set == op.limit_set
+        assert back.bound == op.bound
+        assert np.array_equal(back.block.arr, op.block.arr)
+    # the last file is an adjoint around an affine around the rationals tail
+    data = json.loads(path.read_text())
+    assert data["tail"]["kind"] == "adjoint"
+    assert data["tail"]["base"]["kind"] == "affine"
+    out = tmp_path / "out"
+    nan_a = json.loads(json.dumps(data))
+    nan_a["tail"]["base"]["a"] = "X"
+    path.write_text(json.dumps(nan_a).replace('"X"', "NaN"))
+    with pytest.raises(fileio.ParseError, match="non-finite"):
+        fileio.load_operator(path)
+    assert main(["essential", str(path), "--out", str(out)]) == 2
+    unknown = json.loads(json.dumps(data))
+    unknown["tail"]["base"]["base"]["kind"] = "mystery"
+    path.write_text(json.dumps(unknown))
+    with pytest.raises(fileio.ParseError, match="unknown tail kind"):
+        fileio.load_operator(path)
+    assert main(["essential", str(path), "--out", str(out)]) == 2
+
+
 def test_malformed_file_raises(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

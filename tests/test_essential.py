@@ -61,6 +61,13 @@ def test_rationals_tail_enumeration():
     assert np.all(t.prefix(100)[:, [0, 2, 3]] == 0.0)
 
 
+def test_rationals_tail_resumes_its_enumeration():
+    grown = qr.RationalsITail(0.5)
+    for count in (10, 5000, 70000):
+        grown.prefix(count)
+    assert np.array_equal(grown.prefix(70000), qr.RationalsITail(0.5).prefix(70000))
+
+
 def test_decaying_periodic_rate():
     targets = [Quaternion(0.0, 0.5, 0, 0), Quaternion(1.0, 0.25, 0, 0)]
     t = qr.DecayingPeriodicTail(targets, amplitude=0.1)
@@ -367,3 +374,158 @@ def test_membership_interior_triangle_decomposition():
                          [qr.csim(t) for t in targets], bound=1.3)
     assert qr.we_membership(M, Quaternion(0.1, 0.2, 0.0, 0.0), depth=80)
     assert not qr.we_membership(M, Quaternion(0.9, 0.9, 0.0, 0.0))
+
+
+# -- the essential-sequence engine against scalar references -------------------------------
+
+
+def _scalar_conjugator(s: Quaternion, t: Quaternion) -> Quaternion:
+    """Unit u with conj(u) s u = t, rotating imaginary directions one pair at a time."""
+    bs, bt = s.im_norm(), t.im_norm()
+    if bs == 0.0 or bt == 0.0:
+        return Quaternion.one
+    f, g = s.im / bs, t.im / bt
+    d = float(np.dot(f, g))
+    if d >= 1.0 - 1e-14:
+        return Quaternion.one
+    if d <= -1.0 + 1e-14:
+        probe = np.zeros(3)
+        probe[int(np.argmin(np.abs(f)))] = 1.0
+        axis = np.cross(f, probe)
+        return Quaternion(0.0, *(axis / np.linalg.norm(axis)))
+    axis = np.cross(f, g)
+    sn = float(np.linalg.norm(axis))
+    half = 0.5 * math.atan2(sn, d)
+    return Quaternion(math.cos(half), *(-math.sin(half) * axis / sn))
+
+
+def _reference_pick(M, target, eps, cursor, forbidden=frozenset()):
+    """The tail scan entry by entry: (index, coordinate, u, value, error)."""
+    sphere = qr.csim(target)
+    window = max(2048, 2 * (cursor + 1))
+    while True:
+        window = min(window, qr.TailBasisSequence.MAX_SCAN)
+        pref = M.tail.prefix(window)
+        pts = qr.bild_points(pref)
+        d = np.hypot(pts[:, 0] - sphere.a, pts[:, 1] - sphere.b)
+        for n0 in np.flatnonzero(d[cursor:] <= eps) + cursor:
+            coord = M.block_size + int(n0)
+            if coord in forbidden:
+                continue
+            s = Quaternion.from_array(pref[n0])
+            u = _scalar_conjugator(s, target)
+            value = u.conj() * s * u
+            err = abs(value - target)
+            if err <= eps * (1.0 + 1e-9) + 1e-15:
+                return int(n0) + 1, coord, u, value, err
+        if window == qr.TailBasisSequence.MAX_SCAN:
+            raise qr.MissingSequenceError("reference scan exhausted")
+        window *= 8
+
+
+def test_pick_matches_scalar_reference_scan():
+    cases = []
+    for seed in (0, 5, 11):  # block_size 2, one to three limit classes
+        M = seeded_model_operator(seed)
+        assert M.block_size == 2
+        for part in M.limit_set:
+            cases.append((M, Quaternion(part.a, part.b, 0.0, 0.0)))
+            # the reflected class representative: antipodal rotations
+            cases.append((M, Quaternion(part.a, 0.0, -part.b, 0.0)))
+    remark = qr.remark_operator()
+    cases += [(remark, Quaternion(0.0, 0.25, 0.0, 0.0)),
+              (remark, Quaternion(0.0, 0.0, -0.3, 0.1))]
+    for M, target in cases:
+        forbidden = frozenset(M.block_size + k for k in range(0, 400, 2))
+        seq = qr.TailBasisSequence(M, target)
+        # eps = 1/p with the cursor advancing, then a jump past the first
+        # rotation block and one more step from there
+        steps = [(1.0 / p, None) for p in range(1, 40)] + [(1 / 60, 3000), (1 / 60, None)]
+        cursor = 0
+        for eps, jump in steps:
+            cursor = cursor if jump is None else jump
+            got = seq.pick(eps, cursor, forbidden)
+            want = _reference_pick(M, target, eps, cursor, forbidden)
+            index, vec, value, err = got
+            assert index == want[0]
+            assert vec.index.tolist() == [want[1]]
+            assert want[1] not in forbidden
+            assert np.max(np.abs(vec.coeffs[0] - want[2].to_array())) <= 1e-15
+            assert abs(value - want[3]) <= 1e-15 * (1.0 + abs(target))
+            assert abs(err - want[4]) <= 1e-15 * (1.0 + abs(target))
+            cursor = index
+    # far hits: 49/100 is the first fraction within 1e-4 of 0.49, past the first
+    # window, the first rotation block and many search spans
+    seq = qr.TailBasisSequence(remark, Quaternion(0.0, 0.0, 0.0, -0.49))
+    got = seq.pick(1e-4, 0)
+    want = _reference_pick(remark, Quaternion(0.0, 0.0, 0.0, -0.49), 1e-4, 0)
+    assert got[0] == want[0] > qr.TailBasisSequence.BLOCK
+    assert np.max(np.abs(got[1].coeffs[0] - want[2].to_array())) <= 1e-15
+    assert abs(got[2] - want[3]) <= 1e-15 and abs(got[3] - want[4]) <= 1e-15
+
+
+def test_pick_raises_when_nothing_qualifies_before_the_cap(monkeypatch):
+    class WatchedTail(qr.DecayingPeriodicTail):
+        largest = 0
+
+        def _generate(self, count):
+            WatchedTail.largest = max(WatchedTail.largest, count)
+            return super()._generate(count)
+
+    monkeypatch.setattr(qr.TailBasisSequence, "MAX_SCAN", 5000)
+    target = Quaternion(0.2, 0.5, 0.0, 0.0)
+    M = qr.ModelOperator(qr.QMatrix.zeros(1), WatchedTail([target], amplitude=0.1),
+                         [qr.csim(target)], bound=1.0)
+    seq = qr.TailBasisSequence(M, target)
+    # every class up to index 5000 is at least 4e-10 from the target's
+    with pytest.raises(qr.MissingSequenceError):
+        seq.pick(1e-12, 0)
+    with pytest.raises(qr.MissingSequenceError):
+        seq.pick(1.0, 5000)
+    assert WatchedTail.largest == 5000
+    assert seq.pick(1.0, 0)[0] == 1
+
+
+def _mixed_support_operator():
+    rng = np.random.default_rng(44)
+    block = qr.QMatrix(rng.standard_normal((3, 3, 4)))
+    targets = [Quaternion(0.2, 0.5, 0.0, 0.0), Quaternion(-0.4, 0.1, 0.0, 0.0)]
+    return qr.ModelOperator(block, qr.DecayingPeriodicTail(targets, amplitude=0.1),
+                            [qr.csim(t) for t in targets], bound=1.0)
+
+
+def test_sparse_vectors_match_dense_evaluation():
+    M = _mixed_support_operator()
+    rng = np.random.default_rng(45)
+    # block coordinates 0..2 meet off-diagonal block entries; 5, 9 and 12 are tail
+    x = qr.SparseVec([0, 2, 5, 9], rng.standard_normal((4, 4)))
+    y = qr.SparseVec([1, 2, 7, 9, 12], rng.standard_normal((5, 4)))
+    T = qr.truncate(M, 12).matrix
+    X, Y = x.to_qvector(T.n), y.to_qvector(T.n)
+    tol = 1e-12
+    assert abs(x.inner(y) - X.inner(Y)) <= tol
+    assert abs(x.quad_value(M) - T.apply(X).inner(X)) <= tol
+    assert abs(y.quad_value(M) - T.apply(Y).inner(Y)) <= tol
+    assert abs(x.op_inner(M, y) - T.apply(X).inner(Y)) <= tol
+    assert abs(x.op_inner(M, y, adjoint=True) - T.adjoint().apply(X).inner(Y)) <= tol
+    assert abs(y.op_inner(M, x, adjoint=True) - T.adjoint().apply(Y).inner(X)) <= tol
+    z = x.scaled(0.6).add(y.scaled(-0.8))
+    assert z.index.tolist() == [0, 1, 2, 5, 7, 9, 12]
+    assert np.max(np.abs(z.to_qvector(T.n).arr - (0.6 * X.arr - 0.8 * Y.arr))) <= tol
+    assert z.norm() == pytest.approx((0.6 * X + (-0.8) * Y).norm(), abs=tol)
+    assert [i for i, _ in z.entries] == z.index.tolist()
+    assert all(q.isclose(Quaternion.from_array(c), 0.0) for (_, q), c in zip(z.entries, z.coeffs))
+    assert z.support == frozenset(z.index.tolist())
+    with pytest.raises(ValueError):
+        z.coeffs[0, 0] = 1.0
+
+
+def test_model_entries_lookup():
+    M = _mixed_support_operator()
+    rows, cols = [1, 2, 5, 9], [0, 2, 9, 11]
+    i, j, values = M.entries(rows, cols)
+    dense = np.zeros((4, 4, 4))
+    dense[i, j] = values
+    T = qr.truncate(M, 10).matrix
+    assert np.array_equal(dense, T.arr[np.ix_(rows, cols)])
+    assert M.entries([4], [5])[0].size == 0

@@ -235,3 +235,34 @@ def test_qmul_matches_scalar():
     assert np.allclose(qabs(prod), qabs(a) * qabs(b))
     assert np.allclose(qconj(a)[:, 0], a[:, 0])
     assert np.allclose(qconj(a)[:, 1:], -a[:, 1:])
+
+
+def test_qconjugator_rows_match_scalar_and_land_on_target():
+    rng = np.random.default_rng(31)
+    targets = [Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-1.0, 0.0, 0.0, 2.0),
+               Quaternion(0.5, 0.7, 0.0, 0.0), Quaternion(0.0, 0.1, 0.9, -0.4)]
+    for target in targets:
+        t = target.to_array()
+        # random members of the target's class, then an aligned, an antipodal
+        # and a zero-imaginary source
+        us = rng.standard_normal((60, 4))
+        us /= qabs(us)[:, None]
+        src = qmul(qmul(qconj(us), np.broadcast_to(t, us.shape)), us)
+        src[0] = t
+        src[1] = t * [1.0, -1.0, -1.0, -1.0]
+        src[2] = [t[0], 0.0, 0.0, 0.0]
+        u = qr.quaternion.qconjugator(src, t)
+        assert u.shape == src.shape
+        assert np.max(np.abs(qabs(u) - 1.0)) <= 1e-15
+        for row, s in zip(u, src):
+            one = unit_conjugator(Quaternion.from_array(s), target).to_array()
+            assert np.max(np.abs(row - one)) <= 1e-15
+        assert np.array_equal(u[0], ONE.to_array())
+        assert np.array_equal(u[2], ONE.to_array())
+        assert u[1, 0] == 0.0  # a rotation by pi
+        moved = qmul(qmul(qconj(u), src), u)
+        same_class = np.arange(len(src)) != 2
+        assert np.max(np.abs(moved[same_class] - t)) <= 1e-14 * (1.0 + abs(target))
+    # a target with zero imaginary part leaves every source as it is
+    u = qr.quaternion.qconjugator(rng.standard_normal((5, 4)), np.array([0.7, 0.0, 0.0, 0.0]))
+    assert np.array_equal(u, np.tile(ONE.to_array(), (5, 1)))
