@@ -8,6 +8,7 @@ inputs and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -81,8 +82,18 @@ def _poly_rows(poly, kind):
     return [(float(a), float(b), kind) for a, b in np.asarray(poly).reshape(-1, 2)]
 
 
+def _parse_reals(text: str, count: int, flag: str) -> list[float]:
+    """Exactly ``count`` comma-separated finite numbers, else ParseError."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise fileio.ParseError(
+            f"{flag} needs {count} comma-separated numbers, got {text!r}")
+    return [fileio._real(v) for v in parts]
+
+
 def _parse_polygon(text: str) -> np.ndarray:
-    return np.array([[float(v) for v in pair.split(",")] for pair in text.split(";")])
+    """'a1,b1;a2,b2;...': one or more finite pairs."""
+    return np.array([_parse_reals(pair, 2, "--target") for pair in text.split(";")])
 
 
 def _cmd_bild(args, out: Path) -> int:
@@ -147,21 +158,24 @@ def _cmd_essential(args, out: Path) -> int:
 
 
 def _cmd_lancaster(args, out: Path) -> int:
+    target = _parse_polygon(args.target) if args.target else None
+    edge = _parse_reals(args.edge, 4, "--edge") if args.edge else None
     M = fileio.load_operator(args.input)
     sections = [args.section] if args.section else list(DEFAULT_SECTIONS)
-    target = _parse_polygon(args.target) if args.target else None
     report = lancaster_check(M, sections, m=args.m, k=args.k, seed=args.seed,
                              target=target)
     residuals = {}
-    if args.edge:
-        vals = [float(v) for v in args.edge.split(",")]
-        probe = nonclosedness_probe(M, [(vals[0], vals[1]), (vals[2], vals[3])],
-                                    sections, m=min(args.m, 50000), seed=args.seed)
-        residuals = {row.N: row.residual for row in probe.rows}
+    if edge:
+        probe = nonclosedness_probe(M, [edge[:2], edge[2:]], sections,
+                                    m=min(args.m, 50000), seed=args.seed)
+        # a residual is inf when no attained value falls in the probe window;
+        # the artifacts carry it as null / an empty field, which JSON can hold
+        residuals = {row.N: row.residual if math.isfinite(row.residual) else None
+                     for row in probe.rows}
     rows = []
     for row in report.rows:
-        rows.append((row.N, row.hausdorff_outer,
-                     "" if row.N not in residuals else residuals[row.N]))
+        residual = residuals.get(row.N)
+        rows.append((row.N, row.hausdorff_outer, "" if residual is None else residual))
     fileio.write_csv(out / "lancaster.csv", ["N", "hausdorff", "residual"], rows)
     summary = {
         "config": _config_dict(args),

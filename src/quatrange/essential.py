@@ -602,10 +602,11 @@ class TailBasisSequence:
     <T e u, e u> = conj(u) s u converges to the target at the scan rate.
 
     Each tail entry is scanned once per sequence: when the scan window grows,
-    the new entries get their bild distance to the target class and the error
-    |conj(u) s u - target| of their rotated value, kept as two arrays.  The
-    rotations u and values themselves are kept for one block of at most
-    ``BLOCK`` consecutive entries, the one the picks are in.
+    the new entries get their bild distance to the target class, kept in one
+    array.  The rotations u, values conj(u) s u and errors |conj(u) s u -
+    target| are computed for one block of at most ``BLOCK`` consecutive
+    entries, the one the picks are in, so a candidate is tested on the error
+    of the value the pick returns.
     """
 
     MAX_SCAN = 2_000_000
@@ -622,37 +623,34 @@ class TailBasisSequence:
         self._sphere = sphere
         self._target = target.to_array()
         self._dist = np.zeros(0)
-        self._err = np.zeros(0)
-        self._block = (0, np.zeros((0, 4)), np.zeros((0, 4)))
+        self._block = (0, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0))
 
     def _rotate_block(self, lo: int, hi: int) -> None:
-        """Rotations u and values conj(u) s u of tail entries lo .. hi - 1 (0-based)."""
+        """Rotations u, values conj(u) s u and their errors for entries lo .. hi - 1."""
         s = self.M.tail.prefix(hi)[lo:]
         u = qconjugator(s, self._target)
-        self._block = (lo, u, qmul(qmul(qconj(u), s), u))
+        value = qmul(qmul(qconj(u), s), u)
+        self._block = (lo, u, value, qabs(value - self._target))
 
     def _scan(self, window: int) -> None:
-        """Extend the distance and error arrays to the first ``window`` entries."""
+        """Extend the distance array to the first ``window`` entries."""
         done = self._dist.size
         if window <= done:
             return
         pts = bild_points(self.M.tail.prefix(window)[done:])
         dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
-        err = np.empty(window - done)
-        for lo in range(done, window, self.BLOCK):
-            self._rotate_block(lo, min(lo + self.BLOCK, window))
-            value = self._block[2]
-            err[lo - done:lo - done + len(value)] = qabs(value - self._target)
         self._dist = np.concatenate((self._dist, dist))
-        self._err = np.concatenate((self._err, err))
 
-    def _rotation(self, n0: int) -> tuple[np.ndarray, np.ndarray]:
-        """u and conj(u) s u of tail entry n0, rotating its block if needed."""
-        lo, u, value = self._block
+    def _rotation(self, n0: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """u, conj(u) s u and |conj(u) s u - target| of tail entry n0.
+
+        The entry's block is rotated if the current block does not hold it.
+        """
+        lo, u, value, err = self._block
         if not lo <= n0 < lo + len(u):
             self._rotate_block(n0, min(n0 + self.BLOCK, self._dist.size))
-            lo, u, value = self._block
-        return u[n0 - lo], value[n0 - lo]
+            lo, u, value, err = self._block
+        return u[n0 - lo], value[n0 - lo], float(err[n0 - lo])
 
     def pick(self, eps: float, cursor: int, forbidden=frozenset()):
         """First tail index > cursor with error <= eps and coordinate allowed.
@@ -672,10 +670,12 @@ class TailBasisSequence:
             for lo in range(cursor, window, self.SPAN):
                 for k in (self._dist[lo:min(lo + self.SPAN, window)] <= eps).nonzero()[0]:
                     n0 = lo + int(k)
-                    if self._err[n0] <= tol and m0 + n0 not in forbidden:
-                        u, value = self._rotation(n0)
+                    if m0 + n0 in forbidden:
+                        continue
+                    u, value, err = self._rotation(n0)
+                    if err <= tol:
                         return (n0 + 1, SparseVec._of(np.array([m0 + n0]), u[None].copy()),
-                                Quaternion(*value.tolist()), float(self._err[n0]))
+                                Quaternion(*value.tolist()), err)
             if window == self.MAX_SCAN:
                 raise MissingSequenceError(
                     f"no tail index with error <= {eps:g} beyond cursor {cursor}")

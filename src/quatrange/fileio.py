@@ -182,7 +182,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, data) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 # -- minimal SVG -------------------------------------------------------------------

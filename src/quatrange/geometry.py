@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "convex_hull",
     "halfplane_intersection",
+    "upper_support_polygon",
     "clip_polygon",
     "polygon_contains",
     "signed_inner_distance",
@@ -156,6 +157,31 @@ def halfplane_intersection(constraints, bound: float) -> np.ndarray:
             raise DegenerateRegionError("half-plane intersection is empty")
     poly = _dedupe_ring(poly, 1e-12 * (1.0 + r))
     return convex_hull(poly) if len(poly) >= 3 else _canonical(np.unique(poly, axis=0))
+
+
+def upper_support_polygon(thetas, offsets) -> np.ndarray:
+    """Intersection of a cos(t) + b sin(t) <= h(t) with b >= 0, in closed form.
+
+    The angles are sorted, 0 = t_0 < ... < t_{k-1} = pi, and every line must
+    touch the convex set the offsets support.  Then the polygon is the hull
+    of (h_0, 0), the meeting points of consecutive lines and (-h_{k-1}, 0):
+    along the boundary b rises while t < pi/2 and falls after, so each
+    meeting point lies above a touching point and b >= 0 cuts only the two
+    end lines.  Meeting points are clamped to b >= 0 against rounding.
+    Vertices within 1.5e-12 (1 + max |h|) of the previous kept one merge:
+    this folds the rounding-sized arc of meeting points at each corner and
+    collapses a rounding-thin region to a point or a segment, as the
+    clipping reference ``halfplane_intersection`` does.
+    """
+    t = np.asarray(thetas, dtype=float)
+    h = np.asarray(offsets, dtype=float)
+    c, s = np.cos(t), np.sin(t)
+    det = c[:-1] * s[1:] - s[:-1] * c[1:]  # sin(t_{j+1} - t_j) > 0
+    meet = np.stack([(h[:-1] * s[1:] - h[1:] * s[:-1]) / det,
+                     np.maximum((c[:-1] * h[1:] - c[1:] * h[:-1]) / det, 0.0)], axis=1)
+    poly = convex_hull(np.vstack([(h[0], 0.0), meet, (-h[-1], 0.0)]))
+    poly = _dedupe_ring(poly, 1.5e-12 * (1.0 + float(np.abs(h).max())))
+    return poly if len(poly) >= 3 else _canonical(np.unique(poly, axis=0))
 
 
 def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

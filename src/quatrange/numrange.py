@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import NumericalError, sym_eig
-from .geometry import convex_hull, halfplane_intersection, hausdorff_convex
+from .geometry import convex_hull, hausdorff_convex, upper_support_polygon
 from .qmatrix import QMatrix
 from .quaternion import CONJ_SIGNS, HAMILTON, TRIPLE, rotation_aligning
 
@@ -262,9 +262,12 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
     """Inner hull of attained values plus support-function outer polygon.
 
     The outer polygon intersects the half-planes a cos(t) + b sin(t) <= h(t)
-    for k equispaced angles in [0, pi] with b >= 0 and |a| <= ||T||_F.  The
-    inner hull spans the m sampled values and one boundary point per angle
-    that attains h(t), so it meets every support line of the grid.
+    for k equispaced angles in [0, pi] with b >= 0.  The inner hull spans the
+    m sampled values and one boundary point per angle that attains h(t), so
+    it meets every support line of the grid.  Each line therefore touches
+    the convex upper bild, and the outer polygon is read off the lines in
+    closed form (geometry.upper_support_polygon): the hull of (h(0), 0), the
+    meeting points of consecutive lines and (-h(pi), 0).
 
     Only upward support directions exist, so the outer polygon extends down
     to b = 0 even where the region does not, and hausdorff_gap includes that
@@ -294,15 +297,8 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
         raise NumericalError(
             f"support boundary points off their support lines: outside by "
             f"{outside:.3e}, missing h by {missed:.3e}")
-    bound = T.frobenius()
-    # outward rounding pad keeps antipodal support cuts from crossing when
-    # the region is a single point
-    pad = 1e-12 * scale
-    constraints = [(math.cos(t), math.sin(t), h + pad) for t, h in zip(thetas, offsets)]
-    constraints.append((0.0, -1.0, 0.0))  # b >= 0
-    constraints.append((1.0, 0.0, bound))
-    constraints.append((-1.0, 0.0, bound))
-    outer = halfplane_intersection(constraints, bound + 1.0)
+    # an outward pad keeps the polygon a superset when h(t) is rounded down
+    outer = upper_support_polygon(thetas, offsets + 1e-12 * scale)
     hull = convex_hull(np.vstack([inner, edge]))
     gap = hausdorff_convex(hull, outer)
     support_gap = float((offsets - (hull @ dirs.T).max(axis=0)).max())

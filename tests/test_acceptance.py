@@ -18,12 +18,15 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import quatrange as qr
 from quatrange import Quaternion
 from quatrange.geometry import hausdorff_convex, signed_inner_distance
 
 from conftest import mirrored, random_qmatrix, seeded_model_operator
+
+pytestmark = pytest.mark.slow
 
 TRAPEZOID = np.array([(-1.0, 1.0), (1.0, 1.0), (1 / 3, 0.0), (-1 / 3, 0.0)])
 SEED = 20260808

@@ -153,6 +153,7 @@ def test_essential_command(remark_file, tmp_path):
     assert csv == "a,b\n0.0,-0.5\n0.0,0.5\n"
 
 
+@pytest.mark.slow
 def test_lancaster_command(remark_file, tmp_path):
     out = tmp_path / "out"
     code = main(["lancaster", str(remark_file), "--section", "40",
@@ -168,6 +169,32 @@ def test_lancaster_command(remark_file, tmp_path):
     assert "sampling_gap" not in summary["rows"][0]
     assert summary["rows"][0]["hausdorff_gap"] > 0.0
     assert float(summary["residuals"]["40"]) > 0.0
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--edge=1,2,3", "--edge needs 4"),
+    ("--edge=nan,0,1,1", "non-finite"),
+    ("--target=nan,0;1,1", "non-finite"),
+], ids=["edge_three_numbers", "edge_nan", "target_nan"])
+def test_lancaster_rejects_bad_flags(remark_file, tmp_path, capsys, flag, message):
+    code = main(["lancaster", str(remark_file), "--section", "5", "--samples", "200",
+                 "--angles", "12", "--out", str(tmp_path / "out"), flag])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unattained_probe_residual_is_null(remark_file, tmp_path):
+    # no attained value projects into the window of an edge far from the bild,
+    # so the residual is inf in the library and null / empty in the artifacts
+    out = tmp_path / "out"
+    assert main(["lancaster", str(remark_file), "--section", "5", "--samples", "200",
+                 "--angles", "12", "--out", str(out), "--edge=5,5,6,6"]) == 0
+    text = (out / "summary.json").read_text()
+    assert "Infinity" not in text
+    assert read_summary(out)["residuals"] == {"5": None}
+    assert (out / "lancaster.csv").read_text().splitlines()[1].endswith(",")
+    with pytest.raises(ValueError):
+        fileio.write_json(tmp_path / "nan.json", {"x": float("nan")})
 
 
 def test_verify_command(remark_file, tmp_path):

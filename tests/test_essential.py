@@ -5,6 +5,7 @@ import pytest
 
 import quatrange as qr
 from quatrange import Quaternion
+from quatrange import essential
 from quatrange.essential import Tail
 from quatrange.geometry import minkowski_sum, signed_inner_distance
 
@@ -484,6 +485,25 @@ def test_pick_raises_when_nothing_qualifies_before_the_cap(monkeypatch):
         seq.pick(1.0, 5000)
     assert WatchedTail.largest == 5000
     assert seq.pick(1.0, 0)[0] == 1
+
+
+def test_pick_rotates_only_the_block_it_returns_from(monkeypatch):
+    rotated = []
+    kernel = essential.qconjugator
+
+    def counting(source, target):
+        rotated.append(len(source))
+        return kernel(source, target)
+
+    monkeypatch.setattr(essential, "qconjugator", counting)
+    target = Quaternion(0.0, 0.25, 0.0, 0.0)
+    seq = qr.TailBasisSequence(qr.remark_operator(), target)
+    # the cursor sets a scan window of 40002 entries; only their distances are
+    # needed, and the error is measured on the value the pick returns
+    index, vec, value, err = seq.pick(1e-3, 20000)
+    assert index > 20000
+    assert 0 < sum(rotated) <= qr.TailBasisSequence.BLOCK
+    assert abs(err - abs(value - target)) <= 1e-15 and err <= 1e-3
 
 
 def _mixed_support_operator():

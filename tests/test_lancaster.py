@@ -131,6 +131,7 @@ def test_lancaster_block_with_vanishing_tail():
     assert report.rows[0].hausdorff_target <= 0.02
 
 
+@pytest.mark.slow
 def test_lancaster_pure_matrix_matches_padded_matrix():
     # zero tail: the closure region is iconv({origin}, matrix bild), which must
     # agree with the same construction run on the matrix padded by a zero

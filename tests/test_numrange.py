@@ -5,7 +5,12 @@ import pytest
 
 import quatrange as qr
 from quatrange import Quaternion
-from quatrange.geometry import hausdorff_convex, points_polygon_distance
+from quatrange.geometry import (
+    halfplane_intersection,
+    hausdorff_convex,
+    points_polygon_distance,
+    upper_support_polygon,
+)
 from quatrange import numrange
 from quatrange.eigen import NumericalError
 from quatrange.numrange import _CHUNK_BUDGET, _rng
@@ -165,6 +170,35 @@ def _block_plus_diagonal():
     arr[3, 3] = (-0.5, 0.0, 0.75, 0.0)
     arr[4, 4] = (0.2, 0.1, 0.1, -0.3)
     return qr.QMatrix(arr)
+
+
+@pytest.mark.parametrize("k", [3, 4, 360, pytest.param(3601, marks=pytest.mark.slow)])
+def test_upper_support_polygon_matches_clipping_reference(k):
+    # the reference clips a box with k Python Sutherland-Hodgman passes, about
+    # 20 s per smooth region at k = 3601
+    thetas = np.linspace(0.0, math.pi, k)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    point_regions = [3.0 * qr.QMatrix.identity(2), qr.QMatrix.zeros(2)]
+    matrices = [random_qmatrix(40 + n, n) for n in range(1, 5)] + [
+        _block_plus_diagonal(),
+        qr.QMatrix.diag([Quaternion(-1, 1, 0, 0), Quaternion(1, 1, 0, 0)]),
+        qr.QMatrix.diag([I]),
+    ] + point_regions
+    cases = [(T.frobenius(), qr.support_offsets(T, thetas)) for T in matrices]
+    # support values of a random convex point set in b >= 0
+    pts = np.random.default_rng(8).uniform((-2.0, 0.0), (2.0, 3.0), size=(30, 2))
+    cases.append((float(np.linalg.norm(pts, axis=1).max()), (pts @ dirs.T).max(axis=0)))
+    for bound, h in cases:
+        h = h + 1e-12 * (1.0 + np.abs(h).max())
+        constraints = [(math.cos(t), math.sin(t), c) for t, c in zip(thetas, h)]
+        constraints += [(0.0, -1.0, 0.0), (1.0, 0.0, bound), (-1.0, 0.0, bound)]
+        want = halfplane_intersection(constraints, bound + 1.0)
+        got = upper_support_polygon(thetas, h)
+        assert hausdorff_convex(got, want) <= 1e-9 * (1.0 + np.abs(h).max())
+    # a point region collapses to a point or a segment of rounding length
+    for T in point_regions:
+        h = qr.support_offsets(T, thetas)
+        assert len(upper_support_polygon(thetas, h + 1e-12 * (1.0 + np.abs(h).max()))) <= 2
 
 
 @pytest.mark.parametrize("T", [random_qmatrix(20, 3), _block_plus_diagonal()],
