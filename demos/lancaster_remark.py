@@ -20,22 +20,22 @@ print("essential bild (exact):", poly.tolist())
 closure = np.array([(-1.0, 1.0), (1.0, 1.0), (1 / 3, 0.0), (-1 / 3, 0.0)])
 print("\nclosure polygon of the upper bild:", closure.tolist())
 
-print("\ninter-convex hull of the essential segment with section bild samples,")
+print("\ninter-convex hull of the essential segment with the exact section bild,")
 print("distance to the closure polygon per section size:")
-report = qr.lancaster_check(M, sections=[50, 100, 200, 500], m=50000, k=180,
-                            seed=0, target=closure)
-for row in report.rows:
+report = qr.lancaster_check(M, sections=[50, 100, 200, 500], k=180, target=closure)
+for row, bild in zip(report.rows, report.bilds):
+    corner = max(a for a, b in bild.outer_polygon if b == 0.0)
     print(f"  N = {row.N:3d}: distance {row.hausdorff_target:.4f} "
-          f"({row.n_satellites} satellites kept)")
+          f"(section bild: {row.n_satellites}-vertex polygon, real corner {corner:.6f})")
 
 print("\nnon-closedness probe on the edge (-1/3, 0) -- (-1, 1):")
 probe = qr.nonclosedness_probe(M, [(-1 / 3, 0.0), (-1.0, 1.0)],
-                               sections=[50, 100, 200, 500], m=20000, seed=0)
+                               sections=[50, 100, 200, 500])
 for row in probe.rows:
     print(f"  N = {row.N:3d}: residual {row.residual:.6f}  (> 0: edge unattained)")
 
 print("\nsame probe on the attained top edge (-1, 1) -- (1, 1):")
 probe_top = qr.nonclosedness_probe(M, [(-1.0, 1.0), (1.0, 1.0)],
-                                   sections=[50, 200], m=20000, seed=0)
+                                   sections=[50, 200])
 for row in probe_top.rows:
     print(f"  N = {row.N:3d}: residual {row.residual:.2e}  (~ 0: edge attained)")

@@ -37,6 +37,7 @@ from .lancaster import (
     LancasterReport,
     ProbeReport,
     iconv,
+    iconv_polygon,
     lancaster_check,
     nonclosedness_probe,
 )
@@ -45,6 +46,7 @@ from .numrange import (
     RealSection,
     RealSectionError,
     bild_points,
+    diagonal_bild,
     nr_sample,
     real_section,
     refined_values,
@@ -99,10 +101,12 @@ __all__ = [
     "convex_hull",
     "csim",
     "delta",
+    "diagonal_bild",
     "essential_bild",
     "halfplane_intersection",
     "hausdorff_convex",
     "iconv",
+    "iconv_polygon",
     "inner",
     "jacobi_eig",
     "lancaster_check",

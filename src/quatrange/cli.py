@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", "-m", dest="m", type=int, default=20000)
         p.add_argument("--angles", "-k", dest="k", type=int, default=360)
         p.add_argument("--section", "-N", dest="section", type=int, default=None)
-        p.add_argument("--depth", "-p", dest="depth", type=int, default=60)
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--svg", action="store_true", help="also write an SVG plot")
@@ -68,7 +67,6 @@ def _config_dict(args) -> dict:
         "samples": args.m,
         "angles": args.k,
         "section": args.section,
-        "depth": args.depth,
         "tol": args.tol,
         "svg": bool(args.svg),
     }

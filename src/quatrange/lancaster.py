@@ -7,9 +7,11 @@ bild with the bild itself,
 
 a strictly weaker closure than conv(A u B) when B is not convex.  All
 verification happens in bild coordinates: the essential polygon is exact by
-construction, the other ingredient is a cloud of genuinely attained bild
-values of a finite section, and the resulting region is a union of convex
-hulls conv(base u {satellite}) handled piece by piece.
+construction, and the resulting region is a union of convex pieces handled
+piece by piece.  For a diagonal section the other ingredient is its exact
+upper bild polygon (numrange.diagonal_bild) and the pieces are
+conv(base u e) over the polygon's edges e; otherwise it is a cloud of
+genuinely attained bild values and the pieces are conv(base u {satellite}).
 """
 
 from __future__ import annotations
@@ -27,11 +29,19 @@ from .geometry import (
     signed_inner_distance,
 )
 from .essential import ModelOperator, essential_bild, truncate
-from .numrange import BildRegion, bild_points, nr_sample, refined_values, upper_bild
+from .numrange import (
+    BildRegion,
+    bild_points,
+    diagonal_bild,
+    nr_sample,
+    refined_values,
+    upper_bild,
+)
 
 __all__ = [
     "IconvRegion",
     "iconv",
+    "iconv_polygon",
     "lancaster_check",
     "LancasterReport",
     "nonclosedness_probe",
@@ -44,10 +54,10 @@ _DEDUPE_STEP = 2e-3  # satellite grid snap; far below every reported tolerance
 
 @dataclass
 class IconvRegion:
-    """Union of hulls conv(base u {s}) over the reduced satellite set."""
+    """Union of convex pieces: conv(base u {s}) per kept satellite, or per polygon edge."""
 
     base: np.ndarray
-    satellites: np.ndarray  # reduced, region-equivalent satellite points
+    satellites: np.ndarray  # kept satellite points, or the vertices of the polygon
     pieces: list[np.ndarray]
 
     def contains(self, point, tol: float = 1e-9) -> bool:
@@ -122,6 +132,28 @@ def iconv(P: np.ndarray, S) -> IconvRegion:
     return IconvRegion(base=P, satellites=np.array(kept).reshape(-1, 2), pieces=pieces)
 
 
+def iconv_polygon(P: np.ndarray, Q: np.ndarray) -> IconvRegion:
+    """Inter-convex hull of a convex polygon P with a convex polygon Q, exactly.
+
+    One piece conv(P u e) per edge e of Q; a point or a segment Q gives the
+    single piece conv(P u Q).  Fan argument: for p in P and q in Q the ray
+    from p through q leaves Q through an edge e at some q', so every point
+    of [p, q] lies on [p, q'] inside conv(P u e); conversely conv(P u e) is
+    made of segments from P to e, inside iconv(P, Q).
+    """
+    P = np.asarray(P, dtype=float).reshape(-1, 2)
+    Q = np.asarray(Q, dtype=float).reshape(-1, 2)
+    if len(P) == 0 or len(Q) == 0:
+        raise ValueError("both polygons must be non-empty")
+    if len(Q) <= 2:
+        pieces = [convex_hull(np.vstack([P, Q]))]
+    else:
+        ends = np.roll(Q, -1, axis=0)
+        pieces = [convex_hull(np.vstack([P, Q[i:i + 1], ends[i:i + 1]]))
+                  for i in range(len(Q))]
+    return IconvRegion(base=P, satellites=Q, pieces=pieces)
+
+
 # -- distances between a piece union and a convex polygon -----------------------------
 
 def _polygon_grid(poly: np.ndarray, res: float) -> np.ndarray:
@@ -183,14 +215,25 @@ class LancasterReport:
 def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                     seed: int = 0, target: np.ndarray | None = None,
                     grid_res: float = 0.005) -> LancasterReport:
-    """Compare iconv(essential bild, section bild samples) with reference regions.
+    """Compare iconv(essential bild, section bild) with reference regions.
 
-    For each section size N the region L_N = iconv(B_e, satellites) is built
-    from the full (both-sign) essential polygon and satellites that are
-    genuinely attained bild values of the truncation: the random inner cloud
-    of its upper bild plus deterministic basis/pair values.  Reported per N:
-    the distance from the upper clip of L_N to the truncation's outer support
-    polygon, and to an optional analytic target polygon.
+    For each section size N the region L_N is built from the full
+    (both-sign) essential polygon B_e and the upper bild of the truncation.
+
+    * A diagonal section (every section of an operator with a diagonal
+      block) has its bild in closed form, numrange.diagonal_bild, checked
+      exact on the k-angle grid.  L_N = iconv_polygon(B_e, Q) over that
+      polygon Q is then exact: no vector is sampled, m and seed do not
+      matter, n_satellites counts the vertices of Q, and gap is the 1e-12
+      rounding pad between Q and its outer polygon.
+    * Any other section uses satellites that are genuinely attained bild
+      values: the m-sample inner cloud of its upper bild (upper_bild with m,
+      k and seed + index) plus deterministic basis/pair values, and
+      L_N = iconv(B_e, satellites).  n_satellites counts the kept ones.
+
+    Reported per N: the distance from the upper clip of L_N to the
+    truncation's outer support polygon, and to an optional analytic target
+    polygon.
     """
     base = essential_bild(M)
     if target is not None:
@@ -200,13 +243,18 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     bilds: list[BildRegion] = []
     for idx, N in enumerate(sections):
         T = truncate(M, int(N)).matrix
-        region_bild = upper_bild(T, m=m, k=k, seed=seed + idx)
-        exact = bild_points(refined_values(T))
-        satellites = np.vstack([region_bild.inner_points, exact])
-        L = iconv(base, satellites)
+        if T.block_split() == 0:
+            region_bild = diagonal_bild(T, k=k)
+            L = iconv_polygon(base, region_bild.inner_hull)
+        else:
+            region_bild = upper_bild(T, m=m, k=k, seed=seed + idx)
+            exact = bild_points(refined_values(T))
+            satellites = np.vstack([region_bild.inner_points, exact])
+            L = iconv(base, satellites)
         Lup = L.upper()
-        # the outer polygon includes the support-unreachable under-region, so
-        # its distance is structural; a coarse grid is enough for the report
+        # a sampled section's outer polygon includes the support-unreachable
+        # under-region, so its distance is structural; a coarse grid is
+        # enough for the report
         d_outer = hausdorff_union_convex(Lup, region_bild.outer_polygon,
                                          res=max(grid_res, 0.02))
         d_target = None
@@ -229,7 +277,7 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
 class ProbeRow:
     N: int
     residual: float
-    attained: float  # best supporting-functional value among edge-facing samples
+    attained: float  # best supporting-functional value over the window's bild points
 
 
 @dataclass
@@ -244,11 +292,19 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
                         seed: int = 0, interior_margin: float = 0.05) -> ProbeReport:
     """Residuals between a boundary edge and the attained bild of finite sections.
 
-    The probe projects sampled bild values onto the edge and keeps those whose
-    projection falls in the interior window [margin, 1 - margin]; the residual
-    is the edge's supporting-functional level minus the best such sample.  An
-    edge attained at finite sections drives the residual to rounding level; a
-    non-attained edge keeps it strictly positive at every N.
+    The probe looks at the bild points whose projection onto the edge falls
+    in the interior window [margin, 1 - margin]; the residual is the edge's
+    supporting-functional level minus the best such point, and inf when the
+    window holds none.  An edge attained at finite sections drives the
+    residual to rounding level; a non-attained edge keeps it strictly
+    positive at every N.
+
+    * A diagonal section is exact: its upper bild polygon
+      (numrange.diagonal_bild) is clipped to the window strip and the best
+      point is a vertex of the clipped polygon.  m and seed do not matter.
+    * Any other section takes the best of m sampled values (seed + index)
+      and the deterministic basis/pair values, all genuinely attained, so
+      its residual can only overstate the exact one.
     """
     edge = np.asarray(edge, dtype=float).reshape(2, 2)
     direction = edge[1] - edge[0]
@@ -262,18 +318,24 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     if normal @ centroid > level:
         normal = -normal
         level = -level
+    start = float(direction @ edge[0])
     rows: list[ProbeRow] = []
     for idx, N in enumerate(sections):
         T = truncate(M, int(N)).matrix
-        pts = np.vstack([
-            bild_points(nr_sample(T, m, seed + idx)),
-            bild_points(refined_values(T)),
-        ])
-        t = (pts - edge[0]) @ direction / length
-        window = (t >= interior_margin) & (t <= 1.0 - interior_margin)
-        if not np.any(window):
+        if T.block_split() == 0:
+            strip = clip_polygon(diagonal_bild(T).inner_hull, -direction,
+                                 -(start + interior_margin * length))
+            pts = clip_polygon(strip, direction, start + (1.0 - interior_margin) * length)
+        else:
+            pts = np.vstack([
+                bild_points(nr_sample(T, m, seed + idx)),
+                bild_points(refined_values(T)),
+            ])
+            t = (pts - edge[0]) @ direction / length
+            pts = pts[(t >= interior_margin) & (t <= 1.0 - interior_margin)]
+        if len(pts) == 0:
             rows.append(ProbeRow(N=int(N), residual=float("inf"), attained=-float("inf")))
             continue
-        attained = float((pts[window] @ normal).max())
+        attained = float((pts @ normal).max())
         rows.append(ProbeRow(N=int(N), residual=level - attained, attained=attained))
     return ProbeReport(edge=edge, normal=normal, level=level, rows=rows)

@@ -24,9 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import NumericalError, sym_eig
-from .geometry import convex_hull, hausdorff_convex, upper_support_polygon
+from .geometry import (
+    clip_polygon,
+    convex_hull,
+    hausdorff_convex,
+    minkowski_sum,
+    upper_support_polygon,
+)
 from .qmatrix import QMatrix
-from .quaternion import CONJ_SIGNS, HAMILTON, TRIPLE, rotation_aligning
+from .quaternion import CONJ_SIGNS, HAMILTON, TRIPLE, qconj, qconjugator, rotation_aligning
 
 __all__ = [
     "BildRegion",
@@ -34,6 +40,7 @@ __all__ = [
     "upper_bild_support",
     "support_offsets",
     "upper_bild",
+    "diagonal_bild",
     "refined_values",
     "bild_points",
     "real_section",
@@ -165,7 +172,8 @@ def _component_forms(T: np.ndarray) -> np.ndarray:
     return np.moveaxis(sym, -1, 0)
 
 
-def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _support_points(T: QMatrix, thetas: np.ndarray,
+                    vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Support values h(theta) and, per angle, a bild point that attains h(theta).
 
     For the dense block B, h(theta) is the top eigenvalue of the Hermitian
@@ -175,7 +183,9 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     are solved in chunks, which bounds the eigen stack.  A diagonal tail
     entry d has the similarity sphere of d as its values, so the tail's
     support is the closed form max_k a_k cos(theta) + b_k sin(theta) over its
-    bild points (a_k, b_k), attained at its best diagonal class.
+    bild points (a_k, b_k), attained at its best diagonal class.  With
+    vectors=False the dense block is solved for eigenvalues only and the
+    points come back as None.
     """
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas < -1e-12) or np.any(thetas > math.pi + 1e-12):
@@ -185,7 +195,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     cos = np.cos(thetas)
     sin = np.sin(thetas)
     h = np.full(thetas.shape, -np.inf)
-    points = np.zeros((len(thetas), 2))
+    points = np.zeros((len(thetas), 2)) if vectors else None
     if b > 0:
         chi = QMatrix(T.arr[:b, :b, :]).complex_rep()
         herm_re = 0.5 * (chi + chi.conj().T)
@@ -194,6 +204,9 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
             hi = min(lo + _ANGLE_CHUNK, len(thetas))
             stack = (cos[lo:hi, None, None] * herm_re
                      + sin[lo:hi, None, None] * herm_im)
+            if not vectors:
+                h[lo:hi] = np.linalg.eigvalsh(stack)[:, -1]
+                continue
             vals, vecs = np.linalg.eigh(stack)
             top = vecs[:, :, -1]
             h[lo:hi] = vals[:, -1]
@@ -205,7 +218,8 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
         tail_h = reach[np.arange(len(thetas)), best]
         take = tail_h > h
         h = np.where(take, tail_h, h)
-        points[take] = tail[best[take]]
+        if vectors:
+            points[take] = tail[best[take]]
     return h, points
 
 
@@ -215,10 +229,11 @@ def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
     Because the set of values is closed under similarity rotations, the target
     equals the maximum of Re(exp(-i theta) u^H chi(T) u) over unit complex u,
     the top eigenvalue of the Hermitian part of exp(-i theta) chi(T).  Only
-    the dense block is solved this way; the diagonal tail contributes the
+    the dense block is solved this way, for eigenvalues alone (eigvalsh; no
+    eigenvectors are formed); the diagonal tail contributes the
     closed form max_k a_k cos(theta) + b_k sin(theta) over its bild points.
     """
-    h, _ = _support_points(T, np.asarray(thetas, dtype=float))
+    h, _ = _support_points(T, np.asarray(thetas, dtype=float), vectors=False)
     return h
 
 
@@ -307,6 +322,155 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
                       boundary_points=boundary, thetas=thetas, offsets=offsets)
 
 
+# -- the upper bild of a diagonal matrix, in closed form ---------------------------
+
+_PAIR_BUDGET = 1 << 18  # pair values per row chunk of the closed form
+
+
+def _axis_pairs(lam: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs k < l attaining the least and the largest c_kl.
+
+    c_kl = (a_k b_l + a_l b_k) / (b_k + b_l) over the pairs with
+    b_k + b_l > 0, scanned in row chunks of about _PAIR_BUDGET values.
+    Empty when no pair qualifies.
+    """
+    a, b = lam[:, 0], lam[:, 1]
+    n = len(lam)
+    cols = np.arange(n)
+    rows = max(1, _PAIR_BUDGET // n)
+    best = {+1.0: (np.inf, None), -1.0: (np.inf, None)}  # sign -> (sign * c, pair)
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        bk = b[lo:hi, None]
+        s = bk + b[None, :]
+        live = (cols[None, :] > cols[lo:hi, None]) & (s > 0.0)
+        if not live.any():
+            continue
+        c = (a[lo:hi, None] * b[None, :] + a[None, :] * bk) / np.where(live, s, 1.0)
+        for sign in best:
+            masked = np.where(live, sign * c, np.inf)
+            r, l = divmod(int(np.argmin(masked)), n)
+            if masked[r, l] < best[sign][0]:
+                best[sign] = (masked[r, l], (lo + r, l))
+    return [pair for _, pair in best.values() if pair is not None]
+
+
+def _diagonal_vertices(T: QMatrix) -> tuple[np.ndarray, list, list]:
+    """Polygon of the upper bild of a diagonal T, and a vector attaining each vertex.
+
+    Returns (poly, coords, xs): vertex v is attained at the unit vector with
+    entries xs[v] (shape (len(coords[v]), 4)) on the coordinates coords[v].
+    """
+    d = T.diagonal()
+    lam = bild_points(d)
+    pairs = _axis_pairs(lam)
+    axis = [((lam[k, 0] * lam[l, 1] + lam[l, 0] * lam[k, 1]) / (lam[k, 1] + lam[l, 1]), 0.0)
+            for k, l in pairs]
+    cands = np.vstack([lam, np.array(axis).reshape(-1, 2)])
+    poly = convex_hull(cands)
+    where = {tuple(p): i for i, p in enumerate(cands)}
+    coords, xs = [], []
+    for p in poly:
+        i = where[tuple(p)]
+        if i < len(lam):
+            coords.append((i,))
+            xs.append(np.array([[1.0, 0.0, 0.0, 0.0]]))
+            continue
+        k, l = pairs[i - len(lam)]
+        w = lam[l, 1] / (lam[k, 1] + lam[l, 1])
+        # conj(u) d_l u has its imaginary part antiparallel to that of d_k
+        u = qconjugator(d[l], qconj(d[k]))
+        coords.append((k, l))
+        xs.append(np.array([[math.sqrt(w), 0.0, 0.0, 0.0], math.sqrt(1.0 - w) * u]))
+    return poly, coords, xs
+
+
+def _subspace_values(T: QMatrix, coords, x: np.ndarray) -> np.ndarray:
+    """Values <Tx, x> (..., 4) at vectors x (..., len(coords), 4) supported on coords.
+
+    Taken on chi of the principal submatrix on coords.
+    """
+    chi = QMatrix(T.arr[np.ix_(coords, coords)]).complex_rep()
+    u = _to_u(x)
+    return _chi_values(u, u @ chi.T)
+
+
+def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
+    """Upper bild of a diagonal matrix D in closed form, checked exact.
+
+    With lambda_k = (a_k, b_k) the bild points of the diagonal entries,
+
+        B(D) = conv({lambda_k} u {(c_min, 0), (c_max, 0)}),
+
+    where c_min and c_max are the extreme values of
+    c_kl = (a_k b_l + a_l b_k) / (b_k + b_l) over index pairs k != l with
+    b_k + b_l > 0.  Equal entries at two indices still form a pair, while a
+    single entry's values are its sphere alone, so k = l is excluded.
+
+    Proof sketch.  <Dx, x> = sum_k w_k conj(u_k) d_k u_k with weights
+    w_k = |x_k|^2 and unit u_k, and the rotations move the imaginary parts
+    of the terms freely over spheres of radii r_k = w_k b_k.  So at fixed
+    weights the values have a = sum_k w_k a_k and fill the b-interval
+    [max(0, 2 max_k r_k - sum_k r_k), sum_k r_k].
+
+    * The top end sum_k w_k lambda_k lies in conv(lambda).
+    * A positive bottom end aligns every term against the largest one, k*:
+      it is sum_k w_k lambda'_k with lambda'_k* = lambda_k* and
+      lambda'_l = mirror(lambda_l), and it has b > 0.  The part of
+      conv(lambda_k*, mirror(lambda_l) : l != k*) above b = 0 is spanned by
+      lambda_k* and the crossings of the segments lambda_k*--mirror(lambda_l)
+      with b = 0, which are the points (c_k*l, 0).
+    * A bottom end of 0 needs max_k r_k <= sum_k r_k / 2, which is exactly
+      when a symmetric zero-diagonal X >= 0 with row sums r_k exists.  Then
+      sum_k w_k a_k = sum_{k<l} X_kl (1/b_k + 1/b_l) c_kl
+      + sum_{b_k = 0} w_k a_k, a convex combination of points (c_kl, 0) and
+      of lambda_k on b = 0.
+
+    So B(D) lies in the polygon.  Conversely the upper bild is convex
+    (Au-Yeung 1984; So and Thompson 1996) and attains every vertex:
+    lambda_k at e_k, and c_kl at sqrt(w) e_k + sqrt(1 - w) u e_l with
+    w = b_l / (b_k + b_l) and u from quaternion.qconjugator, so that the
+    two imaginary parts, of equal length, are antiparallel.
+
+    The region is exact by a check, not by the argument alone: each
+    vertex's vector is evaluated on chi of its principal submatrix, and the
+    polygon's support is compared with support_offsets on k equispaced
+    angles in [0, pi].  NumericalError is raised unless both agree within
+    1e-12 (1 + max |h|).  inner_points and the inner hull are then the
+    polygon itself; boundary_points holds the vertex attaining each angle's
+    support.  The outer polygon is the polygon widened by that tolerance
+    (the Minkowski sum with a square of half-width 1e-12 (1 + max |h|), cut
+    at b = 0), so it stays a superset when a vertex is rounded inward, as
+    upper_bild pads its offsets; hausdorff_gap is that pad times sqrt(2) at
+    most.  No vectors are sampled.
+    """
+    if T.block_split() != 0:
+        raise ValueError("diagonal_bild needs a diagonal matrix")
+    if k < 3:
+        raise ValueError("need at least three support angles")
+    poly, coords, xs = _diagonal_vertices(T)
+    thetas = np.linspace(0.0, math.pi, k)
+    offsets = support_offsets(T, thetas)
+    scale = 1.0 + float(np.max(np.abs(offsets)))
+    values = np.array([_subspace_values(T, c, x) for c, x in zip(coords, xs)])
+    missed = float(np.abs(bild_points(values) - poly).max())
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    reach = poly @ dirs.T
+    support = float(np.abs(reach.max(axis=0) - offsets).max())
+    if max(missed, support) > 1e-12 * scale:
+        raise NumericalError(
+            f"diagonal closed form not exact: a vertex misses its vector's value by "
+            f"{missed:.3e}, the support misses h by {support:.3e}")
+    pad = 1e-12 * scale
+    square = np.array([(-pad, -pad), (pad, -pad), (pad, pad), (-pad, pad)])
+    outer = convex_hull(clip_polygon(minkowski_sum(poly, square), (0.0, -1.0), 0.0))
+    return BildRegion(inner_points=poly, inner_hull=poly, outer_polygon=outer,
+                      hausdorff_gap=hausdorff_convex(poly, outer),
+                      support_gap=float((offsets - reach.max(axis=0)).max()),
+                      boundary_points=poly[np.argmax(reach, axis=0)],
+                      thetas=thetas, offsets=offsets)
+
+
 # -- deterministic boundary-seeking samples ---------------------------------------
 
 def _pair_values(T: QMatrix, i: int, j: int, gammas: np.ndarray, psis: np.ndarray) -> np.ndarray:
@@ -343,9 +507,7 @@ def _pair_values(T: QMatrix, i: int, j: int, gammas: np.ndarray, psis: np.ndarra
     x = np.zeros((len(gammas), len(psis), 2, 4))
     x[:, :, 0, 0] = np.cos(gammas)[:, None]
     x[:, :, 1, :] = np.sin(gammas)[:, None, None] * us[None, :, :]
-    chi = QMatrix(T.arr[np.ix_([i, j], [i, j])]).complex_rep()
-    u = _to_u(x)
-    return _chi_values(u, u @ chi.T).reshape(-1, 4)
+    return _subspace_values(T, [i, j], x).reshape(-1, 4)
 
 
 def _interest_coordinates(T: QMatrix, limit: int = 18) -> list[int]:

@@ -210,6 +210,14 @@ def test_verify_command(remark_file, tmp_path):
     assert [0.0, -0.5] in vertices and [0.0, 0.5] in vertices
 
 
+def test_removed_depth_flag_is_rejected(matrix_file, tmp_path, capsys):
+    # no command read --depth, so it is gone rather than echoed into the config
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bild", str(matrix_file), "--depth", "5", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--depth" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")

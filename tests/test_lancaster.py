@@ -5,7 +5,8 @@ import quatrange as qr
 from quatrange import Quaternion
 from quatrange.essential import Tail
 from quatrange.geometry import convex_hull, points_polygon_distance
-from quatrange.lancaster import hausdorff_union_convex, iconv
+from quatrange import lancaster
+from quatrange.lancaster import hausdorff_union_convex, iconv, iconv_polygon
 
 I = Quaternion.i
 
@@ -92,6 +93,40 @@ def test_upper_clip():
     assert region.contains((1 / 3, 1e-12), tol=1e-9)
 
 
+@pytest.mark.parametrize("base", ["polygon", "point", "segment"])
+@pytest.mark.parametrize("other", ["polygon", "segment"])
+def test_iconv_polygon_matches_brute_force_union(base, other):
+    # iconv(P, Q) is the union of conv(P u {q}) over every q in Q
+    rng = np.random.default_rng(["polygon", "point", "segment"].index(base))
+    P = {"polygon": convex_hull(rng.standard_normal((6, 2)) * 0.4),
+         "point": np.array([(0.1, -0.2)]),
+         "segment": np.array([(-0.3, -0.4), (0.2, 0.5)])}[base]
+    Q = convex_hull(rng.standard_normal((7, 2)) * 0.6 + np.array([1.0, 0.3]))
+    if other == "segment":
+        Q = Q[:2]
+    region = iconv_polygon(P, Q)
+    assert len(region.pieces) == (len(Q) if len(Q) >= 3 else 1)
+    assert np.array_equal(region.satellites, Q)
+    step = 0.04
+    dense = lancaster._polygon_grid(Q, step)  # grid inside Q plus its boundary at step
+    probes = rng.uniform(np.vstack([P, Q]).min(axis=0) - 0.3,
+                         np.vstack([P, Q]).max(axis=0) + 0.3, size=(400, 2))
+    brute = np.full(len(probes), np.inf)
+    for q in dense:
+        piece = convex_hull(np.vstack([P, q[None, :]]))
+        brute = np.minimum(brute, points_polygon_distance(piece, probes))
+    got = region.distance_to(probes)
+    # every conv(P u {q}) lies in the region; the samples of Q are step-dense
+    assert float(np.max(got - brute)) <= 1e-12
+    assert float(np.max(brute - got)) <= step
+    assert np.any(got == 0.0) and np.any(got > step)
+
+
+def test_iconv_polygon_rejects_empty():
+    with pytest.raises(ValueError):
+        iconv_polygon(np.zeros((0, 2)), np.array([(0.0, 0.0)]))
+
+
 def test_hausdorff_union_convex_simple():
     P = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     region = iconv(convex_hull(P), [])
@@ -153,6 +188,42 @@ def test_lancaster_pure_matrix_matches_padded_matrix():
     d1 = region_model.distance_to(probes)
     d2 = region_matrix.distance_to(probes)
     assert float(np.max(np.abs(d1 - d2))) <= 1e-12
+
+
+def test_diagonal_sections_are_exact_without_sampling(monkeypatch, remark):
+    # every section of the worked operator is diagonal: its bild is the
+    # closed-form polygon, so nothing is sampled and no pair sweep runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagonal section was sampled")
+
+    for name in ("nr_sample", "upper_bild", "refined_values"):
+        monkeypatch.setattr(lancaster, name, forbidden)
+    trapezoid = np.array([(-1.0, 1.0), (1.0, 1.0), (1 / 3, 0.0), (-1 / 3, 0.0)])
+    report = qr.lancaster_check(remark, [50, 500], m=1, k=90, target=trapezoid)
+    probe = qr.nonclosedness_probe(remark, [(-1 / 3, 0.0), (-1.0, 1.0)], [50, 200], m=1)
+    for row, bild in zip(report.rows, report.bilds):
+        assert row.n_satellites == 4 and 0.0 < row.gap <= 1e-11
+        assert bild.inner_hull.shape == (4, 2)
+        assert row.hausdorff_target <= 0.005 / np.sqrt(2.0) + 1e-12
+    assert all(row.residual > 0.0 for row in probe.rows)
+    assert probe.rows[1].residual < probe.rows[0].residual
+
+
+def test_exact_probe_residual_below_attained_values(remark):
+    # the exact residual is a supremum over the window: no attained value,
+    # sampled or from the pair sweeps, may come closer to the edge
+    edge = np.array([(-1 / 3, 0.0), (-1.0, 1.0)])
+    probe = qr.nonclosedness_probe(remark, edge, [30, 120])
+    direction = (edge[1] - edge[0]) / np.linalg.norm(edge[1] - edge[0])
+    for row in probe.rows:
+        T = qr.truncate(remark, row.N).matrix
+        pts = np.vstack([qr.bild_points(qr.nr_sample(T, 20000, 5)),
+                         qr.bild_points(qr.refined_values(T))])
+        t = (pts - edge[0]) @ direction / np.linalg.norm(edge[1] - edge[0])
+        best = float((pts[(t >= 0.05) & (t <= 0.95)] @ probe.normal).max())
+        assert row.attained >= best - 1e-12
+        assert row.attained - best <= 1e-3
+        assert 0.0 < row.residual < probe.level - best + 1e-12
 
 
 def test_probe_closed_case_attained_edges():

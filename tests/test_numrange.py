@@ -292,6 +292,111 @@ def test_upper_bild_real_affine_scaling():
     assert np.max(np.abs(hs - want)) <= 1e-9
 
 
+# -- the diagonal closed form -----------------------------------------------------------
+
+
+def _seeded_diagonals(count=48):
+    """Diagonal matrices with n = 2..8; some entries real (b_k = 0), some repeated."""
+    out = []
+    for seed in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,)))
+        n = 2 + seed % 7
+        d = rng.standard_normal((n, 4))
+        d[rng.random(n) < 0.3, 1:] = 0.0
+        if seed % 5 == 0:
+            d[-1] = d[0]
+        out.append(qr.QMatrix.diag(list(d)))
+    return out
+
+
+def test_diagonal_bild_pairs_distinct_indices():
+    # one entry's values are its sphere: no (a, 0) from pairing k with itself
+    assert np.array_equal(qr.diagonal_bild(qr.QMatrix.diag([I])).inner_hull, [[0.0, 1.0]])
+    # two equal entries at different indices cancel their imaginary parts
+    poly = qr.diagonal_bild(qr.QMatrix.diag([Quaternion(1, 1, 0, 0)] * 2)).inner_hull
+    assert points_polygon_distance(poly, np.array([(1.0, 0.0)]))[0] == 0.0
+    assert np.array_equal(poly, [[1.0, 0.0], [1.0, 1.0]])
+
+
+def test_diagonal_bild_contains_fixed_weight_intervals():
+    # at weights w_k = |x_k|^2 the values fill a = sum w_k a_k and
+    # b in [max(0, 2 max_k w_k b_k - sum w_k b_k), sum w_k b_k]
+    checked = 0
+    for seed, T in enumerate(_seeded_diagonals()):
+        poly = qr.diagonal_bild(T, k=60).inner_hull
+        lam = qr.bild_points(T.diagonal())
+        n = T.n
+        rng = np.random.default_rng(seed)
+        for support in sorted({2, min(3, n), n}):
+            for _ in range(60):
+                idx = rng.choice(n, size=support, replace=False)
+                w = np.zeros(n)
+                w[idx] = rng.dirichlet(np.ones(support))
+                r = w * lam[:, 1]
+                a = float(w @ lam[:, 0])
+                top = float(r.sum())
+                bottom = max(0.0, 2.0 * float(r.max()) - top)
+                ends = np.array([(a, top), (a, bottom)])
+                assert points_polygon_distance(poly, ends).max() <= 1e-12
+                checked += 1
+    assert checked >= 40 * 60 * 2
+
+
+def test_diagonal_bild_vertices_attained():
+    matrices = _seeded_diagonals() + [
+        qr.QMatrix.diag([Quaternion(1, 1, 0, 0)] * 2),
+        qr.truncate(qr.remark_operator(), 50).matrix,
+    ]
+    pair_vertices = 0
+    for T in matrices:
+        poly, coords, xs = numrange._diagonal_vertices(T)
+        assert np.array_equal(qr.diagonal_bild(T).inner_hull, poly)
+        for vertex, c, entries in zip(poly, coords, xs):
+            x = np.zeros((T.n, 4))
+            x[list(c)] = entries
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            value = slow_nr_values(T, [x])[0].to_array()
+            assert np.max(np.abs(qr.bild_points(value[None, :])[0] - vertex)) <= 1e-12
+            pair_vertices += len(c) == 2
+    assert pair_vertices >= 40
+
+
+@pytest.mark.parametrize("fault", ["vertex_moved", "rotation_dropped"])
+def test_diagonal_bild_rejects_inexact_vertex(monkeypatch, fault):
+    exact = numrange._diagonal_vertices
+
+    def perturbed(T):
+        poly, coords, xs = exact(T)
+        v = next(i for i, c in enumerate(coords) if len(c) == 2)
+        if fault == "vertex_moved":
+            poly = poly.copy()
+            poly[v, 0] += 1e-9
+        else:
+            xs[v] = xs[v].copy()
+            xs[v][1] = (np.linalg.norm(xs[v][1]), 0.0, 0.0, 0.0)
+        return poly, coords, xs
+
+    monkeypatch.setattr(numrange, "_diagonal_vertices", perturbed)
+    T = qr.QMatrix.diag([Quaternion(-1, 1, 0, 0), Quaternion(1, 0, 0.5, 0)])
+    with pytest.raises(NumericalError, match="not exact"):
+        qr.diagonal_bild(T)
+
+
+def test_diagonal_bild_region_is_exact():
+    T = qr.truncate(qr.remark_operator(), 200).matrix
+    region = qr.diagonal_bild(T, k=90)
+    pad = 1e-12 * (1.0 + np.abs(region.offsets).max())
+    assert np.array_equal(region.inner_hull, region.inner_points)
+    # the outer polygon is the inner one widened by the rounding pad, cut at b = 0
+    assert 0.0 < region.hausdorff_gap <= pad * math.sqrt(2.0) * (1.0 + 1e-9)
+    assert region.outer_polygon[:, 1].min() == 0.0
+    assert points_polygon_distance(region.outer_polygon, region.inner_hull).max() == 0.0
+    assert abs(region.support_gap) <= 1e-12
+    assert np.max(np.abs(region.offsets - qr.support_offsets(T, region.thetas))) == 0.0
+    with pytest.raises(ValueError, match="diagonal"):
+        qr.diagonal_bild(_block_plus_diagonal())
+
+
 def test_refined_values_are_genuine():
     T = random_qmatrix(11, 4)
     vals = qr.refined_values(T, gammas=17, psis=9)
