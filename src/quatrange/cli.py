@@ -25,54 +25,63 @@ from .spectra import s_spectrum
 DEFAULT_SECTIONS = (50, 100, 200, 500)
 
 
+def _section_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"section size must be at least 1, got {value}")
+    return value
+
+
+# every option once: its flags and argparse settings, keyed by the name the
+# handlers read and the summary's config echoes
+_OPTIONS = {
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "samples": (("--samples", "-m"), dict(type=int, default=20000)),
+    "angles": (("--angles", "-k"), dict(type=int, default=360)),
+    "section": (("--section", "-N"), dict(type=_section_size, default=None)),
+    "tol": (("--tol",), dict(type=float, default=1e-6)),
+    "svg": (("--svg",), dict(action="store_true", help="also write an SVG plot")),
+    "target": (("--target",), dict(
+        default=None, help="target polygon 'a1,b1;a2,b2;...' for distance reporting")),
+    "edge": (("--edge",), dict(
+        default=None, help="probe edge 'a0,b0,a1,b1' for the non-closedness residual")),
+}
+
+# each command accepts exactly the options its handler reads
+_MATRIX, _OPERATOR = "matrix file (JSON)", "operator file (JSON)"
+_COMMAND_OPTIONS = {
+    "bild": ("upper bild of a matrix", _MATRIX,
+             ("seed", "samples", "angles", "tol", "svg")),
+    "sspec": ("S-spectrum of a matrix", _MATRIX, ()),
+    "essential": ("essential bild of a model operator", _OPERATOR, ("svg",)),
+    "lancaster": ("closure decomposition report", _OPERATOR,
+                  ("seed", "samples", "angles", "section", "svg", "target", "edge")),
+    "verify": ("consistency battery for an operator file", _OPERATOR,
+               ("seed", "samples", "angles", "section", "tol")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatrange",
         description="Numerical ranges and essential bilds of quaternionic operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, operator: bool):
-        p.add_argument("input", help="operator file (JSON)" if operator
-                       else "matrix file (JSON)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", "-m", dest="m", type=int, default=20000)
-        p.add_argument("--angles", "-k", dest="k", type=int, default=360)
-        p.add_argument("--section", "-N", dest="section", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-6)
+    for command, (text, source, names) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("input", help=source)
+        for name in names:
+            flags, settings = _OPTIONS[name]
+            p.add_argument(*flags, dest=name, **settings)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--svg", action="store_true", help="also write an SVG plot")
-
-    common(sub.add_parser("bild", help="upper bild of a matrix"), operator=False)
-    common(sub.add_parser("sspec", help="S-spectrum of a matrix"), operator=False)
-    common(sub.add_parser("essential", help="essential bild of a model operator"),
-           operator=True)
-    lanc = sub.add_parser("lancaster", help="closure decomposition report")
-    common(lanc, operator=True)
-    lanc.add_argument("--target", default=None,
-                      help="target polygon 'a1,b1;a2,b2;...' for distance reporting")
-    lanc.add_argument("--edge", default=None,
-                      help="probe edge 'a0,b0,a1,b1' for the non-closedness residual")
-    common(sub.add_parser("verify", help="consistency battery for an operator file"),
-           operator=True)
     return parser
 
 
 def _config_dict(args) -> dict:
     # the output directory is deliberately not echoed: artifacts must be
     # byte-identical regardless of where they are written
-    cfg = {
-        "command": args.command,
-        "input": str(args.input),
-        "seed": args.seed,
-        "samples": args.m,
-        "angles": args.k,
-        "section": args.section,
-        "tol": args.tol,
-        "svg": bool(args.svg),
-    }
-    for extra in ("target", "edge"):
-        if hasattr(args, extra):
-            cfg[extra] = getattr(args, extra)
+    _, _, names = _COMMAND_OPTIONS[args.command]
+    cfg = {"command": args.command, "input": str(args.input)}
+    cfg.update((name, getattr(args, name)) for name in names)
     return cfg
 
 
@@ -96,12 +105,13 @@ def _parse_polygon(text: str) -> np.ndarray:
 
 def _cmd_bild(args, out: Path) -> int:
     T = fileio.load_matrix(args.input)
-    region = upper_bild(T, m=args.m, k=args.k, seed=args.seed)
+    region = upper_bild(T, m=args.samples, k=args.angles, seed=args.seed)
     rows = _poly_rows(region.inner_points, "inner") + _poly_rows(region.outer_polygon,
                                                                  "vertex")
     fileio.write_csv(out / "bild.csv", ["a", "b", "kind"], rows)
     try:
-        section = real_section(T, m=min(args.m, 20000), seed=args.seed, tol=args.tol)
+        section = real_section(T, m=min(args.samples, 20000), seed=args.seed,
+                               tol=args.tol)
         real_part = [section.lo, section.hi]
     except RealSectionError:
         real_part = None
@@ -159,13 +169,13 @@ def _cmd_lancaster(args, out: Path) -> int:
     target = _parse_polygon(args.target) if args.target else None
     edge = _parse_reals(args.edge, 4, "--edge") if args.edge else None
     M = fileio.load_operator(args.input)
-    sections = [args.section] if args.section else list(DEFAULT_SECTIONS)
-    report = lancaster_check(M, sections, m=args.m, k=args.k, seed=args.seed,
-                             target=target)
+    sections = list(DEFAULT_SECTIONS) if args.section is None else [args.section]
+    report = lancaster_check(M, sections, m=args.samples, k=args.angles,
+                             seed=args.seed, target=target)
     residuals = {}
     if edge:
         probe = nonclosedness_probe(M, [edge[:2], edge[2:]], sections,
-                                    m=min(args.m, 50000), seed=args.seed)
+                                    m=min(args.samples, 50000), seed=args.seed)
         # a residual is inf when no attained value falls in the probe window;
         # the artifacts carry it as null / an empty field, which JSON can hold
         residuals = {row.N: row.residual if math.isfinite(row.residual) else None
@@ -208,7 +218,7 @@ def _cmd_verify(args, out: Path) -> int:
     poly = essential_bild(M)  # validates declared limits against the tail
     checks["limits_validated"] = True
 
-    n = args.section or 100
+    n = 100 if args.section is None else args.section
     T = truncate(M, n).matrix
     spheres = s_spectrum(T)
     block_spec = s_spectrum(M.block) if M.block_size else None
@@ -226,7 +236,7 @@ def _cmd_verify(args, out: Path) -> int:
             ok_spec = False
     checks["sspec_accounted"] = ok_spec
 
-    region = upper_bild(T, m=min(args.m, 50000), k=args.k, seed=args.seed)
+    region = upper_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
     support = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
     slack = float((region.inner_points @ support.T - region.offsets[None, :]).max())
     checks["inner_within_outer"] = slack <= 1e-9

@@ -238,11 +238,6 @@ class LimitSegment:
         if not (0.0 <= self.b0 <= self.b1):
             raise ValueError("segment needs 0 <= b0 <= b1")
 
-    def points(self, step: float = 1e-4) -> np.ndarray:
-        npts = max(2, int(math.ceil((self.b1 - self.b0) / step)) + 1)
-        bs = np.linspace(self.b0, self.b1, npts)
-        return np.stack([np.full_like(bs, self.a), bs], axis=1)
-
     def probes(self, count: int = 9) -> np.ndarray:
         bs = np.linspace(self.b0, self.b1, count)
         return np.stack([np.full_like(bs, self.a), bs], axis=1)
@@ -417,8 +412,7 @@ def truncate(M: ModelOperator, N: int) -> TruncatedOperator:
 
 # -- the essential bild -------------------------------------------------------------
 
-def essential_bild(M: ModelOperator, validate: bool = True,
-                   n_check: int = 200000, seg_step: float = 1e-4) -> np.ndarray:
+def essential_bild(M: ModelOperator, n_check: int = 200000) -> np.ndarray:
     """Essential bild polygon in (a, b) coordinates, b of both signs.
 
     The polygon is the convex hull of the declared limit classes together
@@ -426,17 +420,17 @@ def essential_bild(M: ModelOperator, validate: bool = True,
     an orthonormal tail subsequence, spheres contribute both half-planes, and
     convexity of the essential numerical range closes the hull.  The finite
     block never contributes (compact perturbations leave the set unchanged).
+    A segment enters through its two endpoints, which span its hull.
     Degenerate hulls are returned with one or two vertices.
     """
-    if validate:
-        M.validate(n_check=n_check)
+    M.validate(n_check=n_check)
     pts = []
     for part in M.limit_set:
         if isinstance(part, SimilaritySphere):
-            pts.append(np.array([part.point()]))
+            pts.append(part.point())
         else:
-            pts.append(part.points(step=seg_step))
-    upper = np.vstack(pts)
+            pts.extend([(part.a, part.b0), (part.a, part.b1)])
+    upper = np.array(pts, dtype=float)
     lower = upper * np.array([1.0, -1.0])
     return convex_hull(np.vstack([upper, lower]))
 

@@ -8,10 +8,11 @@ bild with the bild itself,
 a strictly weaker closure than conv(A u B) when B is not convex.  All
 verification happens in bild coordinates: the essential polygon is exact by
 construction, and the resulting region is a union of convex pieces handled
-piece by piece.  For a diagonal section the other ingredient is its exact
-upper bild polygon (numrange.diagonal_bild) and the pieces are
-conv(base u e) over the polygon's edges e; otherwise it is a cloud of
-genuinely attained bild values and the pieces are conv(base u {satellite}).
+piece by piece.  The upper bild of a finite section is convex, so the other
+ingredient is one convex polygon Q of attained values inside it (exact for a
+diagonal section, numrange.diagonal_bild), and the pieces are conv(base u e)
+over the edges e of Q (iconv_polygon).  iconv keeps the same construction for
+a finite satellite cloud.
 """
 
 from __future__ import annotations
@@ -212,24 +213,41 @@ class LancasterReport:
         return self.rows[-1]
 
 
+def _attained_polygon(T, m: int, k: int, seed: int) -> tuple[BildRegion, np.ndarray]:
+    """A section's bild region and a convex polygon Q of attained values.
+
+    A diagonal section's Q is its exact upper bild polygon
+    (numrange.diagonal_bild).  Any other section's Q is the hull of its
+    upper_bild inner hull (m samples with this seed plus a boundary point
+    per angle) and the deterministic basis/pair values; each is attained, so
+    by convexity of the upper bild Q lies inside it.
+    """
+    if T.block_split() == 0:
+        bild = diagonal_bild(T, k=k)
+        return bild, bild.inner_hull
+    bild = upper_bild(T, m=m, k=k, seed=seed)
+    exact = bild_points(refined_values(T))
+    return bild, convex_hull(np.vstack([bild.inner_hull, exact]))
+
+
 def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                     seed: int = 0, target: np.ndarray | None = None,
                     grid_res: float = 0.005) -> LancasterReport:
     """Compare iconv(essential bild, section bild) with reference regions.
 
-    For each section size N the region L_N is built from the full
-    (both-sign) essential polygon B_e and the upper bild of the truncation.
+    For each section size N the region is L_N = iconv_polygon(B_e, Q): B_e
+    is the full (both-sign) essential polygon and Q a convex polygon of
+    attained values inside the upper bild of the truncation, and
+    n_satellites counts the vertices of Q.
 
     * A diagonal section (every section of an operator with a diagonal
       block) has its bild in closed form, numrange.diagonal_bild, checked
-      exact on the k-angle grid.  L_N = iconv_polygon(B_e, Q) over that
-      polygon Q is then exact: no vector is sampled, m and seed do not
-      matter, n_satellites counts the vertices of Q, and gap is the 1e-12
+      exact on the k-angle grid.  Q is that polygon, so L_N is exact: no
+      vector is sampled, m and seed do not matter, and gap is the 1e-12
       rounding pad between Q and its outer polygon.
-    * Any other section uses satellites that are genuinely attained bild
-      values: the m-sample inner cloud of its upper bild (upper_bild with m,
-      k and seed + index) plus deterministic basis/pair values, and
-      L_N = iconv(B_e, satellites).  n_satellites counts the kept ones.
+    * Any other section takes Q as the hull of its upper_bild inner hull
+      (m samples, k angles, seed + index) and the deterministic basis/pair
+      values, all genuinely attained; gap is upper_bild's hausdorff_gap.
 
     Reported per N: the distance from the upper clip of L_N to the
     truncation's outer support polygon, and to an optional analytic target
@@ -243,15 +261,8 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     bilds: list[BildRegion] = []
     for idx, N in enumerate(sections):
         T = truncate(M, int(N)).matrix
-        if T.block_split() == 0:
-            region_bild = diagonal_bild(T, k=k)
-            L = iconv_polygon(base, region_bild.inner_hull)
-        else:
-            region_bild = upper_bild(T, m=m, k=k, seed=seed + idx)
-            exact = bild_points(refined_values(T))
-            satellites = np.vstack([region_bild.inner_points, exact])
-            L = iconv(base, satellites)
-        Lup = L.upper()
+        region_bild, Q = _attained_polygon(T, m, k, seed + idx)
+        Lup = iconv_polygon(base, Q).upper()
         # a sampled section's outer polygon includes the support-unreachable
         # under-region, so its distance is structural; a coarse grid is
         # enough for the report
@@ -263,7 +274,7 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                                               res=grid_res)
         rows.append(LancasterRow(N=int(N), hausdorff_outer=d_outer,
                                  hausdorff_target=d_target,
-                                 n_satellites=len(L.satellites),
+                                 n_satellites=len(Q),
                                  gap=region_bild.hausdorff_gap))
         regions.append(Lup)
         bilds.append(region_bild)

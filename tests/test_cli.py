@@ -218,6 +218,41 @@ def test_removed_depth_flag_is_rejected(matrix_file, tmp_path, capsys):
     assert "--depth" in capsys.readouterr().err
 
 
+_UNREAD_FLAGS = [
+    ("sspec", ["--seed", "1"]), ("sspec", ["-m", "100"]), ("sspec", ["-k", "12"]),
+    ("sspec", ["-N", "5"]), ("sspec", ["--tol", "1e-3"]), ("sspec", ["--svg"]),
+    ("essential", ["--seed", "1"]), ("essential", ["-m", "100"]),
+    ("essential", ["-k", "12"]), ("essential", ["-N", "5"]),
+    ("essential", ["--tol", "1e-3"]),
+    ("bild", ["-N", "5"]),
+    ("lancaster", ["--tol", "1e-3"]),
+    ("verify", ["--svg"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in _UNREAD_FLAGS])
+def test_unread_flags_are_rejected(matrix_file, remark_file, tmp_path, capsys,
+                                   command, flag):
+    # a command accepts only the flags it reads, so none is echoed unused
+    source = matrix_file if command in ("bild", "sspec") else remark_file
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(source), *flag, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lancaster", "verify"])
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_section_below_one_is_rejected(remark_file, tmp_path, capsys, command, size):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(remark_file), "--section", size, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "section size must be at least 1" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")

@@ -166,7 +166,6 @@ def test_lancaster_block_with_vanishing_tail():
     assert report.rows[0].hausdorff_target <= 0.02
 
 
-@pytest.mark.slow
 def test_lancaster_pure_matrix_matches_padded_matrix():
     # zero tail: the closure region is iconv({origin}, matrix bild), which must
     # agree with the same construction run on the matrix padded by a zero
@@ -181,13 +180,71 @@ def test_lancaster_pure_matrix_matches_padded_matrix():
     # one zero tail entry is exactly the matrix padded by a zero row/column
     padded = qr.QMatrix.block_diag(B, np.zeros((1, 4)))
     bild = qr.upper_bild(padded, m=2000, k=120, seed=4)
-    sats = np.vstack([bild.inner_points, qr.bild_points(qr.refined_values(padded))])
-    region_matrix = iconv(np.array([(0.0, 0.0)]), sats).upper()
+    pairs = qr.bild_points(qr.refined_values(padded))
+    Q = convex_hull(np.vstack([bild.inner_hull, pairs]))
+    region_matrix = iconv_polygon(np.array([(0.0, 0.0)]), Q).upper()
 
     probes = np.mgrid[-3:3:0.15, 0:3:0.15].reshape(2, -1).T
     d1 = region_model.distance_to(probes)
     d2 = region_matrix.distance_to(probes)
     assert float(np.max(np.abs(d1 - d2))) <= 1e-12
+
+
+def _block_plus_tail():
+    # a dense 2x2 block over a decaying periodic tail, scaled small so that
+    # the satellite reference below stays cheap to build and probe
+    rng = np.random.default_rng(5)
+    targets = [Quaternion(0.075, 0.1), Quaternion(-0.125, 0.05)]
+    return qr.ModelOperator(qr.QMatrix(rng.standard_normal((2, 2, 4)) * 0.25),
+                            qr.DecayingPeriodicTail(targets, 0.025),
+                            [qr.csim(t) for t in targets], bound=0.25)
+
+
+def test_lancaster_dense_section_contains_satellite_reference():
+    # a section with a dense block: the region over the hull Q of the
+    # attained values contains the satellite union over the same values and
+    # comes closer to the outer polygon
+    M = _block_plus_tail()
+    report = qr.lancaster_check(M, [1, 2], m=400, k=90, seed=1)
+    base = qr.essential_bild(M)
+    probes = np.mgrid[-1:1:0.04, 0:1:0.04].reshape(2, -1).T
+    for idx, (row, region, bild) in enumerate(zip(report.rows, report.regions,
+                                                  report.bilds)):
+        T = qr.truncate(M, row.N).matrix
+        assert T.block_split() > 0
+        sampled = qr.upper_bild(T, m=400, k=90, seed=1 + idx)
+        assert np.array_equal(bild.inner_points, sampled.inner_points)
+        pairs = qr.bild_points(qr.refined_values(T))
+        Q = convex_hull(np.vstack([sampled.inner_hull, pairs]))
+        assert row.n_satellites == len(Q) == len(region.satellites)
+        reference = iconv(base, np.vstack([sampled.inner_points, pairs])).upper()
+        assert float(np.max(region.distance_to(probes)
+                            - reference.distance_to(probes))) <= 1e-12
+        reference_outer = hausdorff_union_convex(reference, bild.outer_polygon, res=0.02)
+        assert row.hausdorff_outer < reference_outer
+
+
+def test_probe_dense_section_residual_from_attained_values():
+    # a section with a dense block is probed through its sampled and pair
+    # values, the sample stream seeded with seed + index; on the side edge
+    # the samples decide the residual, on the top edge the pair values do
+    M = _block_plus_tail()
+    sections = [1, 2]
+    for edge in ([(-0.6, 0.0), (-0.3, 0.5)], [(-0.25, 0.6), (0.25, 0.65)]):
+        edge = np.array(edge)
+        probe = qr.nonclosedness_probe(M, edge, sections, m=3000, seed=2)
+        assert probe.level == pytest.approx(float(probe.normal @ edge[0]), abs=1e-15)
+        for idx, (N, row) in enumerate(zip(sections, probe.rows)):
+            T = qr.truncate(M, N).matrix
+            assert T.block_split() > 0
+            pts = np.vstack([qr.bild_points(qr.nr_sample(T, 3000, 2 + idx)),
+                             qr.bild_points(qr.refined_values(T))])
+            t = (pts - edge[0]) @ (edge[1] - edge[0]) / np.sum((edge[1] - edge[0]) ** 2)
+            best = float((pts[(t >= 0.05) & (t <= 0.95)] @ probe.normal).max())
+            assert row.attained == pytest.approx(best, abs=1e-12)
+            assert row.residual == pytest.approx(probe.level - best, abs=1e-12)
+    far = qr.nonclosedness_probe(M, [(5.0, 5.0), (6.0, 6.0)], sections, m=3000)
+    assert all(row.residual == np.inf for row in far.rows)
 
 
 def test_diagonal_sections_are_exact_without_sampling(monkeypatch, remark):
