@@ -202,8 +202,8 @@ def _cmd_lancaster(args, out: Path) -> int:
         last = report.regions[-1]
         fileio.write_svg(out / "lancaster.svg",
                          [(report.bilds[-1].outer_polygon, "black"),
-                          (report.essential_polygon, "royalblue")]
-                         + [(p, "seagreen") for p in last.pieces[:200]],
+                          (report.essential_polygon, "royalblue"),
+                          (last.pieces[0], "seagreen")],
                          [(last.satellites, "crimson", 1.5)])
     return 0
 

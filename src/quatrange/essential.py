@@ -164,21 +164,21 @@ class RationalsITail(Tail):
         # the enumeration resumes at denominator _next_q; _pending holds the
         # fractions already enumerated that the cache does not hold yet
         self._next_q = 1
-        self._pending: list[float] = []
+        self._pending = np.zeros(0)
 
     def _generate(self, count: int) -> np.ndarray:
         done = self._cache.shape[0]
-        fresh = self._pending
+        parts = [self._pending]
+        have = done + len(self._pending)
         q = self._next_q
-        while done + len(fresh) < count:
+        while have < count:
             pmax = int(math.floor(self.half * q - 1e-12))
-            for p in range(-pmax, pmax + 1):
-                if p == 0 and q != 1:
-                    continue
-                if math.gcd(abs(p), q) != 1:
-                    continue
-                fresh.append(p / q)
+            p = np.arange(-pmax, pmax + 1)
+            # reduced only: gcd(0, q) = q also drops 0 after q = 1
+            parts.append(p[np.gcd(p, q) == 1] / q)
+            have += len(parts[-1])
             q += 1
+        fresh = np.concatenate(parts)
         self._next_q = q
         self._pending = fresh[count - done:]
         out = np.zeros((count, 4))

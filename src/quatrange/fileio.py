@@ -1,7 +1,8 @@
 """File formats: matrix and operator JSON, CSV reports, minimal SVG plots.
 
 Quaternion literals are four-element lists [w, x, y, z].  A matrix file is
-``{"n": int, "entries": [[quaternion, ...], ...]}``.  An operator file is
+``{"n": int, "entries": [[quaternion, ...], ...]}``, where n must be a JSON
+integer.  An operator file is the object
 ``{"block": matrix, "tail": {"kind": ...}, "limit_set": [...], "bound": r}``;
 an ``adjoint`` or ``affine`` tail wraps the spec of its base tail under
 ``"base"``.  A limit entry is either a sphere ``[a, b]`` or a segment
@@ -72,7 +73,9 @@ def _matrix_from_obj(obj) -> QMatrix:
     entries = obj["entries"]
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ParseError("matrix entries must be a list of rows")
-    n = int(_real(obj.get("n", len(entries))))
+    n = obj.get("n", len(entries))
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"matrix size n must be an integer, got {n!r}")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ParseError("matrix entries are not n x n")
     if n == 0:
@@ -138,6 +141,8 @@ def load_operator(path) -> ModelOperator:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read operator file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"operator file {path} must hold a JSON object")
     try:
         block = _matrix_from_obj(data["block"]) if data.get("block") else QMatrix.zeros(0)
         tail = _tail_from_obj(data["tail"])

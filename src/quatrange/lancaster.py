@@ -7,12 +7,13 @@ bild with the bild itself,
 
 a strictly weaker closure than conv(A u B) when B is not convex.  All
 verification happens in bild coordinates: the essential polygon is exact by
-construction, and the resulting region is a union of convex pieces handled
-piece by piece.  The upper bild of a finite section is convex, so the other
+construction.  The upper bild of a finite section is convex, so the other
 ingredient is one convex polygon Q of attained values inside it (exact for a
-diagonal section, numrange.diagonal_bild), and the pieces are conv(base u e)
-over the edges e of Q (iconv_polygon).  iconv keeps the same construction for
-a finite satellite cloud.
+diagonal section, numrange.diagonal_bild).  For two convex sets the
+inter-convex hull is their convex hull (iconv_polygon), so each Lancaster
+region is one convex polygon and its Hausdorff distances are exact
+(geometry.hausdorff_convex).  iconv keeps the union of convex pieces for a
+finite satellite cloud, whose union is not convex in general.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .geometry import (
     clip_polygon,
     convex_hull,
+    hausdorff_convex,
     points_in_polygon,
     points_polygon_distance,
     signed_inner_distance,
@@ -51,11 +53,12 @@ __all__ = [
 ]
 
 _DEDUPE_STEP = 2e-3  # satellite grid snap; far below every reported tolerance
+_PROBE_MARGIN = 0.05  # the probe window is [margin, 1 - margin] along the edge
 
 
 @dataclass
 class IconvRegion:
-    """Union of convex pieces: conv(base u {s}) per kept satellite, or per polygon edge."""
+    """Union of convex pieces: conv(base u {s}) per kept satellite, or conv(base u Q)."""
 
     base: np.ndarray
     satellites: np.ndarray  # kept satellite points, or the vertices of the polygon
@@ -136,23 +139,19 @@ def iconv(P: np.ndarray, S) -> IconvRegion:
 def iconv_polygon(P: np.ndarray, Q: np.ndarray) -> IconvRegion:
     """Inter-convex hull of a convex polygon P with a convex polygon Q, exactly.
 
-    One piece conv(P u e) per edge e of Q; a point or a segment Q gives the
-    single piece conv(P u Q).  Fan argument: for p in P and q in Q the ray
-    from p through q leaves Q through an edge e at some q', so every point
-    of [p, q] lies on [p, q'] inside conv(P u e); conversely conv(P u e) is
-    made of segments from P to e, inside iconv(P, Q).
+    For convex P and Q, iconv(P, Q) = conv(P u Q), returned as one piece.
+    Every segment from P to Q lies in conv(P u Q).  Conversely, a point of
+    conv(P u Q) is sum s_i p_i + sum t_j q_j with p_i in P, q_j in Q and
+    nonnegative weights summing to one.  With alpha = sum s_i, the point is
+    alpha p + (1 - alpha) q for p = sum s_i p_i / alpha in P and
+    q = sum t_j q_j / (1 - alpha) in Q, by convexity (alpha = 0 or 1 leaves
+    one part alone), so it lies on a segment from P to Q.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 2)
     Q = np.asarray(Q, dtype=float).reshape(-1, 2)
     if len(P) == 0 or len(Q) == 0:
         raise ValueError("both polygons must be non-empty")
-    if len(Q) <= 2:
-        pieces = [convex_hull(np.vstack([P, Q]))]
-    else:
-        ends = np.roll(Q, -1, axis=0)
-        pieces = [convex_hull(np.vstack([P, Q[i:i + 1], ends[i:i + 1]]))
-                  for i in range(len(Q))]
-    return IconvRegion(base=P, satellites=Q, pieces=pieces)
+    return IconvRegion(base=P, satellites=Q, pieces=[convex_hull(np.vstack([P, Q]))])
 
 
 # -- distances between a piece union and a convex polygon -----------------------------
@@ -231,14 +230,14 @@ def _attained_polygon(T, m: int, k: int, seed: int) -> tuple[BildRegion, np.ndar
 
 
 def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
-                    seed: int = 0, target: np.ndarray | None = None,
-                    grid_res: float = 0.005) -> LancasterReport:
+                    seed: int = 0, target: np.ndarray | None = None) -> LancasterReport:
     """Compare iconv(essential bild, section bild) with reference regions.
 
-    For each section size N the region is L_N = iconv_polygon(B_e, Q): B_e
-    is the full (both-sign) essential polygon and Q a convex polygon of
-    attained values inside the upper bild of the truncation, and
-    n_satellites counts the vertices of Q.
+    For each section size N the region is L_N = iconv_polygon(B_e, Q) =
+    conv(B_e u Q), cut to b >= 0: one convex polygon.  B_e is the full
+    (both-sign) essential polygon and Q a convex polygon of attained values
+    inside the upper bild of the truncation, and n_satellites counts the
+    vertices of Q.
 
     * A diagonal section (every section of an operator with a diagonal
       block) has its bild in closed form, numrange.diagonal_bild, checked
@@ -249,9 +248,10 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
       (m samples, k angles, seed + index) and the deterministic basis/pair
       values, all genuinely attained; gap is upper_bild's hausdorff_gap.
 
-    Reported per N: the distance from the upper clip of L_N to the
-    truncation's outer support polygon, and to an optional analytic target
-    polygon.
+    Reported per N: the Hausdorff distance from L_N to the truncation's
+    outer support polygon, and to an optional analytic target polygon.  All
+    three are convex polygons, so both distances are exact
+    (geometry.hausdorff_convex), attained at a vertex.
     """
     base = essential_bild(M)
     if target is not None:
@@ -263,15 +263,9 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
         T = truncate(M, int(N)).matrix
         region_bild, Q = _attained_polygon(T, m, k, seed + idx)
         Lup = iconv_polygon(base, Q).upper()
-        # a sampled section's outer polygon includes the support-unreachable
-        # under-region, so its distance is structural; a coarse grid is
-        # enough for the report
-        d_outer = hausdorff_union_convex(Lup, region_bild.outer_polygon,
-                                         res=max(grid_res, 0.02))
-        d_target = None
-        if target is not None:
-            d_target = hausdorff_union_convex(Lup, np.asarray(target, dtype=float),
-                                              res=grid_res)
+        L = Lup.pieces[0]
+        d_outer = hausdorff_convex(L, region_bild.outer_polygon)
+        d_target = None if target is None else hausdorff_convex(L, target)
         rows.append(LancasterRow(N=int(N), hausdorff_outer=d_outer,
                                  hausdorff_target=d_target,
                                  n_satellites=len(Q),
@@ -300,11 +294,11 @@ class ProbeReport:
 
 
 def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
-                        seed: int = 0, interior_margin: float = 0.05) -> ProbeReport:
+                        seed: int = 0) -> ProbeReport:
     """Residuals between a boundary edge and the attained bild of finite sections.
 
     The probe looks at the bild points whose projection onto the edge falls
-    in the interior window [margin, 1 - margin]; the residual is the edge's
+    in the interior window [0.05, 0.95]; the residual is the edge's
     supporting-functional level minus the best such point, and inf when the
     window holds none.  An edge attained at finite sections drives the
     residual to rounding level; a non-attained edge keeps it strictly
@@ -335,15 +329,15 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
         T = truncate(M, int(N)).matrix
         if T.block_split() == 0:
             strip = clip_polygon(diagonal_bild(T).inner_hull, -direction,
-                                 -(start + interior_margin * length))
-            pts = clip_polygon(strip, direction, start + (1.0 - interior_margin) * length)
+                                 -(start + _PROBE_MARGIN * length))
+            pts = clip_polygon(strip, direction, start + (1.0 - _PROBE_MARGIN) * length)
         else:
             pts = np.vstack([
                 bild_points(nr_sample(T, m, seed + idx)),
                 bild_points(refined_values(T)),
             ])
             t = (pts - edge[0]) @ direction / length
-            pts = pts[(t >= interior_margin) & (t <= 1.0 - interior_margin)]
+            pts = pts[(t >= _PROBE_MARGIN) & (t <= 1.0 - _PROBE_MARGIN)]
         if len(pts) == 0:
             rows.append(ProbeRow(N=int(N), residual=float("inf"), attained=-float("inf")))
             continue

@@ -50,6 +50,9 @@ __all__ = [
 
 _CHUNK_BUDGET = 4_000_000  # floats per sampling chunk, keeps peak memory modest
 _ANGLE_CHUNK = 32  # support angles per dense eigen solve
+_INTEREST_LIMIT = 18  # coordinates in the pair sweeps of refined_values
+_REFINE_ITERS = 120  # ascent steps per start in real_section
+_PENALTY_SCALE = 20.0  # real_section's |Im| penalty per unit of 1 + |T|_F
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -510,7 +513,7 @@ def _pair_values(T: QMatrix, i: int, j: int, gammas: np.ndarray, psis: np.ndarra
     return _subspace_values(T, [i, j], x).reshape(-1, 4)
 
 
-def _interest_coordinates(T: QMatrix, limit: int = 18) -> list[int]:
+def _interest_coordinates(T: QMatrix) -> list[int]:
     """Coordinates worth pairing: the dense block plus extreme diagonal classes.
 
     Diagonal classes are picked by directional extremeness in two peeled
@@ -537,7 +540,7 @@ def _interest_coordinates(T: QMatrix, limit: int = 18) -> list[int]:
             rest = np.flatnonzero(away)
             picks.update(int(rest[i]) for i in np.argmax(proj[rest], axis=0))
         for p in sorted(picks):
-            if len(chosen) >= limit:
+            if len(chosen) >= _INTEREST_LIMIT:
                 break
             chosen.append(b + p)
     return chosen
@@ -595,8 +598,8 @@ def _value_and_grad(chi: np.ndarray, x: np.ndarray):
     return val, g1 + g2  # (n, 4, 4): last axis is the component
 
 
-def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float, penalty: float,
-                 iters: int = 120) -> tuple[float, float]:
+def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float,
+                 penalty: float) -> tuple[float, float]:
     """Projected ascent of sign * Re<Tx,x> - penalty * |Im<Tx,x>| on the sphere, chi = chi(T)."""
     x = x0 / np.linalg.norm(x0)
     step = 0.1
@@ -607,7 +610,7 @@ def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float, penalty: float,
 
     val, grads = _value_and_grad(chi, x)
     fx, im = objective(val)
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         imn = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
         w = np.zeros(4)
         w[0] = sign
@@ -636,7 +639,7 @@ def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float, penalty: float,
 
 
 def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
-                 tol: float = 1e-6, penalty_scale: float = 20.0) -> RealSection:
+                 tol: float = 1e-6) -> RealSection:
     """Attained interval of Re<Tx, x> over unit vectors with |Im<Tx, x>| <= tol.
 
     Combines exact two-coordinate cancellation candidates, random samples and
@@ -666,7 +669,7 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
     best_im = min(best_im, float(ims.min()))
 
     # gradient refinement from deterministic starts
-    penalty = penalty_scale * (1.0 + T.frobenius())
+    penalty = _PENALTY_SCALE * (1.0 + T.frobenius())
     rng = _rng(seed, 2)
     starts = [_unit_samples(rng, 1, n)[0] for _ in range(4)]
     chi = T.complex_rep()

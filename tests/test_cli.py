@@ -297,6 +297,25 @@ def test_non_finite_numbers_rejected(remark_file, tmp_path, literal):
         assert main(["essential", str(path), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"', "3"],
+                         ids=["list", "null", "string", "number"])
+def test_operator_file_must_hold_an_object(tmp_path, text):
+    path = tmp_path / "op.json"
+    path.write_text(text)
+    with pytest.raises(fileio.ParseError, match="JSON object"):
+        fileio.load_operator(path)
+    assert main(["essential", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("n", ["1.5", "1.0", "true", '"1"'])
+def test_matrix_size_must_be_an_integer(tmp_path, n):
+    path = tmp_path / "matrix.json"
+    path.write_text('{"n": %s, "entries": [[[1, 0, 0, 0]]]}' % n)
+    with pytest.raises(fileio.ParseError, match="must be an integer"):
+        fileio.load_matrix(path)
+    assert main(["sspec", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_empty_matrix_is_a_parse_error(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "entries": []}')

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def test_rationals_tail_enumeration():
         assert np.min(np.abs(big - p)) <= 2e-3
     # only the imaginary-i component is populated
     assert np.all(t.prefix(100)[:, [0, 2, 3]] == 0.0)
+
+
+@pytest.mark.parametrize("half", [0.5, 0.37])
+def test_rationals_tail_matches_fraction_reference(half):
+    # by denominator q = 1, 2, ...: the reduced p/q with |p/q| < half, p ascending
+    bound = Fraction(half)
+    reference: list[Fraction] = []
+    q = 1
+    while len(reference) < 5000:
+        top = int(bound * q) + 1
+        reference.extend(f for f in (Fraction(p, q) for p in range(-top, top + 1))
+                         if f.denominator == q and abs(f) < bound)
+        q += 1
+    got = qr.RationalsITail(half).prefix(5000)[:, 1].tolist()
+    assert got == [float(f) for f in reference[:5000]]
+    assert len(set(got)) == len(got)
 
 
 def test_rationals_tail_resumes_its_enumeration():

@@ -4,7 +4,7 @@ import pytest
 import quatrange as qr
 from quatrange import Quaternion
 from quatrange.essential import Tail
-from quatrange.geometry import convex_hull, points_polygon_distance
+from quatrange.geometry import clip_polygon, convex_hull, points_polygon_distance
 from quatrange import lancaster
 from quatrange.lancaster import hausdorff_union_convex, iconv, iconv_polygon
 
@@ -105,7 +105,8 @@ def test_iconv_polygon_matches_brute_force_union(base, other):
     if other == "segment":
         Q = Q[:2]
     region = iconv_polygon(P, Q)
-    assert len(region.pieces) == (len(Q) if len(Q) >= 3 else 1)
+    assert len(region.pieces) == 1
+    assert np.array_equal(region.pieces[0], convex_hull(np.vstack([P, Q])))
     assert np.array_equal(region.satellites, Q)
     step = 0.04
     dense = lancaster._polygon_grid(Q, step)  # grid inside Q plus its boundary at step
@@ -222,6 +223,48 @@ def test_lancaster_dense_section_contains_satellite_reference():
                             - reference.distance_to(probes))) <= 1e-12
         reference_outer = hausdorff_union_convex(reference, bild.outer_polygon, res=0.02)
         assert row.hausdorff_outer < reference_outer
+
+
+@pytest.mark.parametrize("case", ["remark", "block_plus_tail"])
+def test_lancaster_region_is_one_polygon_with_exact_distances(case, remark):
+    # L_N is the b >= 0 cut of conv(B_e u Q), one convex polygon, and its
+    # distances are exact: the grid reference pads its Q -> region part by
+    # res / sqrt(2), and its grid holds every vertex, where the convex
+    # distance function peaks, so without the pad it must agree to rounding
+    trapezoid = np.array([(-1.0, 1.0), (1.0, 1.0), (1 / 3, 0.0), (-1 / 3, 0.0)])
+    if case == "remark":
+        M, target = remark, trapezoid
+        report = qr.lancaster_check(M, [50, 500], m=1, k=90, target=target)
+    else:
+        M, target = _block_plus_tail(), None
+        report = qr.lancaster_check(M, [1, 2], m=400, k=90, seed=1)
+    base = qr.essential_bild(M)
+    for idx, (row, region, bild) in enumerate(zip(report.rows, report.regions,
+                                                  report.bilds)):
+        if case == "remark":
+            Q = bild.inner_hull
+        else:
+            T = qr.truncate(M, row.N).matrix
+            sampled = qr.upper_bild(T, m=400, k=90, seed=1 + idx)
+            Q = convex_hull(np.vstack([sampled.inner_hull,
+                                       qr.bild_points(qr.refined_values(T))]))
+        cut = convex_hull(clip_polygon(convex_hull(np.vstack([base, Q])), (0.0, -1.0), 0.0))
+        assert len(region.pieces) == 1
+        assert region.pieces[0].shape == cut.shape
+        assert np.allclose(region.pieces[0], cut, rtol=0.0, atol=1e-12)
+        checks = [(row.hausdorff_outer, bild.outer_polygon, 0.02)]
+        if target is not None:
+            checks.append((row.hausdorff_target, convex_hull(target), 0.005))
+        for d, poly, res in checks:
+            ref = hausdorff_union_convex(region, poly, res=res)
+            assert ref - res / np.sqrt(2.0) - 1e-12 <= d <= ref + 1e-12
+            to_poly = float(points_polygon_distance(poly, region.pieces[0]).max())
+            to_region = float(region.distance_to(lancaster._polygon_grid(poly, res)).max())
+            assert abs(d - max(to_poly, to_region)) <= 1e-12
+    if target is not None:
+        # the lines from (0, -1/2) to (+-1, 1) cross b = 0 at +-1/3: the cut
+        # region is the trapezoid itself at every N
+        assert all(row.hausdorff_target <= 1e-12 for row in report.rows)
 
 
 def test_probe_dense_section_residual_from_attained_values():
