@@ -292,30 +292,30 @@ class ModelOperator:
         carries s_{n - block_size + 1} on the diagonal, and every entry not
         listed is zero.
         """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        values, nonzero = self._lookup(rows[:, None], cols[None, :])
+        i, j = nonzero.nonzero()
+        return i, j, values[i, j]
+
+    def _lookup(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """T[rows, cols] for broadcastable coordinate arrays, and where it may be nonzero.
+
+        Returns the (..., 4) entries and the structure mask: block entries
+        come from the block, the tail diagonal from the tail prefix, in one
+        indexing each.  A negative coordinate pads a support and gives zero.
+        """
+        rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
+                                         np.asarray(cols, dtype=np.intp))
         m0 = self.block_size
-        rows = np.asarray(rows, dtype=np.intp).tolist()
-        cols = np.asarray(cols, dtype=np.intp).tolist()
-        # the structure is matched on the (short) coordinate lists, the values
-        # are gathered from the block and the tail prefix in one indexing each
-        i, j = [], []
-        if m0 and rows and cols and min(rows) < m0 and min(cols) < m0:
-            block_cols = [b for b, n in enumerate(cols) if n < m0]
-            for a, n in enumerate(rows):
-                if n < m0:
-                    i += [a] * len(block_cols)
-                    j += block_cols
-        nb = len(i)
-        col_of = {n: b for b, n in enumerate(cols) if n >= m0}
-        for a, n in enumerate(rows):
-            if n in col_of:
-                i.append(a)
-                j.append(col_of[n])
-        k = [rows[a] - m0 for a in i[nb:]]
-        values = self.tail.prefix(max(k) + 1)[k] if k else np.zeros((0, 4))
-        if nb:
-            block = self.block.arr[[rows[a] for a in i[:nb]], [cols[b] for b in j[:nb]]]
-            values = np.concatenate((block, values))
-        return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), values
+        block = (rows >= 0) & (cols >= 0) & (rows < m0) & (cols < m0)
+        diag = (rows == cols) & (rows >= m0)
+        values = np.zeros(rows.shape + (4,))
+        values[block] = self.block.arr[rows[block], cols[block]]
+        k = rows[diag] - m0
+        if k.size:
+            values[diag] = self.tail.prefix(int(k.max()) + 1)[k]
+        return values, block | diag
 
     def validate(self, n_check: int = 200000, tol: float = 1e-3) -> None:
         """Check the declared limit parts against the generated tail prefix.
@@ -485,6 +485,12 @@ class SparseVec:
 
     ``index`` holds the support coordinates in ascending order and ``coeffs``
     the matching entries as an (s, 4) quaternion array; both are read-only.
+
+    ``scaled``, ``add``, ``inner``, ``op_inner`` and ``quad_value`` are the
+    per-vector reference evaluator: one vector at a time, against the model
+    operator's nonzero entries.  The library evaluates whole combination runs
+    as arrays (``_pair_combination``); these methods have no library caller
+    and are kept as the reference the tests compare against.
     """
 
     __slots__ = ("index", "coeffs")
@@ -588,6 +594,24 @@ def _part_distance(part: LimitPart, sphere: SimilaritySphere) -> float:
     return math.hypot(sphere.a - part.a, db)
 
 
+@dataclass(frozen=True)
+class _Picks:
+    """Consecutive picks of an essential sequence, one row per step.
+
+    ``index`` (steps, s) holds each pick's support coordinates in ascending
+    order, padded with -1 to one width s, ``coeffs`` (steps, s, 4) the
+    matching entries (zero in the padding), ``values`` (steps, 4) the values
+    <T v, v> and ``errors`` their distances to the target; ``cursor`` is
+    where a further step would start.
+    """
+
+    cursor: int
+    index: np.ndarray
+    coeffs: np.ndarray
+    values: np.ndarray
+    errors: np.ndarray
+
+
 class TailBasisSequence:
     """Essential sequence of phase-rotated tail basis vectors for a target value.
 
@@ -600,7 +624,8 @@ class TailBasisSequence:
     array.  The rotations u, values conj(u) s u and errors |conj(u) s u -
     target| are computed for one block of at most ``BLOCK`` consecutive
     entries, the one the picks are in, so a candidate is tested on the error
-    of the value the pick returns.
+    of the value the pick returns.  ``chain`` makes consecutive picks in one
+    walk over that block; ``pick`` is its one-step case.
     """
 
     MAX_SCAN = 2_000_000
@@ -617,14 +642,17 @@ class TailBasisSequence:
         self._sphere = sphere
         self._target = target.to_array()
         self._dist = np.zeros(0)
-        self._block = (0, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0))
+        # (lo, u, value, distances, errors) of the rotation block; the last
+        # two are plain lists, which the chain walks entry by entry
+        self._block = (0, np.zeros((0, 4)), np.zeros((0, 4)), [], [])
 
     def _rotate_block(self, lo: int, hi: int) -> None:
         """Rotations u, values conj(u) s u and their errors for entries lo .. hi - 1."""
         s = self.M.tail.prefix(hi)[lo:]
         u = qconjugator(s, self._target)
         value = qmul(qmul(qconj(u), s), u)
-        self._block = (lo, u, value, qabs(value - self._target))
+        self._block = (lo, u, value, self._dist[lo:hi].tolist(),
+                       qabs(value - self._target).tolist())
 
     def _scan(self, window: int) -> None:
         """Extend the distance array to the first ``window`` entries."""
@@ -635,16 +663,78 @@ class TailBasisSequence:
         dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
         self._dist = np.concatenate((self._dist, dist))
 
-    def _rotation(self, n0: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """u, conj(u) s u and |conj(u) s u - target| of tail entry n0.
+    def _candidate(self, n: int, end: int, eps: float, m0: int, forbidden) -> int:
+        """First entry in n .. end - 1 with class distance <= eps, coordinate allowed, or -1."""
+        # search in short spans: the first candidate usually lies a few entries on
+        for lo in range(n, end, self.SPAN):
+            for k in (self._dist[lo:min(lo + self.SPAN, end)] <= eps).nonzero()[0].tolist():
+                if m0 + lo + k not in forbidden:
+                    return lo + k
+        return -1
 
-        The entry's block is rotated if the current block does not hold it.
+    def _walk(self, n: int, stop: int, eps: float, tol: float, m0: int, forbidden) -> int:
+        """First entry in n .. stop - 1 that qualifies, or stop if none does.
+
+        Inside the rotation block the entries are walked one by one on its
+        distance and error lists; outside it, the next candidate by class
+        distance starts a new block.
         """
-        lo, u, value, err = self._block
-        if not lo <= n0 < lo + len(u):
-            self._rotate_block(n0, min(n0 + self.BLOCK, self._dist.size))
-            lo, u, value, err = self._block
-        return u[n0 - lo], value[n0 - lo], float(err[n0 - lo])
+        while n < stop:
+            lo, _, _, dist, err = self._block
+            hi = lo + len(err)
+            if lo <= n < hi:
+                end = min(hi, stop)
+                for k in range(n - lo, end - lo):
+                    if dist[k] <= eps and err[k] <= tol and m0 + lo + k not in forbidden:
+                        return lo + k
+                n = end
+                continue
+            c = self._candidate(n, stop, eps, m0, forbidden)
+            if c < 0:
+                return stop
+            self._rotate_block(c, min(c + self.BLOCK, self._dist.size))
+            n = c
+        return stop
+
+    def chain(self, eps, cursor: int = 0, forbidden=None) -> _Picks:
+        """Picks for the tolerances eps[0], eps[1], ..., each from where the last ended.
+
+        Step p returns the first tail index n0 >= cursor whose class lies
+        within eps[p] of the target class, whose rotated value lies within
+        eps[p] (1 + 1e-9) + 1e-15 of the target, and whose coordinate
+        block_size + n0 is not in forbidden[p] (a collection per step, or
+        None); the next step starts at n0 + 1.  Each step's scan window holds
+        max(2048, 2 (cursor + 1)) entries and grows 8-fold up to MAX_SCAN;
+        past that, MissingSequenceError is raised.
+        """
+        m0 = self.M.block_size
+        hits, us, values, errors = [], [], [], []
+        for p, e in enumerate(eps):
+            allowed = () if forbidden is None else forbidden[p]
+            tol = e * (1.0 + 1e-9) + 1e-15
+            n = cursor
+            window = max(2048, 2 * (cursor + 1))
+            while True:
+                window = min(window, self.MAX_SCAN)
+                self._scan(window)
+                n = self._walk(n, window, e, tol, m0, allowed)
+                if n < window:
+                    break
+                if window == self.MAX_SCAN:
+                    raise MissingSequenceError(
+                        f"no tail index with error <= {e:g} beyond cursor {cursor}")
+                window *= 8
+            lo, u, value, _, err = self._block
+            hits.append(m0 + n)
+            us.append(u[n - lo].tolist())
+            values.append(value[n - lo].tolist())
+            errors.append(err[n - lo])
+            cursor = n + 1
+        return _Picks(cursor=cursor,
+                      index=np.array(hits, dtype=np.intp).reshape(-1, 1),
+                      coeffs=np.array(us).reshape(-1, 1, 4),
+                      values=np.array(values).reshape(-1, 4),
+                      errors=np.array(errors))
 
     def pick(self, eps: float, cursor: int, forbidden=frozenset()):
         """First tail index > cursor with error <= eps and coordinate allowed.
@@ -652,28 +742,11 @@ class TailBasisSequence:
         Returns (index, SparseVec, value, error); the coordinate of tail index
         n is block_size + n - 1.  An entry qualifies when its class lies
         within eps of the target class and its rotated value within
-        eps (1 + 1e-9) + 1e-15 of the target.
+        eps (1 + 1e-9) + 1e-15 of the target.  This is one step of ``chain``.
         """
-        m0 = self.M.block_size
-        tol = eps * (1.0 + 1e-9) + 1e-15
-        window = max(2048, 2 * (cursor + 1))
-        while True:
-            window = min(window, self.MAX_SCAN)
-            self._scan(window)
-            # search in short spans: the first candidate usually lies a few entries on
-            for lo in range(cursor, window, self.SPAN):
-                for k in (self._dist[lo:min(lo + self.SPAN, window)] <= eps).nonzero()[0]:
-                    n0 = lo + int(k)
-                    if m0 + n0 in forbidden:
-                        continue
-                    u, value, err = self._rotation(n0)
-                    if err <= tol:
-                        return (n0 + 1, SparseVec._of(np.array([m0 + n0]), u[None].copy()),
-                                Quaternion(*value.tolist()), err)
-            if window == self.MAX_SCAN:
-                raise MissingSequenceError(
-                    f"no tail index with error <= {eps:g} beyond cursor {cursor}")
-            window *= 8
+        step = self.chain([eps], cursor, [forbidden])
+        return (step.cursor, SparseVec._of(step.index[0], step.coeffs[0]),
+                Quaternion(*step.values[0].tolist()), float(step.errors[0]))
 
 
 class _ResultSequence:
@@ -684,14 +757,36 @@ class _ResultSequence:
         self.M = M
         self.target = result.target
 
-    def pick(self, eps: float, cursor: int, forbidden=frozenset()):
-        for p in range(cursor, len(self.result.vectors)):
-            if self.result.errors[p] <= eps and not (
-                    self.result.vectors[p].support & forbidden):
-                return p + 1, self.result.vectors[p], self.result.values[p], \
-                    self.result.errors[p]
-        raise MissingSequenceError(
-            f"combination run exhausted before reaching error {eps:g}")
+    def chain(self, eps, cursor: int = 0, forbidden=None) -> _Picks:
+        """Picks over the run's steps, with the rule of TailBasisSequence.chain.
+
+        Step p returns the first run step at or past the cursor whose error
+        is at most eps[p] and whose support avoids forbidden[p].
+        """
+        errors = self.result.errors
+        vectors = self.result.vectors
+        hits = []
+        for p, e in enumerate(eps):
+            avoid = () if forbidden is None else forbidden[p]
+            n = cursor
+            while n < len(errors) and not (
+                    errors[n] <= e and not any(c in avoid for c in vectors[n].index.tolist())):
+                n += 1
+            if n == len(errors):
+                raise MissingSequenceError(
+                    f"combination run exhausted before reaching error {e:g}")
+            hits.append(n)
+            cursor = n + 1
+        width = max((vectors[n].index.size for n in hits), default=0)
+        index = np.full((len(hits), width), -1, dtype=np.intp)
+        coeffs = np.zeros((len(hits), width, 4))
+        for row, n in enumerate(hits):
+            size = vectors[n].index.size
+            index[row, :size] = vectors[n].index
+            coeffs[row, :size] = vectors[n].coeffs
+        values = np.array([self.result.values[n].to_array() for n in hits]).reshape(-1, 4)
+        return _Picks(cursor=cursor, index=index, coeffs=coeffs, values=values,
+                      errors=np.array([errors[n] for n in hits]))
 
 
 @dataclass
@@ -708,36 +803,61 @@ class CombinationResult:
     error_constant: float
 
 
+_PAD = np.iinfo(np.intp).max  # sorts padding after every coordinate
+
+
+def _forms(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_ab conj(left_a) mid_ab right_b per step: (d, s, 4), (..., d, s, t, 4), (d, t, 4)."""
+    terms = qmul(qmul(qconj(left)[:, :, None], mid), right[:, None])
+    return terms.sum(axis=(-3, -2))
+
+
+def _pair_combination(M: ModelOperator, x: _Picks, y: _Picks, alpha: float, beta: float):
+    """Selection triples and z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>.
+
+    All steps at once, against the operator entries on the picked supports.
+    The supports of x_p and y_p are disjoint (y_p avoids x_p's coordinates),
+    so z_p's support is their union.  Returns (triples (d, 3), index, coeffs,
+    values) with index and coeffs sorted by coordinate, padding last.
+    """
+    rows, cols = y.index[:, :, None], x.index[:, None, :]
+    # padded entries have zero coefficients, so they add nothing to any form
+    mids = np.stack(((rows == cols)[..., None] * Quaternion.one.to_array(),
+                     M._lookup(rows, cols)[0],
+                     qconj(M._lookup(cols, rows)[0])))
+    # |<x, y>|, |<T x, y>| and |<T* x, y>|
+    triples = qabs(_forms(y.coeffs, mids, x.coeffs)).T
+    index = np.concatenate((x.index, y.index), axis=1)
+    coeffs = np.concatenate((x.coeffs * alpha, y.coeffs * beta), axis=1)
+    order = np.argsort(np.where(index >= 0, index, _PAD), axis=1, kind="stable")
+    index = np.take_along_axis(index, order, axis=1)
+    coeffs = np.take_along_axis(coeffs, order[:, :, None], axis=1)
+    norm = np.sqrt(np.einsum("psc,psc->p", coeffs, coeffs))
+    coeffs = coeffs * (1.0 / norm)[:, None, None]
+    values = _forms(coeffs, M._lookup(index[:, :, None], index[:, None, :])[0], coeffs)
+    return triples, index, coeffs, values
+
+
 def _combine(M: ModelOperator, seq1, seq2, alpha: float, depth: int) -> CombinationResult:
+    """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass."""
     om1, om2 = seq1.target, seq2.target
     beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     target = om1 * (alpha * alpha) + om2 * (beta * beta)
-    vectors: list[SparseVec] = []
-    values: list[Quaternion] = []
-    errors: list[float] = []
+    eps = [1.0 / p for p in range(1, depth + 1)]
     triples: list[tuple[float, float, float]] = []
-    c1 = c2 = 0
-    for p in range(1, depth + 1):
-        eps = 1.0 / p
-        if beta == 0.0:
-            c1, vec, value, _ = seq1.pick(eps, c1)
-        elif alpha == 0.0:
-            c2, vec, value, _ = seq2.pick(eps, c2)
-        else:
-            c1, x, _, _ = seq1.pick(eps, c1)
-            c2, y, _, _ = seq2.pick(eps, c2, forbidden=x.support)
-            triple = (abs(x.inner(y)),
-                      abs(x.op_inner(M, y)),
-                      abs(x.op_inner(M, y, adjoint=True)))
-            triples.append(triple)
-            z = x.scaled(alpha).add(y.scaled(beta))
-            vec = z.scaled(1.0 / z.norm())
-            value = vec.quad_value(M)
-        vectors.append(vec)
-        values.append(value)
-        errors.append(abs(value - target))
-    return CombinationResult(target=target, alpha=alpha, beta=beta,
-                             vectors=vectors, values=values, errors=errors,
+    if beta == 0.0 or alpha == 0.0:
+        picks = (seq1 if beta == 0.0 else seq2).chain(eps)
+        index, coeffs, values = picks.index, picks.coeffs, picks.values
+    else:
+        x = seq1.chain(eps)
+        y = seq2.chain(eps, forbidden=x.index.tolist())
+        tri, index, coeffs, values = _pair_combination(M, x, y, alpha, beta)
+        triples = [tuple(t) for t in tri.tolist()]
+    widths = (index >= 0).sum(axis=1).tolist()
+    vectors = [SparseVec._of(index[p, :w], coeffs[p, :w]) for p, w in enumerate(widths)]
+    return CombinationResult(target=target, alpha=alpha, beta=beta, vectors=vectors,
+                             values=[Quaternion(*v) for v in values.tolist()],
+                             errors=qabs(values - target.to_array()).tolist(),
                              triples=triples,
                              error_constant=2.0 + M.opnorm_bound())
 

@@ -82,6 +82,11 @@ class IconvRegion:
         """Pieces clipped to the closed upper half-plane b >= 0."""
         clipped = []
         for piece in self.pieces:
+            if len(piece) == 2 and piece[:, 1].min() < -1e-12 and piece[:, 1].max() > 0.0:
+                # a segment crossing b = 0: its lower end moves to the crossing
+                lo, hi = piece[np.argsort(piece[:, 1])]
+                t = lo[1] / (lo[1] - hi[1])
+                piece = np.array([(lo[0] + t * (hi[0] - lo[0]), 0.0), hi])
             if len(piece) < 3:
                 kept = piece[piece[:, 1] >= -1e-12]
                 if len(kept):

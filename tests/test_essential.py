@@ -523,6 +523,55 @@ def test_pick_rotates_only_the_block_it_returns_from(monkeypatch):
     assert abs(err - abs(value - target)) <= 1e-15 and err <= 1e-3
 
 
+def test_chain_rotates_at_most_one_block_per_visit(monkeypatch):
+    rotated = []
+    kernel = essential.qconjugator
+
+    def counting(source, target):
+        rotated.append(len(source))
+        return kernel(source, target)
+
+    monkeypatch.setattr(essential, "qconjugator", counting)
+    target = Quaternion(0.0, 0.25, 0.0, 0.0)
+    M = qr.remark_operator()
+    seq = qr.TailBasisSequence(M, target)
+    picks = seq.chain([1e-3] * 40, cursor=20000)
+    hits = picks.index[:, 0] - M.block_size
+    block = qr.TailBasisSequence.BLOCK
+    # the picks span several blocks; each block starts at a candidate past the
+    # previous block, holds at most BLOCK entries, and only the last is kept
+    assert hits[-1] - hits[0] > 2 * block
+    assert all(0 < r <= block for r in rotated)
+    assert len(rotated) <= (hits[-1] - 20000) // block + 1
+    assert len(seq._block[1]) <= block
+    # the same picks as one step at a time
+    single = qr.TailBasisSequence(M, target)
+    cursor = 20000
+    for hit, err in zip(hits.tolist(), picks.errors.tolist()):
+        cursor, vec, value, got = single.pick(1e-3, cursor)
+        assert cursor == hit + 1 and got == err
+
+
+def test_chain_raises_at_the_cap_without_reading_past_it(monkeypatch):
+    class WatchedTail(qr.DecayingPeriodicTail):
+        largest = 0
+
+        def _generate(self, count):
+            WatchedTail.largest = max(WatchedTail.largest, count)
+            return super()._generate(count)
+
+    monkeypatch.setattr(qr.TailBasisSequence, "MAX_SCAN", 5000)
+    target = Quaternion(0.2, 0.5, 0.0, 0.0)
+    M = qr.ModelOperator(qr.QMatrix.zeros(1), WatchedTail([target], amplitude=0.1),
+                         [qr.csim(target)], bound=1.0)
+    seq = qr.TailBasisSequence(M, target)
+    # the first steps qualify; no class up to index 5000 is within 1e-12
+    with pytest.raises(qr.MissingSequenceError):
+        seq.chain([1.0, 0.5, 1e-12, 1.0])
+    assert WatchedTail.largest == 5000
+    assert seq.chain([1.0, 0.5]).index[:, 0].tolist() == [1, 2]
+
+
 def _mixed_support_operator():
     rng = np.random.default_rng(44)
     block = qr.QMatrix(rng.standard_normal((3, 3, 4)))
@@ -557,6 +606,41 @@ def test_sparse_vectors_match_dense_evaluation():
         z.coeffs[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("empty_block", [False, True])
+def test_pair_combination_matches_the_per_vector_evaluator(empty_block):
+    # supports meeting block entries and the tail diagonal, padded to one width
+    M = _mixed_support_operator()
+    if empty_block:
+        M = qr.ModelOperator(qr.QMatrix.zeros(0), M.tail, M.limit_set, M.bound)
+    rng = np.random.default_rng(46)
+    xs = [[0, 5], [2, 9], [1, -1], [3, -1]]
+    ys = [[1, 2, 7], [0, 12, -1], [4, 6, 8], [4, -1, -1]]
+
+    def picks(rows):
+        index = np.array(rows, dtype=np.intp)
+        coeffs = rng.standard_normal(index.shape + (4,)) * (index >= 0)[..., None]
+        return essential._Picks(cursor=0, index=index, coeffs=coeffs,
+                                values=np.zeros((len(rows), 4)), errors=np.zeros(len(rows)))
+
+    x, y = picks(xs), picks(ys)
+    alpha, beta = 0.6, 0.8
+    triples, index, coeffs, values = essential._pair_combination(M, x, y, alpha, beta)
+    for p in range(len(xs)):
+        keep_x, keep_y = x.index[p] >= 0, y.index[p] >= 0
+        xv = qr.SparseVec(x.index[p][keep_x], x.coeffs[p][keep_x])
+        yv = qr.SparseVec(y.index[p][keep_y], y.coeffs[p][keep_y])
+        want = (abs(xv.inner(yv)), abs(xv.op_inner(M, yv)),
+                abs(xv.op_inner(M, yv, adjoint=True)))
+        assert np.max(np.abs(triples[p] - want)) <= 1e-12
+        z = xv.scaled(alpha).add(yv.scaled(beta))
+        z = z.scaled(1.0 / z.norm())
+        width = z.index.size
+        assert index[p, :width].tolist() == z.index.tolist()
+        assert np.all(index[p, width:] == -1) and np.all(coeffs[p, width:] == 0.0)
+        assert np.max(np.abs(coeffs[p, :width] - z.coeffs)) <= 1e-12
+        assert abs(Quaternion.from_array(values[p]) - z.quad_value(M)) <= 1e-12
+
+
 def test_model_entries_lookup():
     M = _mixed_support_operator()
     rows, cols = [1, 2, 5, 9], [0, 2, 9, 11]
@@ -566,3 +650,139 @@ def test_model_entries_lookup():
     T = qr.truncate(M, 10).matrix
     assert np.array_equal(dense, T.arr[np.ix_(rows, cols)])
     assert M.entries([4], [5])[0].size == 0
+
+
+# -- the combination engine against the per-step loop ---------------------------------------
+
+
+def _reference_result_pick(result, eps, cursor, forbidden=frozenset()):
+    """A finished run as an essential sequence, one step at a time."""
+    for p in range(cursor, len(result.vectors)):
+        if result.errors[p] <= eps and not (result.vectors[p].support & forbidden):
+            return p + 1, result.vectors[p], result.values[p], result.errors[p]
+    raise qr.MissingSequenceError("reference run exhausted")
+
+
+def test_result_sequence_chain_matches_the_reference_pick():
+    errors = [0.9, 0.2, 0.6, 0.1, 0.05, 0.3, 0.01]
+    vectors = [qr.SparseVec([2 * p, 2 * p + 1], np.full((2, 4), 0.5)) for p in range(7)]
+    run = qr.CombinationResult(target=Quaternion.one, alpha=0.6, beta=0.8,
+                               vectors=vectors, values=[Quaternion(e) for e in errors],
+                               errors=errors, triples=[], error_constant=3.0)
+    eps = [0.5, 0.5, 0.4]
+    forbidden = [frozenset(), frozenset({7}), frozenset({10, 11})]
+    picks = essential._ResultSequence(run, None).chain(eps, forbidden=forbidden)
+    cursor = 0
+    for p, (e, avoid) in enumerate(zip(eps, forbidden)):
+        cursor, vec, value, err = _reference_result_pick(run, e, cursor, avoid)
+        assert picks.index[p].tolist() == vec.index.tolist()
+        assert np.array_equal(picks.coeffs[p], vec.coeffs)
+        assert picks.values[p].tolist() == list(value.to_array()) and picks.errors[p] == err
+    assert picks.index[:, 0].tolist() == [2, 8, 12] and picks.cursor == cursor == 7
+    with pytest.raises(qr.MissingSequenceError):
+        essential._ResultSequence(run, None).chain([0.5, 0.5, 0.5, 0.001])
+
+
+def _reference_combine(M, pick1, pick2, om1, om2, alpha, depth):
+    """The per-step combination loop on the per-vector SparseVec evaluator.
+
+    ``pick1`` and ``pick2`` take (eps, cursor[, forbidden]) and return
+    (cursor, vector, value, error), like TailBasisSequence.pick.
+    """
+    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    target = om1 * (alpha * alpha) + om2 * (beta * beta)
+    vectors, values, errors, triples = [], [], [], []
+    c1 = c2 = 0
+    for p in range(1, depth + 1):
+        eps = 1.0 / p
+        if beta == 0.0:
+            c1, vec, value, _ = pick1(eps, c1)
+        elif alpha == 0.0:
+            c2, vec, value, _ = pick2(eps, c2)
+        else:
+            c1, x, _, _ = pick1(eps, c1)
+            c2, y, _, _ = pick2(eps, c2, forbidden=x.support)
+            triples.append((abs(x.inner(y)),
+                            abs(x.op_inner(M, y)),
+                            abs(x.op_inner(M, y, adjoint=True))))
+            z = x.scaled(alpha).add(y.scaled(beta))
+            vec = z.scaled(1.0 / z.norm())
+            value = vec.quad_value(M)
+        vectors.append(vec)
+        values.append(value)
+        errors.append(abs(value - target))
+    return vectors, values, errors, triples
+
+
+def _assert_same_run(run, ref):
+    vectors, values, errors, triples = ref
+    assert len(run.vectors) == len(vectors)
+    for got, want in zip(run.vectors, vectors):
+        assert got.index.tolist() == want.index.tolist()
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(run.values, values))
+    assert np.max(np.abs(np.subtract(run.errors, errors))) <= 1e-12
+    assert len(run.triples) == len(triples)
+    if triples:
+        assert np.max(np.abs(np.subtract(run.triples, triples))) <= 1e-15
+    assert all(isinstance(t, tuple) and len(t) == 3 for t in run.triples)
+
+
+def _reference_run(M, om1, om2, alpha, depth):
+    return _reference_combine(M, qr.TailBasisSequence(M, om1).pick,
+                              qr.TailBasisSequence(M, om2).pick, om1, om2, alpha, depth)
+
+
+def test_combination_matches_the_step_loop_on_seeded_operators():
+    ratios, reference_ratios = [], []
+    for seed in range(20):
+        M = seeded_model_operator(seed)
+        poly = qr.essential_bild(M)
+        om1 = Quaternion(float(poly[0][0]), float(poly[0][1]), 0.0, 0.0)
+        om2 = Quaternion(float(poly[-1][0]), float(poly[-1][1]), 0.0, 0.0)
+        budget = 5.0 * (2.0 + M.opnorm_bound()) / 200.0
+        for a2 in (0.0, 0.3, 0.5, 1.0):
+            alpha = math.sqrt(a2)
+            run = qr.convex_combination_sequence(M, om1, om2, alpha, 200)
+            ref = _reference_run(M, om1, om2, alpha, 200)
+            _assert_same_run(run, ref)
+            ratios.append(run.errors[-1] / budget)
+            reference_ratios.append(ref[2][-1] / budget)
+    # criterion 4's worst error/budget ratio, to 12 digits
+    assert max(ratios) == pytest.approx(max(reference_ratios), rel=1e-12)
+
+
+def test_combination_matches_the_step_loop_on_named_cases(remark):
+    q = Quaternion(0.5, 0.0, 0.75, 0.0)
+    constant = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(q), [qr.csim(q)],
+                                bound=1.0)
+    cases = [(remark, Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.5, 0, 0),
+              math.sqrt(0.5), 200),
+             (constant, q, q, math.sqrt(0.5), 50)]
+    for M, om1, om2, alpha, depth in cases:
+        run = qr.convex_combination_sequence(M, om1, om2, alpha, depth)
+        _assert_same_run(run, _reference_run(M, om1, om2, alpha, depth))
+
+
+def test_three_vertex_membership_combination_matches_the_step_loop():
+    # the decomposition we_membership builds in
+    # test_membership_interior_triangle_decomposition
+    targets = [Quaternion(0.0, 1.0, 0, 0), Quaternion(-1.0, 0.0, 0, 0),
+               Quaternion(1.0, 0.0, 0, 0)]
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.DecayingPeriodicTail(targets, 0.1),
+                         [qr.csim(t) for t in targets], bound=1.3)
+    pt = np.array(qr.csim(Quaternion(0.1, 0.2, 0.0, 0.0)).point())
+    parts = [(Quaternion(float(v[0]), float(v[1]), 0.0, 0.0), lam)
+             for v, lam in essential._decompose(qr.essential_bild(M), pt) if lam > 1e-12]
+    assert len(parts) == 3
+    (v1, l1), (v2, l2), (v3, l3) = parts
+    stage1 = qr.convex_combination_sequence(M, v1, v2, math.sqrt(l1 / (l1 + l2)), 80)
+    _assert_same_run(stage1, _reference_run(M, v1, v2, math.sqrt(l1 / (l1 + l2)), 80))
+    alpha = math.sqrt(l1 + l2)
+    run = essential._combine(M, essential._ResultSequence(stage1, M),
+                             qr.TailBasisSequence(M, v3), alpha, 80)
+    ref = _reference_combine(M, lambda eps, c, forbidden=frozenset():
+                             _reference_result_pick(stage1, eps, c, forbidden),
+                             qr.TailBasisSequence(M, v3).pick, stage1.target, v3, alpha, 80)
+    _assert_same_run(run, ref)
+    assert all(v.index.size == 3 for v in run.vectors)

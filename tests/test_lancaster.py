@@ -93,6 +93,23 @@ def test_upper_clip():
     assert region.contains((1 / 3, 1e-12), tol=1e-9)
 
 
+def test_upper_clips_a_segment_at_its_crossing():
+    # diag(i) over the rationals tail: B_e is the segment (0, -1/2)-(0, 1/2)
+    # and the section's bild the segment (0, 0)-(0, 1), so the region is the
+    # vertical segment from (0, -1/2) to (0, 1), cut to b >= 0 at (0, 0)
+    M = qr.ModelOperator(qr.QMatrix.diag([I]), qr.RationalsITail(0.5),
+                         [qr.LimitSegment(0.0, 0.0, 0.5)], bound=1.0)
+    report = qr.lancaster_check(M, [20])
+    assert np.array_equal(report.regions[0].pieces[0], [(0.0, 0.0), (0.0, 1.0)])
+    outer = report.bilds[0].outer_polygon
+    width = outer[:, 0].max() - outer[:, 0].min()
+    assert 0.0 < width <= 1e-11
+    assert report.final().hausdorff_outer <= width
+    # a slanted segment crossing b = 0 is cut at the crossing, a point kept
+    cut = iconv_polygon(np.array([(0.0, -1.0)]), np.array([(2.0, 1.0)])).upper()
+    assert np.array_equal(cut.pieces[0], [(1.0, 0.0), (2.0, 1.0)])
+
+
 @pytest.mark.parametrize("base", ["polygon", "point", "segment"])
 @pytest.mark.parametrize("other", ["polygon", "segment"])
 def test_iconv_polygon_matches_brute_force_union(base, other):
