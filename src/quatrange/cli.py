@@ -32,6 +32,13 @@ def _section_size(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and at least 0, got {text}")
+    return value
+
+
 # every option once: its flags and argparse settings, keyed by the name the
 # handlers read and the summary's config echoes
 _OPTIONS = {
@@ -39,7 +46,7 @@ _OPTIONS = {
     "samples": (("--samples", "-m"), dict(type=int, default=20000)),
     "angles": (("--angles", "-k"), dict(type=int, default=360)),
     "section": (("--section", "-N"), dict(type=_section_size, default=None)),
-    "tol": (("--tol",), dict(type=float, default=1e-6)),
+    "tol": (("--tol",), dict(type=_tolerance, default=1e-6)),
     "svg": (("--svg",), dict(action="store_true", help="also write an SVG plot")),
     "target": (("--target",), dict(
         default=None, help="target polygon 'a1,b1;a2,b2;...' for distance reporting")),

@@ -619,17 +619,16 @@ class TailBasisSequence:
     class approaches csim(target) and u_p rotates the symbol onto target, so
     <T e u, e u> = conj(u) s u converges to the target at the scan rate.
 
-    Each tail entry is scanned once per sequence: when the scan window grows,
-    the new entries get their bild distance to the target class, kept in one
-    array.  The rotations u, values conj(u) s u and errors |conj(u) s u -
-    target| are computed for one block of at most ``BLOCK`` consecutive
-    entries, the one the picks are in, so a candidate is tested on the error
-    of the value the pick returns.  ``chain`` makes consecutive picks in one
-    walk over that block; ``pick`` is its one-step case.
+    A pick depends on the class distance alone: the bild distances of the
+    tail entries to the target class are kept in one array, scanned once per
+    sequence and grown 8-fold at a time up to ``MAX_SCAN``.  As
+    qconjugator turns only the imaginary direction, |conj(u) s u - target|
+    equals the class distance up to rounding, so only the picked entries are
+    rotated, in one qconjugator call per ``chain``; ``pick`` is its one-step
+    case.
     """
 
     MAX_SCAN = 2_000_000
-    BLOCK = 2048
     SPAN = 256
 
     def __init__(self, M: ModelOperator, target: Quaternion):
@@ -642,107 +641,68 @@ class TailBasisSequence:
         self._sphere = sphere
         self._target = target.to_array()
         self._dist = np.zeros(0)
-        # (lo, u, value, distances, errors) of the rotation block; the last
-        # two are plain lists, which the chain walks entry by entry
-        self._block = (0, np.zeros((0, 4)), np.zeros((0, 4)), [], [])
 
-    def _rotate_block(self, lo: int, hi: int) -> None:
-        """Rotations u, values conj(u) s u and their errors for entries lo .. hi - 1."""
-        s = self.M.tail.prefix(hi)[lo:]
-        u = qconjugator(s, self._target)
-        value = qmul(qmul(qconj(u), s), u)
-        self._block = (lo, u, value, self._dist[lo:hi].tolist(),
-                       qabs(value - self._target).tolist())
+    def _next(self, cursor: int, eps: float, m0: int, forbidden) -> int:
+        """First entry >= cursor with class distance <= eps and coordinate allowed.
 
-    def _scan(self, window: int) -> None:
-        """Extend the distance array to the first ``window`` entries."""
-        done = self._dist.size
-        if window <= done:
-            return
-        pts = bild_points(self.M.tail.prefix(window)[done:])
-        dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
-        self._dist = np.concatenate((self._dist, dist))
-
-    def _candidate(self, n: int, end: int, eps: float, m0: int, forbidden) -> int:
-        """First entry in n .. end - 1 with class distance <= eps, coordinate allowed, or -1."""
-        # search in short spans: the first candidate usually lies a few entries on
-        for lo in range(n, end, self.SPAN):
-            for k in (self._dist[lo:min(lo + self.SPAN, end)] <= eps).nonzero()[0].tolist():
-                if m0 + lo + k not in forbidden:
-                    return lo + k
-        return -1
-
-    def _walk(self, n: int, stop: int, eps: float, tol: float, m0: int, forbidden) -> int:
-        """First entry in n .. stop - 1 that qualifies, or stop if none does.
-
-        Inside the rotation block the entries are walked one by one on its
-        distance and error lists; outside it, the next candidate by class
-        distance starts a new block.
+        When the search reaches the end of the distance array, the array
+        grows 8-fold (to 2048 entries at first), up to MAX_SCAN; past that,
+        MissingSequenceError is raised.
         """
-        while n < stop:
-            lo, _, _, dist, err = self._block
-            hi = lo + len(err)
-            if lo <= n < hi:
-                end = min(hi, stop)
-                for k in range(n - lo, end - lo):
-                    if dist[k] <= eps and err[k] <= tol and m0 + lo + k not in forbidden:
+        n = cursor
+        while True:
+            done = self._dist.size
+            # search in short spans: the first candidate usually lies a few entries on
+            for lo in range(n, done, self.SPAN):
+                for k in (self._dist[lo:lo + self.SPAN] <= eps).nonzero()[0].tolist():
+                    if m0 + lo + k not in forbidden:
                         return lo + k
-                n = end
-                continue
-            c = self._candidate(n, stop, eps, m0, forbidden)
-            if c < 0:
-                return stop
-            self._rotate_block(c, min(c + self.BLOCK, self._dist.size))
-            n = c
-        return stop
+            if done == self.MAX_SCAN:
+                raise MissingSequenceError(
+                    f"no tail class within {eps:g} of the target beyond cursor {cursor}")
+            size = min(max(8 * done, 2048), self.MAX_SCAN)
+            pts = bild_points(self.M.tail.prefix(size)[done:])
+            dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
+            self._dist = np.concatenate((self._dist, dist))
+            n = max(n, done)
 
     def chain(self, eps, cursor: int = 0, forbidden=None) -> _Picks:
         """Picks for the tolerances eps[0], eps[1], ..., each from where the last ended.
 
         Step p returns the first tail index n0 >= cursor whose class lies
-        within eps[p] of the target class, whose rotated value lies within
-        eps[p] (1 + 1e-9) + 1e-15 of the target, and whose coordinate
-        block_size + n0 is not in forbidden[p] (a collection per step, or
-        None); the next step starts at n0 + 1.  Each step's scan window holds
-        max(2048, 2 (cursor + 1)) entries and grows 8-fold up to MAX_SCAN;
-        past that, MissingSequenceError is raised.
+        within eps[p] of the target class and whose coordinate block_size + n0
+        is not in forbidden[p] (a collection per step, or None); the next
+        step starts at n0 + 1.  Past MAX_SCAN entries, MissingSequenceError
+        is raised.  The picked entries are then rotated onto the target; a
+        rotated value farther than eps[p] (1 + 1e-9) + 1e-15 from the target
+        raises NumericalError.
         """
         m0 = self.M.block_size
-        hits, us, values, errors = [], [], [], []
+        hits = []
         for p, e in enumerate(eps):
-            allowed = () if forbidden is None else forbidden[p]
-            tol = e * (1.0 + 1e-9) + 1e-15
-            n = cursor
-            window = max(2048, 2 * (cursor + 1))
-            while True:
-                window = min(window, self.MAX_SCAN)
-                self._scan(window)
-                n = self._walk(n, window, e, tol, m0, allowed)
-                if n < window:
-                    break
-                if window == self.MAX_SCAN:
-                    raise MissingSequenceError(
-                        f"no tail index with error <= {e:g} beyond cursor {cursor}")
-                window *= 8
-            lo, u, value, _, err = self._block
-            hits.append(m0 + n)
-            us.append(u[n - lo].tolist())
-            values.append(value[n - lo].tolist())
-            errors.append(err[n - lo])
-            cursor = n + 1
-        return _Picks(cursor=cursor,
-                      index=np.array(hits, dtype=np.intp).reshape(-1, 1),
-                      coeffs=np.array(us).reshape(-1, 1, 4),
-                      values=np.array(values).reshape(-1, 4),
-                      errors=np.array(errors))
+            hits.append(self._next(cursor, e, m0, () if forbidden is None else forbidden[p]))
+            cursor = hits[-1] + 1
+        hits = np.array(hits, dtype=np.intp)
+        s = self.M.tail.prefix(cursor)[hits]
+        u = qconjugator(s, self._target)
+        values = qmul(qmul(qconj(u), s), u)
+        errors = qabs(values - self._target)
+        tol = np.asarray(eps, dtype=float) * (1.0 + 1e-9) + 1e-15
+        miss = np.flatnonzero(~(errors <= tol))
+        if miss.size:
+            k = miss[0]
+            raise NumericalError(f"rotated tail entry {hits[k] + 1} misses the target by "
+                                 f"{errors[k]:g} > {tol[k]:g}")
+        return _Picks(cursor=cursor, index=(m0 + hits).reshape(-1, 1),
+                      coeffs=u.reshape(-1, 1, 4), values=values.reshape(-1, 4),
+                      errors=errors)
 
     def pick(self, eps: float, cursor: int, forbidden=frozenset()):
-        """First tail index > cursor with error <= eps and coordinate allowed.
+        """One step of ``chain``: the first tail entry >= cursor within eps.
 
-        Returns (index, SparseVec, value, error); the coordinate of tail index
-        n is block_size + n - 1.  An entry qualifies when its class lies
-        within eps of the target class and its rotated value within
-        eps (1 + 1e-9) + 1e-15 of the target.  This is one step of ``chain``.
+        Returns (index, SparseVec, value, error), where index is the 1-based
+        tail index n0 + 1 of the pick, which is also the next cursor; its
+        coordinate is block_size + n0.
         """
         step = self.chain([eps], cursor, [forbidden])
         return (step.cursor, SparseVec._of(step.index[0], step.coeffs[0]),

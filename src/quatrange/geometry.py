@@ -108,7 +108,11 @@ def convex_hull(points) -> np.ndarray:
 
 
 def clip_polygon(poly: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by normal . p <= offset."""
+    """Sutherland-Hodgman clip of a convex polygon by normal . p <= offset.
+
+    Each vertex is kept where it lies inside, and followed by the meeting
+    point of its outgoing edge with the line where that edge crosses it.
+    """
     if len(poly) == 0:
         return poly
     n = np.asarray(normal, dtype=float)
@@ -117,17 +121,14 @@ def clip_polygon(poly: np.ndarray, normal, offset: float) -> np.ndarray:
         return poly
     if np.all(vals > 0.0):
         return poly[:0]
-    out = []
-    m = len(poly)
-    for i in range(m):
-        p, vp = poly[i], vals[i]
-        q, vq = poly[(i + 1) % m], vals[(i + 1) % m]
-        if vp <= 0.0:
-            out.append(p)
-        if (vp <= 0.0) != (vq <= 0.0):
-            t = vp / (vp - vq)
-            out.append(p + t * (q - p))
-    return np.array(out)
+    nxt, vnext = np.roll(poly, -1, axis=0), np.roll(vals, -1)
+    inside = vals <= 0.0
+    cross = inside != (vnext <= 0.0)
+    # edges that do not cross may divide by zero; their points are dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = vals / (vals - vnext)
+        meet = poly + t[:, None] * (nxt - poly)
+    return np.stack([poly, meet], axis=1)[np.stack([inside, cross], axis=1)]
 
 
 def _dedupe_ring(poly: np.ndarray, tol: float) -> np.ndarray:
@@ -186,12 +187,14 @@ def upper_support_polygon(thetas, offsets) -> np.ndarray:
 
 def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from points p (m, 2) to segments a->b (k, 2); returns (m, k)."""
+    # one (m, k) array per coordinate: a trailing axis of 2 is slow to sweep
     d = b - a
-    dd = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    w = p[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("mkc,kc->mk", w, d) / dd[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(p[:, None, :] - proj, axis=2)
+    dd = np.maximum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 1e-300)
+    t = np.clip(((p[:, :1] - a[:, 0]) * d[:, 0] + (p[:, 1:] - a[:, 1]) * d[:, 1]) / dd,
+                0.0, 1.0)
+    ex = p[:, :1] - (a[:, 0] + t * d[:, 0])
+    ey = p[:, 1:] - (a[:, 1] + t * d[:, 1])
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def _edges(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +251,12 @@ def points_polygon_distance(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distances from many points to a convex polygon (vectorized)."""
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     a, b = _edges(poly)
-    dist = _segment_distances(p, a, b).min(axis=1)
-    if len(poly) >= 3:
-        dist = np.where(points_in_polygon(poly, p), 0.0, dist)
+    if len(poly) < 3:
+        return _segment_distances(p, a, b).min(axis=1)
+    # points inside are at distance 0; only the others meet the edges
+    dist = np.zeros(len(p))
+    out = ~points_in_polygon(poly, p)
+    dist[out] = _segment_distances(p[out], a, b).min(axis=1)
     return dist
 
 

@@ -253,6 +253,18 @@ def test_section_below_one_is_rejected(remark_file, tmp_path, capsys, command, s
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["bild", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_is_rejected(matrix_file, remark_file, tmp_path, capsys, command, tol):
+    source = matrix_file if command == "bild" else remark_file
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(source), "--tol", tol, "--samples", "200", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")

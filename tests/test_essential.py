@@ -457,7 +457,7 @@ def test_pick_matches_scalar_reference_scan():
         forbidden = frozenset(M.block_size + k for k in range(0, 400, 2))
         seq = qr.TailBasisSequence(M, target)
         # eps = 1/p with the cursor advancing, then a jump past the first
-        # rotation block and one more step from there
+        # scan and one more step from there
         steps = [(1.0 / p, None) for p in range(1, 40)] + [(1 / 60, 3000), (1 / 60, None)]
         cursor = 0
         for eps, jump in steps:
@@ -473,11 +473,11 @@ def test_pick_matches_scalar_reference_scan():
             assert abs(err - want[4]) <= 1e-15 * (1.0 + abs(target))
             cursor = index
     # far hits: 49/100 is the first fraction within 1e-4 of 0.49, past the first
-    # window, the first rotation block and many search spans
+    # scan and many search spans
     seq = qr.TailBasisSequence(remark, Quaternion(0.0, 0.0, 0.0, -0.49))
     got = seq.pick(1e-4, 0)
     want = _reference_pick(remark, Quaternion(0.0, 0.0, 0.0, -0.49), 1e-4, 0)
-    assert got[0] == want[0] > qr.TailBasisSequence.BLOCK
+    assert got[0] == want[0] > 2048  # the first scan size
     assert np.max(np.abs(got[1].coeffs[0] - want[2].to_array())) <= 1e-15
     assert abs(got[2] - want[3]) <= 1e-15 and abs(got[3] - want[4]) <= 1e-15
 
@@ -504,52 +504,77 @@ def test_pick_raises_when_nothing_qualifies_before_the_cap(monkeypatch):
     assert seq.pick(1.0, 0)[0] == 1
 
 
-def test_pick_rotates_only_the_block_it_returns_from(monkeypatch):
+def _count_rotations(monkeypatch):
     rotated = []
     kernel = essential.qconjugator
 
     def counting(source, target):
-        rotated.append(len(source))
+        rotated.append(np.array(source))
         return kernel(source, target)
 
     monkeypatch.setattr(essential, "qconjugator", counting)
-    target = Quaternion(0.0, 0.25, 0.0, 0.0)
-    seq = qr.TailBasisSequence(qr.remark_operator(), target)
-    # the cursor sets a scan window of 40002 entries; only their distances are
-    # needed, and the error is measured on the value the pick returns
-    index, vec, value, err = seq.pick(1e-3, 20000)
-    assert index > 20000
-    assert 0 < sum(rotated) <= qr.TailBasisSequence.BLOCK
-    assert abs(err - abs(value - target)) <= 1e-15 and err <= 1e-3
+    return rotated
 
 
-def test_chain_rotates_at_most_one_block_per_visit(monkeypatch):
-    rotated = []
-    kernel = essential.qconjugator
-
-    def counting(source, target):
-        rotated.append(len(source))
-        return kernel(source, target)
-
-    monkeypatch.setattr(essential, "qconjugator", counting)
+def test_pick_rotates_only_the_entry_it_returns(monkeypatch):
+    rotated = _count_rotations(monkeypatch)
     target = Quaternion(0.0, 0.25, 0.0, 0.0)
     M = qr.remark_operator()
     seq = qr.TailBasisSequence(M, target)
-    picks = seq.chain([1e-3] * 40, cursor=20000)
+    # the scan from cursor 20000 needs only distances; one entry is rotated
+    index, vec, value, err = seq.pick(1e-3, 20000)
+    assert index > 20000
+    assert len(rotated) == 1 and rotated[0].shape == (1, 4)
+    assert np.array_equal(rotated[0][0], M.tail.prefix(index)[index - 1])
+    assert abs(err - abs(value - target)) <= 1e-15 and err <= 1e-3
+
+
+def test_chain_rotates_exactly_its_picks_in_one_call(monkeypatch):
+    rotated = _count_rotations(monkeypatch)
+    target = Quaternion(0.0, 0.25, 0.0, 0.0)
+    M = qr.remark_operator()
+    seq = qr.TailBasisSequence(M, target)
+    eps = [1e-3] * 40
+    picks = seq.chain(eps, cursor=20000)
     hits = picks.index[:, 0] - M.block_size
-    block = qr.TailBasisSequence.BLOCK
-    # the picks span several blocks; each block starts at a candidate past the
-    # previous block, holds at most BLOCK entries, and only the last is kept
-    assert hits[-1] - hits[0] > 2 * block
-    assert all(0 < r <= block for r in rotated)
-    assert len(rotated) <= (hits[-1] - 20000) // block + 1
-    assert len(seq._block[1]) <= block
+    assert hits[-1] - hits[0] > 2 * 2048
+    assert len(rotated) == 1 and rotated[0].shape == (len(eps), 4)
+    assert np.array_equal(rotated[0], M.tail.prefix(picks.cursor)[hits])
     # the same picks as one step at a time
     single = qr.TailBasisSequence(M, target)
     cursor = 20000
     for hit, err in zip(hits.tolist(), picks.errors.tolist()):
         cursor, vec, value, got = single.pick(1e-3, cursor)
         assert cursor == hit + 1 and got == err
+
+
+def test_chain_raises_when_a_rotated_pick_misses_the_target(monkeypatch):
+    # u = 1 leaves an antipodal symbol at distance 2b from the target, though
+    # its class matches; the pick is reported instead of skipped
+    monkeypatch.setattr(essential, "qconjugator",
+                        lambda source, target: np.tile([1.0, 0.0, 0.0, 0.0],
+                                                       (len(source), 1)))
+    M = qr.remark_operator()
+    # s_2 = -i/3 is the first entry in the class of i/3
+    target = M.tail.value(2).conj()
+    seq = qr.TailBasisSequence(M, target)
+    with pytest.raises(qr.NumericalError, match="tail entry 2 "):
+        seq.pick(1e-6, 0)
+
+
+def test_chain_scan_grows_geometrically(monkeypatch):
+    calls = []
+    kernel = essential.bild_points
+
+    def counting(values):
+        calls.append(len(values))
+        return kernel(values)
+
+    monkeypatch.setattr(essential, "bild_points", counting)
+    seq = qr.TailBasisSequence(qr.remark_operator(), Quaternion(0.0, 0.25, 0.0, 0.0))
+    picks = seq.chain([1e-3] * 1000, cursor=20000)
+    assert picks.cursor > 20000 + 1000
+    assert len(calls) <= 5
 
 
 def test_chain_raises_at_the_cap_without_reading_past_it(monkeypatch):

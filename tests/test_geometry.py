@@ -3,6 +3,7 @@ import pytest
 
 from quatrange.geometry import (
     DegenerateRegionError,
+    _segment_distances,
     clip_polygon,
     convex_hull,
     halfplane_intersection,
@@ -59,6 +60,64 @@ def test_clip_polygon():
     cut = clip_polygon(square, (1.0, 0.0), 1.0)  # a <= 1
     assert polygon_contains(convex_hull(cut), (0.5, 1.0))
     assert not polygon_contains(convex_hull(cut), (1.5, 1.0))
+
+
+def _reference_clip(poly, normal, offset):
+    """Sutherland-Hodgman clip vertex by vertex, the loop clip_polygon replaces."""
+    if len(poly) == 0:
+        return poly
+    n = np.asarray(normal, dtype=float)
+    vals = poly @ n - offset
+    if np.all(vals <= 0.0):
+        return poly
+    if np.all(vals > 0.0):
+        return poly[:0]
+    out = []
+    m = len(poly)
+    for i in range(m):
+        p, vp = poly[i], vals[i]
+        q, vq = poly[(i + 1) % m], vals[(i + 1) % m]
+        if vp <= 0.0:
+            out.append(p)
+        if (vp <= 0.0) != (vq <= 0.0):
+            t = vp / (vp - vq)
+            out.append(p + t * (q - p))
+    return np.array(out)
+
+
+def test_clip_polygon_matches_vertex_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(2400):
+        poly = convex_hull(rng.standard_normal((int(rng.integers(1, 30)), 2)))
+        normal = rng.standard_normal(2)
+        # every third line passes through a vertex
+        if trial % 3 == 0:
+            offset = float(poly[rng.integers(len(poly))] @ normal)
+        else:
+            offset = float(rng.standard_normal())
+        with np.errstate(all="raise"):
+            got = clip_polygon(poly, normal, offset)
+        want = _reference_clip(poly, normal, offset)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_segment_distances_match_the_stacked_formula_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for trial in range(300):
+        m, k = (int(v) for v in rng.integers(1, 40, 2))
+        p = rng.standard_normal((m, 2)) * 10.0 ** int(rng.integers(-3, 3))
+        a, b = rng.standard_normal((k, 2)), rng.standard_normal((k, 2))
+        b[::3] = a[::3]  # degenerate segments
+        if trial % 4 == 0:
+            p[: min(m, k)] = a[: min(m, k)]  # points on segment ends
+        # the (m, k, 2) formula the per-coordinate one replaces
+        d = b - a
+        dd = np.maximum(np.sum(d * d, axis=1), 1e-300)
+        w = p[:, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("mkc,kc->mk", w, d) / dd[None, :], 0.0, 1.0)
+        proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
+        want = np.linalg.norm(p[:, None, :] - proj, axis=2)
+        assert _segment_distances(p, a, b).tobytes() == want.tobytes()
 
 
 def test_halfplane_intersection_matches_grid_oracle():

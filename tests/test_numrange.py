@@ -174,8 +174,8 @@ def _block_plus_diagonal():
 
 @pytest.mark.parametrize("k", [3, 4, 360, pytest.param(3601, marks=pytest.mark.slow)])
 def test_upper_support_polygon_matches_clipping_reference(k):
-    # the reference clips a box with k Python Sutherland-Hodgman passes, about
-    # 20 s per smooth region at k = 3601
+    # the reference clips a box with k Sutherland-Hodgman passes, one to two
+    # seconds per smooth region at k = 3601
     thetas = np.linspace(0.0, math.pi, k)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     point_regions = [3.0 * qr.QMatrix.identity(2), qr.QMatrix.zeros(2)]
