@@ -4,11 +4,12 @@ Two independent routes are combined:
 
 * an inner route of attained values <Tx, x> mapped to bild coordinates
   (a, b) = (Re q, |Im q|): values at sampled unit vectors, plus the value at
-  each support angle's top eigenvector, which lies on the support line;
+  each support angle's extreme eigenvector, which lies on the support line;
 * an outer route computing the support function of the upper bild: for the
   dense block the top eigenvalue of a Hermitian form on the complex adjoint
-  matrix chi(T), exact up to eigensolver precision, and for the diagonal tail
-  a closed form.
+  matrix chi(T), exact up to eigensolver precision and solved once per
+  mirrored angle pair theta, pi - theta, and for the diagonal tail a closed
+  form.
 
 The gap between the convex hull of the inner values and the outer polygon is
 reported as an explicit certificate; the outer polygon is only supported in
@@ -49,7 +50,8 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 4_000_000  # floats per sampling chunk, keeps peak memory modest
-_ANGLE_CHUNK = 32  # support angles per dense eigen solve
+_ANGLE_CHUNK = 32  # folded angles per dense eigen solve, each serving t and pi - t
+_ANGLE_MERGE = 2e-15  # folded angles this close to their group's least share its solve
 _INTEREST_LIMIT = 18  # coordinates in the pair sweeps of refined_values
 _REFINE_ITERS = 120  # ascent steps per start in real_section
 _PENALTY_SCALE = 20.0  # real_section's |Im| penalty per unit of 1 + |T|_F
@@ -179,44 +181,85 @@ def _support_points(T: QMatrix, thetas: np.ndarray,
                     vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Support values h(theta) and, per angle, a bild point that attains h(theta).
 
-    For the dense block B, h(theta) is the top eigenvalue of the Hermitian
-    part of exp(-i theta) chi(B), chi the complex adjoint matrix.  Its top
-    eigenvector is the column _to_u(x) of a unit vector x, so <Bx, x> is an
-    attained value on the support line (Johnson's boundary points).  Angles
-    are solved in chunks, which bounds the eigen stack.  A diagonal tail
-    entry d has the similarity sphere of d as its values, so the tail's
-    support is the closed form max_k a_k cos(theta) + b_k sin(theta) over its
-    bild points (a_k, b_k), attained at its best diagonal class.  With
-    vectors=False the dense block is solved for eigenvalues only and the
-    points come back as None.
+    For the dense block B, h(theta) is the top eigenvalue of
+    H(theta) = cos(theta) Hr + sin(theta) Hi, the Hermitian part of
+    exp(-i theta) chi(B), with Hr = herm(chi) and Hi = herm(-i chi) on the
+    complex adjoint matrix chi = chi(B).  One solve serves two angles.
+    chi is quaternionic: J conj(chi) J^-1 = chi for J = [[0, I], [-I, 0]],
+    so J conj(Hr) J^-1 = Hr and J conj(Hi) J^-1 = -Hi.  Hence, for real c
+    and s, c Hr + s Hi and c Hr - s Hi have the same spectrum, and since
+    H(pi - theta) = -(cos(theta) Hr - sin(theta) Hi),
+
+        h(pi - theta) = -lambda_min(H(theta)).
+
+    Each angle t is folded to phi = min(t, pi - t) (pi - t is exact in
+    floating point for t >= pi/2), the folded angles are sorted, and those
+    within _ANGLE_MERGE of the least angle of their group share that angle's
+    solve; linspace(0, pi, k) thus needs ceil(k/2) solves.  The merge moves
+    the solved angle by at most 2e-15, and h by at most 2e-15 max |h|
+    (|h'| is at most the norm of a bild point), far inside upper_bild's
+    1e-12 (1 + max |h|) pad.  The stacks are solved in chunks of
+    _ANGLE_CHUNK folded angles, which bounds the eigen stack.
+
+    Boundary points (Johnson's): the top eigenvector u of H(phi) is the
+    column _to_u(x) of a unit vector x, so <Bx, x> attains h(phi) for
+    t <= pi/2.  For t > pi/2 the bottom eigenvector w serves: with
+    q = <Bx, x> = z1 + z2 j its value, w^H H(phi) w = lambda_min =
+    cos(phi) Re z1 + sin(phi) Im z1, and |Im q| >= |Im z1| >= -Im z1, so the
+    bild point (a, b) of q has (-cos(phi), sin(phi)) . (a, b) >= -lambda_min
+    = h(pi - phi); being attained, it cannot exceed h, so it lies on the
+    support line.
+
+    A diagonal tail entry d has the similarity sphere of d as its values, so
+    the tail's support is the closed form max_k a_k cos(theta) + b_k sin(theta)
+    over its bild points (a_k, b_k), attained at its best diagonal class.
+    With vectors=False the dense block is solved for eigenvalues only
+    (eigvalsh) and the points come back as None.  Any 1-D angle array in
+    [0, pi] is accepted, unsorted, with duplicates or empty; anything else,
+    NaN included, raises ValueError.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas < -1e-12) or np.any(thetas > math.pi + 1e-12):
-        raise ValueError("support angles must lie in [0, pi]")
+    if thetas.ndim != 1 or not np.all((thetas >= -1e-12) & (thetas <= math.pi + 1e-12)):
+        raise ValueError("support angles must be a 1-D array in [0, pi]")
     n = T.n
     b = T.block_split()
-    cos = np.cos(thetas)
-    sin = np.sin(thetas)
     h = np.full(thetas.shape, -np.inf)
     points = np.zeros((len(thetas), 2)) if vectors else None
-    if b > 0:
+    if b > 0 and len(thetas):
         chi = QMatrix(T.arr[:b, :b, :]).complex_rep()
         herm_re = 0.5 * (chi + chi.conj().T)
         herm_im = 0.5j * (chi.conj().T - chi)
-        for lo in range(0, len(thetas), _ANGLE_CHUNK):
-            hi = min(lo + _ANGLE_CHUNK, len(thetas))
-            stack = (cos[lo:hi, None, None] * herm_re
-                     + sin[lo:hi, None, None] * herm_im)
+        mirror = thetas > 0.5 * math.pi  # served by the bottom end of pi - t
+        folded = np.where(mirror, math.pi - thetas, thetas)
+        order = np.argsort(folded, kind="stable")
+        ranked = folded[order].tolist()
+        first = [0]
+        for i, phi in enumerate(ranked):
+            if phi - ranked[first[-1]] > _ANGLE_MERGE:
+                first.append(i)
+        group = np.empty(len(thetas), dtype=np.intp)
+        group[order] = np.searchsorted(first, np.arange(len(thetas)), side="right") - 1
+        phis = folded[order[first]]
+        ends = np.empty((len(phis), 2))  # (lambda_min, lambda_max) per solve
+        end_points = np.empty((len(phis), 2, 2)) if vectors else None
+        for lo in range(0, len(phis), _ANGLE_CHUNK):
+            hi = min(lo + _ANGLE_CHUNK, len(phis))
+            stack = (np.cos(phis[lo:hi])[:, None, None] * herm_re
+                     + np.sin(phis[lo:hi])[:, None, None] * herm_im)
             if not vectors:
-                h[lo:hi] = np.linalg.eigvalsh(stack)[:, -1]
+                ends[lo:hi] = np.linalg.eigvalsh(stack)[:, [0, -1]]
                 continue
             vals, vecs = np.linalg.eigh(stack)
-            top = vecs[:, :, -1]
-            h[lo:hi] = vals[:, -1]
-            points[lo:hi] = bild_points(_chi_values(top, top @ chi.T))
+            ends[lo:hi] = vals[:, [0, -1]]
+            pair = np.swapaxes(vecs[:, :, [0, -1]], 1, 2)  # (chunk, 2, 2n)
+            values = _chi_values(pair, pair @ chi.T).reshape(-1, 4)
+            end_points[lo:hi] = bild_points(values).reshape(-1, 2, 2)
+        h = np.where(mirror, -ends[group, 0], ends[group, 1])
+        if vectors:
+            points = end_points[group, np.where(mirror, 0, 1)]
     if b < n:
         tail = bild_points(T.diagonal()[b:, :])
-        reach = np.outer(cos, tail[:, 0]) + np.outer(sin, tail[:, 1])
+        reach = np.outer(np.cos(thetas), tail[:, 0]) + np.outer(np.sin(thetas), tail[:, 1])
         best = np.argmax(reach, axis=1)
         tail_h = reach[np.arange(len(thetas)), best]
         take = tail_h > h
@@ -231,10 +274,14 @@ def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
 
     Because the set of values is closed under similarity rotations, the target
     equals the maximum of Re(exp(-i theta) u^H chi(T) u) over unit complex u,
-    the top eigenvalue of the Hermitian part of exp(-i theta) chi(T).  Only
-    the dense block is solved this way, for eigenvalues alone (eigvalsh; no
-    eigenvectors are formed); the diagonal tail contributes the
-    closed form max_k a_k cos(theta) + b_k sin(theta) over its bild points.
+    the top eigenvalue of H(theta), the Hermitian part of exp(-i theta) chi(T).
+    Only the dense block is solved this way, for eigenvalues alone (eigvalsh;
+    no eigenvectors are formed), and one solve serves both theta and
+    pi - theta: chi is quaternionic, so h(pi - theta) = -lambda_min(H(theta))
+    (proof in _support_points).  The diagonal tail contributes the closed
+    form max_k a_k cos(theta) + b_k sin(theta) over its bild points.
+    thetas must be a 1-D array in [0, pi]; NaN, infinities and other shapes
+    raise ValueError.
     """
     h, _ = _support_points(T, np.asarray(thetas, dtype=float), vectors=False)
     return h
@@ -286,6 +333,11 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
     the convex upper bild, and the outer polygon is read off the lines in
     closed form (geometry.upper_support_polygon): the hull of (h(0), 0), the
     meeting points of consecutive lines and (-h(pi), 0).
+
+    The grid is symmetric about pi/2, so the dense block needs ceil(k/2)
+    eigen solves (_support_points): the top eigenpair of H(t) gives h(t) and
+    its boundary point, and the bottom eigenpair gives
+    h(pi - t) = -lambda_min(H(t)) and a value attaining it.
 
     Only upward support directions exist, so the outer polygon extends down
     to b = 0 even where the region does not, and hausdorff_gap includes that

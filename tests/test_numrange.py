@@ -123,6 +123,18 @@ def test_support_rejects_out_of_range():
         qr.support_offsets(T, np.array([4.0]))
 
 
+@pytest.mark.parametrize("T", [random_qmatrix(6, 3), qr.QMatrix.diag([I, Quaternion(1.0)])],
+                         ids=["dense", "diagonal"])
+@pytest.mark.parametrize("thetas", [[math.nan], [0.5, math.nan], [math.inf], [-math.inf],
+                                    np.linspace(0.0, math.pi, 6).reshape(2, 3)],
+                         ids=["nan", "nan_among_good", "inf", "minus_inf", "two_d"])
+def test_support_rejects_bad_angle_arrays(T, thetas):
+    with pytest.raises(ValueError, match="support angles"):
+        qr.support_offsets(T, np.asarray(thetas))
+    with pytest.raises(ValueError, match="support angles"):
+        numrange._support_points(T, np.asarray(thetas))
+
+
 def test_support_batch_matches_scalar():
     T = random_qmatrix(6, 3)
     thetas = np.linspace(0, math.pi, 17)
@@ -170,6 +182,93 @@ def _block_plus_diagonal():
     arr[3, 3] = (-0.5, 0.0, 0.75, 0.0)
     arr[4, 4] = (0.2, 0.1, 0.1, -0.3)
     return qr.QMatrix(arr)
+
+
+def _unfolded_support_points(T, thetas):
+    """One eigh per angle on the dense block's H(t), top eigenpair only; tail in closed form."""
+    b = T.block_split()
+    h = np.full(len(thetas), -np.inf)
+    points = np.zeros((len(thetas), 2))
+    if b > 0:
+        chi = qr.QMatrix(T.arr[:b, :b, :]).complex_rep()
+        herm_re = 0.5 * (chi + chi.conj().T)
+        herm_im = 0.5j * (chi.conj().T - chi)
+        for j, t in enumerate(thetas):
+            vals, vecs = np.linalg.eigh(math.cos(t) * herm_re + math.sin(t) * herm_im)
+            top = vecs[:, -1]
+            h[j] = vals[-1]
+            points[j] = qr.bild_points(numrange._chi_values(top, chi @ top)[None, :])[0]
+    if b < T.n:
+        tail = qr.bild_points(T.diagonal()[b:, :])
+        for j, t in enumerate(thetas):
+            reach = math.cos(t) * tail[:, 0] + math.sin(t) * tail[:, 1]
+            if reach.max() > h[j]:
+                h[j] = reach.max()
+                points[j] = tail[np.argmax(reach)]
+    return h, points
+
+
+def _remark_section_with_dense_block():
+    arr = qr.truncate(qr.remark_operator(), 6).matrix.arr.copy()
+    arr[0, 1, 0] = 1e-300  # route the 2 x 2 block through the eigen solve, values unchanged
+    return qr.QMatrix(arr)
+
+
+def _fold_angle_sets():
+    grids = [np.linspace(0.0, math.pi, k) for k in (3, 4, 360, 361)]
+    rng = np.random.default_rng(12)
+    shuffled = rng.permutation(grids[2])[:97]
+    duplicates = np.concatenate([grids[1], grids[1][::-1], [math.pi / 2] * 3, grids[0]])
+    return grids + [g[::-1] for g in grids] + [
+        shuffled, duplicates, np.array([math.pi / 2]), np.array([0.0]), np.array([math.pi]),
+        np.array([])]
+
+
+@pytest.mark.parametrize("T", [random_qmatrix(60 + n, n) for n in range(1, 7)]
+                         + [_block_plus_diagonal(), _remark_section_with_dense_block(),
+                            qr.truncate(qr.remark_operator(), 6).matrix],
+                         ids=[f"dense_{n}" for n in range(1, 7)]
+                         + ["block_plus_diagonal", "remark_dense_block", "remark_diagonal"])
+def test_folded_support_matches_unfolded_solve(T):
+    for thetas in _fold_angle_sets():
+        want, _ = _unfolded_support_points(T, thetas)
+        h, points = numrange._support_points(T, thetas)
+        assert h.shape == points.shape[:1] == thetas.shape
+        if not len(thetas):
+            continue
+        scale = 1.0 + np.abs(want).max()
+        assert np.abs(h - want).max() <= 1e-12 * scale
+        assert np.abs(qr.support_offsets(T, thetas) - want).max() <= 1e-12 * scale
+        reach = points[:, 0] * np.cos(thetas) + points[:, 1] * np.sin(thetas)
+        assert np.abs(reach - h).max() <= 1e-9 * scale
+
+
+def _solve_sizes(monkeypatch):
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def counted(a, *args, _solve=solve, **kwargs):
+            sizes.append(a.shape[0] if a.ndim == 3 else 1)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
+def test_support_solves_once_per_mirrored_angle_pair(monkeypatch):
+    sizes = _solve_sizes(monkeypatch)
+    T = random_qmatrix(23, 5)
+    for k in (360, 361):
+        sizes.clear()
+        qr.upper_bild(T, m=200, k=k, seed=1)
+        assert sum(sizes) == (k + 1) // 2
+        assert max(sizes) <= numrange._ANGLE_CHUNK
+    sizes.clear()
+    unmirrored = np.random.default_rng(4).uniform(0.0, math.pi / 2, 70)
+    qr.support_offsets(T, unmirrored)
+    assert sum(sizes) == 70
+    assert max(sizes) <= numrange._ANGLE_CHUNK
 
 
 @pytest.mark.parametrize("k", [3, 4, 360, pytest.param(3601, marks=pytest.mark.slow)])
