@@ -7,7 +7,7 @@ S-spectrum, and the closure decomposition of the bild via the inter-convex
 hull with the essential bild.
 """
 
-from .eigen import NumericalError, SymSpectrum, jacobi_eig, sym_eig, sym_eig_max
+from .eigen import NumericalError, SymSpectrum, jacobi_eig, sym_eig
 from .essential import (
     CombinationResult,
     ConstantTail,
@@ -60,7 +60,6 @@ from .quaternion import (
     QVector,
     SimilaritySphere,
     csim,
-    inner,
     polarization,
 )
 from .spectra import SphereSet, s_spectrum
@@ -107,7 +106,6 @@ __all__ = [
     "hausdorff_convex",
     "iconv",
     "iconv_polygon",
-    "inner",
     "jacobi_eig",
     "lancaster_check",
     "nonclosedness_probe",
@@ -120,7 +118,6 @@ __all__ = [
     "s_spectrum",
     "support_offsets",
     "sym_eig",
-    "sym_eig_max",
     "truncate",
     "upper_bild",
     "upper_bild_support",

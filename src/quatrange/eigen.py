@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SymSpectrum", "sym_eig", "sym_eig_max", "jacobi_eig", "NumericalError"]
+__all__ = ["SymSpectrum", "sym_eig", "jacobi_eig", "NumericalError"]
 
 
 class NumericalError(RuntimeError):
@@ -46,11 +46,6 @@ def sym_eig(M: np.ndarray, residual_tol: float = 1e-9) -> SymSpectrum:
     if res > bound:
         raise NumericalError(f"eigh residual {res:.3e} above tolerance {bound:.3e}")
     return SymSpectrum(eigenvalues=vals, residual=res)
-
-
-def sym_eig_max(M: np.ndarray, residual_tol: float = 1e-9) -> float:
-    """Largest eigenvalue of a real symmetric matrix."""
-    return float(sym_eig(M, residual_tol).eigenvalues[-1])
 
 
 def jacobi_eig(M: np.ndarray, tol: float = 1e-11, max_sweeps: int = 60) -> np.ndarray:

@@ -456,11 +456,14 @@ def quasi_orth_select(T, xs, ys, N: int, eps: float) -> QuasiOrthSelection:
     """Smallest M >= N with |<x_N, y_M>|, |<T x_N, y_M>|, |<T* x_N, y_M>| all <= eps.
 
     ``T`` may be a QMatrix or a TruncatedOperator; ``xs`` and ``ys`` are
-    sequences of unit QVectors indexed from zero.  Raises QuasiOrthExhausted
-    with the best triple seen when the finite list runs out.
+    sequences of unit QVectors indexed from zero, and 0 <= N < len(xs).
+    Raises QuasiOrthExhausted with the best triple seen when the finite list
+    runs out.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not 0 <= N < len(xs):
+        raise ValueError(f"N = {N} is not an index of xs (length {len(xs)})")
     A = T.matrix if isinstance(T, TruncatedOperator) else T
     x = xs[N]
     tx = A.apply(x)
@@ -675,8 +678,10 @@ class TailBasisSequence:
         step starts at n0 + 1.  Past MAX_SCAN entries, MissingSequenceError
         is raised.  The picked entries are then rotated onto the target; a
         rotated value farther than eps[p] (1 + 1e-9) + 1e-15 from the target
-        raises NumericalError.
+        raises NumericalError.  A negative cursor raises ValueError.
         """
+        if cursor < 0:
+            raise ValueError("cursor must be non-negative")
         m0 = self.M.block_size
         hits = []
         for p, e in enumerate(eps):
@@ -709,13 +714,28 @@ class TailBasisSequence:
                 Quaternion(*step.values[0].tolist()), float(step.errors[0]))
 
 
-class _ResultSequence:
-    """Adapter exposing a finished combination run as an essential sequence."""
+@dataclass
+class CombinationResult:
+    """Constructive essential sequence for a convex combination of two values.
 
-    def __init__(self, result: "CombinationResult", M: ModelOperator):
-        self.result = result
-        self.M = M
-        self.target = result.target
+    One row per step p = 1 .. depth: ``index`` (depth, s) holds the support
+    coordinates of z_p in ascending order, padded with -1 to one width s,
+    ``coeffs`` (depth, s, 4) the matching entries (zero in the padding),
+    ``values`` (depth, 4) the values <T z_p, z_p>, ``errors`` their distances
+    to the target and ``triples`` (depth, 3) the selection bounds |<x, y>|,
+    |<T x, y>| and |<T* x, y>| (no rows when alpha is 0 or 1).  Through
+    ``chain`` a run is itself an essential sequence for its target.
+    """
+
+    target: Quaternion
+    alpha: float
+    beta: float
+    index: np.ndarray
+    coeffs: np.ndarray
+    values: np.ndarray
+    errors: np.ndarray
+    triples: np.ndarray
+    error_constant: float
 
     def chain(self, eps, cursor: int = 0, forbidden=None) -> _Picks:
         """Picks over the run's steps, with the rule of TailBasisSequence.chain.
@@ -723,44 +743,24 @@ class _ResultSequence:
         Step p returns the first run step at or past the cursor whose error
         is at most eps[p] and whose support avoids forbidden[p].
         """
-        errors = self.result.errors
-        vectors = self.result.vectors
+        if cursor < 0:
+            raise ValueError("cursor must be non-negative")
+        errors = self.errors.tolist()
+        index = self.index.tolist()
         hits = []
         for p, e in enumerate(eps):
             avoid = () if forbidden is None else forbidden[p]
             n = cursor
             while n < len(errors) and not (
-                    errors[n] <= e and not any(c in avoid for c in vectors[n].index.tolist())):
+                    errors[n] <= e and not any(c in avoid for c in index[n] if c >= 0)):
                 n += 1
             if n == len(errors):
                 raise MissingSequenceError(
                     f"combination run exhausted before reaching error {e:g}")
             hits.append(n)
             cursor = n + 1
-        width = max((vectors[n].index.size for n in hits), default=0)
-        index = np.full((len(hits), width), -1, dtype=np.intp)
-        coeffs = np.zeros((len(hits), width, 4))
-        for row, n in enumerate(hits):
-            size = vectors[n].index.size
-            index[row, :size] = vectors[n].index
-            coeffs[row, :size] = vectors[n].coeffs
-        values = np.array([self.result.values[n].to_array() for n in hits]).reshape(-1, 4)
-        return _Picks(cursor=cursor, index=index, coeffs=coeffs, values=values,
-                      errors=np.array([errors[n] for n in hits]))
-
-
-@dataclass
-class CombinationResult:
-    """Constructive essential sequence for a convex combination of two values."""
-
-    target: Quaternion
-    alpha: float
-    beta: float
-    vectors: list[SparseVec]
-    values: list[Quaternion]
-    errors: list[float]
-    triples: list[tuple[float, float, float]]
-    error_constant: float
+        return _Picks(cursor=cursor, index=self.index[hits], coeffs=self.coeffs[hits],
+                      values=self.values[hits], errors=self.errors[hits])
 
 
 _PAD = np.iinfo(np.intp).max  # sorts padding after every coordinate
@@ -804,21 +804,17 @@ def _combine(M: ModelOperator, seq1, seq2, alpha: float, depth: int) -> Combinat
     beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     target = om1 * (alpha * alpha) + om2 * (beta * beta)
     eps = [1.0 / p for p in range(1, depth + 1)]
-    triples: list[tuple[float, float, float]] = []
     if beta == 0.0 or alpha == 0.0:
         picks = (seq1 if beta == 0.0 else seq2).chain(eps)
         index, coeffs, values = picks.index, picks.coeffs, picks.values
+        triples = np.zeros((0, 3))
     else:
         x = seq1.chain(eps)
         y = seq2.chain(eps, forbidden=x.index.tolist())
-        tri, index, coeffs, values = _pair_combination(M, x, y, alpha, beta)
-        triples = [tuple(t) for t in tri.tolist()]
-    widths = (index >= 0).sum(axis=1).tolist()
-    vectors = [SparseVec._of(index[p, :w], coeffs[p, :w]) for p, w in enumerate(widths)]
-    return CombinationResult(target=target, alpha=alpha, beta=beta, vectors=vectors,
-                             values=[Quaternion(*v) for v in values.tolist()],
-                             errors=qabs(values - target.to_array()).tolist(),
-                             triples=triples,
+        triples, index, coeffs, values = _pair_combination(M, x, y, alpha, beta)
+    return CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
+                             coeffs=coeffs, values=values,
+                             errors=qabs(values - target.to_array()), triples=triples,
                              error_constant=2.0 + M.opnorm_bound())
 
 
@@ -901,9 +897,8 @@ def we_membership(M: ModelOperator, q: Quaternion, eps: float = 1e-9,
         (v1, l1), (v2, l2), (v3, l3) = parts
         stage1 = convex_combination_sequence(M, v1, v2, math.sqrt(l1 / (l1 + l2)),
                                              depth)
-        run = _combine(M, _ResultSequence(stage1, M), TailBasisSequence(M, v3),
-                       math.sqrt(l1 + l2), depth)
-    final_err = abs(run.values[-1] - target)
+        run = _combine(M, stage1, TailBasisSequence(M, v3), math.sqrt(l1 + l2), depth)
+    final_err = float(qabs(run.values[-1] - target.to_array()))
     budget = 10.0 * (2.0 + M.opnorm_bound()) / depth
     if final_err > budget:
         raise NumericalError(

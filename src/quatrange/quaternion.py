@@ -23,7 +23,6 @@ __all__ = [
     "QVector",
     "SimilaritySphere",
     "csim",
-    "inner",
     "polarization",
     "qmul",
     "qconj",
@@ -284,10 +283,6 @@ class QVector:
 
     def __repr__(self) -> str:
         return f"QVector(n={len(self)})"
-
-
-def inner(x: QVector, y: QVector) -> Quaternion:
-    return x.inner(y)
 
 
 def polarization(op, x: QVector, y: QVector) -> Quaternion:

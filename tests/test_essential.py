@@ -311,6 +311,16 @@ def test_quasi_orth_exhaustion_reports_best():
     assert err.value.best_bounds[0] == pytest.approx(1.0)
 
 
+def test_quasi_orth_rejects_an_index_outside_xs():
+    T = qr.QMatrix.identity(4)
+    basis = [qr.QVector.basis(4, k) for k in range(4)]
+    # N = -1 would select x_3 silently, and N = 4 would raise a bare IndexError
+    for N in (-1, -4, 4, 5):
+        with pytest.raises(ValueError, match="not an index of xs"):
+            qr.quasi_orth_select(T, basis, basis, N=N, eps=1e-12)
+    assert qr.quasi_orth_select(T, basis, basis[1:] + basis[:1], N=3, eps=1e-12).m == 3
+
+
 def test_quasi_orth_remark_subsequence(remark):
     T = qr.truncate(remark, 8)
     xs = [qr.QVector.basis(T.n, 2 + k) for k in range(4)]
@@ -327,7 +337,7 @@ def test_combination_alpha_one_returns_first_sequence(remark):
     target = Quaternion(0.0, 0.5, 0.0, 0.0)
     run = qr.convex_combination_sequence(remark, target, Quaternion(0.0, -0.5, 0, 0),
                                          1.0, 40)
-    assert all(len(v.entries) == 1 for v in run.vectors)
+    assert run.index.shape == (40, 1) and np.all(run.index >= 0)
     assert run.errors[-1] <= 1.0 / 40 + 1e-12
 
 
@@ -335,7 +345,7 @@ def test_combination_remark_midpoint(remark):
     run = qr.convex_combination_sequence(
         remark, Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.5, 0, 0),
         math.sqrt(0.5), 200)
-    assert abs(run.values[-1]) <= 5 * (2 + remark.opnorm_bound()) / 200
+    assert abs(Quaternion.from_array(run.values[-1])) <= 5 * (2 + remark.opnorm_bound()) / 200
     assert all(max(t) <= 1 / (p + 1) for p, t in enumerate(run.triples))
 
 
@@ -344,20 +354,19 @@ def test_combination_constant_tail_fixed_point():
     M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(q), [qr.csim(q)],
                          bound=1.0)
     run = qr.convex_combination_sequence(M, q, q, math.sqrt(0.5), 50)
-    assert abs(run.values[-1] - q) <= 1e-9
+    assert abs(Quaternion.from_array(run.values[-1]) - q) <= 1e-9
 
 
 def test_combination_values_are_unit_vector_quadratics(remark):
     run = qr.convex_combination_sequence(
         remark, Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.25, 0, 0),
         math.sqrt(0.3), 25)
-    top = max(i for v in run.vectors for i, _ in v.entries)
-    T = qr.truncate(remark, top + 1).matrix
-    for vec, value in zip(run.vectors[-3:], run.values[-3:]):
-        x = vec.to_qvector(T.n)
+    T = qr.truncate(remark, int(run.index.max()) + 1).matrix
+    for index, coeffs, value in zip(run.index[-3:], run.coeffs[-3:], run.values[-3:]):
+        x = _run_step(index, coeffs).to_qvector(T.n)
         assert x.norm() == pytest.approx(1.0, abs=1e-12)
         direct = T.apply(x).inner(x)
-        assert abs(direct - value) <= 1e-10
+        assert abs(direct - Quaternion.from_array(value)) <= 1e-10
 
 
 def test_combination_rejects_unknown_target(remark):
@@ -502,6 +511,23 @@ def test_pick_raises_when_nothing_qualifies_before_the_cap(monkeypatch):
         seq.pick(1.0, 5000)
     assert WatchedTail.largest == 5000
     assert seq.pick(1.0, 0)[0] == 1
+
+
+def test_chain_rejects_a_negative_cursor():
+    # a negative cursor would index the distance array from its end, so the
+    # answer would depend on how far earlier calls had grown the scan
+    target = Quaternion(0.0, 0.25, 0.0, 0.0)
+    seq = qr.TailBasisSequence(qr.remark_operator(), target)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cursor"):
+            seq.pick(0.01, -3)
+    with pytest.raises(ValueError, match="cursor"):
+        seq.chain([0.5, 0.5], cursor=-1)
+    assert seq.pick(0.01, 0)[0] > 0
+    run = qr.convex_combination_sequence(qr.remark_operator(), target, target, 1.0, 5)
+    with pytest.raises(ValueError, match="cursor"):
+        run.chain([1.0], cursor=-1)
+    assert run.chain([1.0], cursor=4).cursor == 5
 
 
 def _count_rotations(monkeypatch):
@@ -680,32 +706,46 @@ def test_model_entries_lookup():
 # -- the combination engine against the per-step loop ---------------------------------------
 
 
+def _run_step(index, coeffs):
+    """One padded step of a combination run as a SparseVec."""
+    keep = index >= 0
+    return qr.SparseVec(index[keep], coeffs[keep])
+
+
 def _reference_result_pick(result, eps, cursor, forbidden=frozenset()):
     """A finished run as an essential sequence, one step at a time."""
-    for p in range(cursor, len(result.vectors)):
-        if result.errors[p] <= eps and not (result.vectors[p].support & forbidden):
-            return p + 1, result.vectors[p], result.values[p], result.errors[p]
+    for p in range(cursor, len(result.errors)):
+        vec = _run_step(result.index[p], result.coeffs[p])
+        if result.errors[p] <= eps and not (vec.support & forbidden):
+            return p + 1, vec, Quaternion.from_array(result.values[p]), result.errors[p]
     raise qr.MissingSequenceError("reference run exhausted")
 
 
 def test_result_sequence_chain_matches_the_reference_pick():
-    errors = [0.9, 0.2, 0.6, 0.1, 0.05, 0.3, 0.01]
-    vectors = [qr.SparseVec([2 * p, 2 * p + 1], np.full((2, 4), 0.5)) for p in range(7)]
+    errors = np.array([0.9, 0.2, 0.6, 0.1, 0.05, 0.3, 0.01])
+    # step 1 has a one-coordinate support, padded with -1 to the run's width
+    index = np.array([[2 * p, 2 * p + 1] for p in range(7)], dtype=np.intp)
+    index[1, 1] = -1
+    coeffs = np.full((7, 2, 4), 0.5) * (index >= 0)[..., None]
+    values = np.outer(errors, [1.0, 0.0, 0.0, 0.0])
     run = qr.CombinationResult(target=Quaternion.one, alpha=0.6, beta=0.8,
-                               vectors=vectors, values=[Quaternion(e) for e in errors],
-                               errors=errors, triples=[], error_constant=3.0)
+                               index=index, coeffs=coeffs, values=values,
+                               errors=errors, triples=np.zeros((0, 3)), error_constant=3.0)
     eps = [0.5, 0.5, 0.4]
-    forbidden = [frozenset(), frozenset({7}), frozenset({10, 11})]
-    picks = essential._ResultSequence(run, None).chain(eps, forbidden=forbidden)
+    # a forbidden -1 never matches the padding
+    forbidden = [frozenset({-1}), frozenset({7}), frozenset({10, 11})]
+    picks = run.chain(eps, forbidden=forbidden)
     cursor = 0
     for p, (e, avoid) in enumerate(zip(eps, forbidden)):
         cursor, vec, value, err = _reference_result_pick(run, e, cursor, avoid)
-        assert picks.index[p].tolist() == vec.index.tolist()
-        assert np.array_equal(picks.coeffs[p], vec.coeffs)
+        keep = picks.index[p] >= 0
+        assert picks.index[p][keep].tolist() == vec.index.tolist()
+        assert np.array_equal(picks.coeffs[p][keep], vec.coeffs)
+        assert np.all(picks.coeffs[p][~keep] == 0.0)
         assert picks.values[p].tolist() == list(value.to_array()) and picks.errors[p] == err
     assert picks.index[:, 0].tolist() == [2, 8, 12] and picks.cursor == cursor == 7
     with pytest.raises(qr.MissingSequenceError):
-        essential._ResultSequence(run, None).chain([0.5, 0.5, 0.5, 0.001])
+        run.chain([0.5, 0.5, 0.5, 0.001])
 
 
 def _reference_combine(M, pick1, pick2, om1, om2, alpha, depth):
@@ -741,16 +781,17 @@ def _reference_combine(M, pick1, pick2, om1, om2, alpha, depth):
 
 def _assert_same_run(run, ref):
     vectors, values, errors, triples = ref
-    assert len(run.vectors) == len(vectors)
-    for got, want in zip(run.vectors, vectors):
+    assert run.index.shape[0] == len(vectors)
+    for index, coeffs, want in zip(run.index, run.coeffs, vectors):
+        got = _run_step(index, coeffs)
         assert got.index.tolist() == want.index.tolist()
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12
-    assert all(abs(a - b) <= 1e-12 for a, b in zip(run.values, values))
+    assert np.all(run.coeffs[run.index < 0] == 0.0)
+    assert all(abs(Quaternion.from_array(a) - b) <= 1e-12 for a, b in zip(run.values, values))
     assert np.max(np.abs(np.subtract(run.errors, errors))) <= 1e-12
-    assert len(run.triples) == len(triples)
+    assert run.triples.shape == (len(triples), 3)
     if triples:
         assert np.max(np.abs(np.subtract(run.triples, triples))) <= 1e-15
-    assert all(isinstance(t, tuple) and len(t) == 3 for t in run.triples)
 
 
 def _reference_run(M, om1, om2, alpha, depth):
@@ -804,10 +845,9 @@ def test_three_vertex_membership_combination_matches_the_step_loop():
     stage1 = qr.convex_combination_sequence(M, v1, v2, math.sqrt(l1 / (l1 + l2)), 80)
     _assert_same_run(stage1, _reference_run(M, v1, v2, math.sqrt(l1 / (l1 + l2)), 80))
     alpha = math.sqrt(l1 + l2)
-    run = essential._combine(M, essential._ResultSequence(stage1, M),
-                             qr.TailBasisSequence(M, v3), alpha, 80)
+    run = essential._combine(M, stage1, qr.TailBasisSequence(M, v3), alpha, 80)
     ref = _reference_combine(M, lambda eps, c, forbidden=frozenset():
                              _reference_result_pick(stage1, eps, c, forbidden),
                              qr.TailBasisSequence(M, v3).pick, stage1.target, v3, alpha, 80)
     _assert_same_run(run, ref)
-    assert all(v.index.size == 3 for v in run.vectors)
+    assert run.index.shape == (80, 3) and np.all(run.index >= 0)

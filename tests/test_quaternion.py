@@ -120,20 +120,20 @@ def test_rotation_aligning_antipodal():
 def test_inner_orthogonal_basis():
     x = qr.QVector.from_quaternions([ONE, Quaternion()])
     y = qr.QVector.from_quaternions([Quaternion(), ONE])
-    assert qr.inner(x, y).isclose(Quaternion())
+    assert x.inner(y).isclose(Quaternion())
 
 
 def test_inner_single_entry_convention():
     # inner((i,), (j,)) = conj(j) * i = k
     x = qr.QVector.from_quaternions([I])
     y = qr.QVector.from_quaternions([J])
-    assert qr.inner(x, y).isclose(K)
+    assert x.inner(y).isclose(K)
 
 
 def test_inner_unit_vector():
     r = 1.0 / math.sqrt(2.0)
     x = qr.QVector.from_quaternions([Quaternion(r), Quaternion(0.0, r, 0.0, 0.0)])
-    assert qr.inner(x, x).isclose(Quaternion(1.0), tol=1e-15)
+    assert x.inner(x).isclose(Quaternion(1.0), tol=1e-15)
 
 
 def test_inner_right_linearity():
@@ -142,11 +142,11 @@ def test_inner_right_linearity():
         x = qr.QVector(rng.standard_normal((4, 4)))
         y = qr.QVector(rng.standard_normal((4, 4)))
         q = Quaternion(*rng.standard_normal(4))
-        lhs = qr.inner(x * q, y)
-        rhs = qr.inner(x, y) * q
+        lhs = (x * q).inner(y)
+        rhs = x.inner(y) * q
         assert lhs.isclose(rhs, tol=1e-10)
-        lhs2 = qr.inner(x, y * q)
-        rhs2 = q.conj() * qr.inner(x, y)
+        lhs2 = x.inner(y * q)
+        rhs2 = q.conj() * x.inner(y)
         assert lhs2.isclose(rhs2, tol=1e-10)
 
 
@@ -155,17 +155,17 @@ def test_inner_positivity_and_cauchy_schwarz():
     for _ in range(20):
         x = qr.QVector(rng.standard_normal((5, 4)))
         y = qr.QVector(rng.standard_normal((5, 4)))
-        g = qr.inner(x, x)
+        g = x.inner(x)
         assert g.im_norm() <= 1e-12 * (1 + g.w)
         assert g.w >= 0.0
-        assert abs(qr.inner(x, y)) <= x.norm() * y.norm() * (1 + 1e-12)
+        assert abs(x.inner(y)) <= x.norm() * y.norm() * (1 + 1e-12)
 
 
 def test_inner_dimension_mismatch():
     x = qr.QVector(np.zeros((2, 4)))
     y = qr.QVector(np.zeros((3, 4)))
     with pytest.raises(ValueError):
-        qr.inner(x, y)
+        x.inner(y)
 
 
 def test_quadratic_similarity_rotation():
