@@ -210,6 +210,16 @@ def test_verify_command(remark_file, tmp_path):
     assert [0.0, -0.5] in vertices and [0.0, 0.5] in vertices
 
 
+def test_verify_the_bundled_operator_at_section_500(tmp_path):
+    # s_spectrum reads the 1004 x 1004 chi of this diagonal section in closed form
+    data = Path(__file__).resolve().parent.parent / "demos" / "data" / "remark_operator.json"
+    out = tmp_path / "out"
+    code = main(["verify", str(data), "--section", "500", "--samples", "2000",
+                 "--out", str(out)])
+    assert code == 0
+    assert read_summary(out)["pass"] is True
+
+
 def test_removed_depth_flag_is_rejected(matrix_file, tmp_path, capsys):
     # no command read --depth, so it is gone rather than echoed into the config
     with pytest.raises(SystemExit) as exit_info:
