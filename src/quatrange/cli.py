@@ -17,7 +17,7 @@ import numpy as np
 from . import fileio
 from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
-from .geometry import DegenerateRegionError
+from .geometry import DegenerateRegionError, convex_hull
 from .lancaster import lancaster_check, nonclosedness_probe
 from .numrange import RealSectionError, real_section, upper_bild
 from .spectra import s_spectrum
@@ -245,7 +245,9 @@ def _cmd_verify(args, out: Path) -> int:
 
     region = upper_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
     support = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
-    slack = float((region.inner_points @ support.T - region.offsets[None, :]).max())
+    # a linear functional peaks at a hull vertex, so the hull checks every point
+    hull = convex_hull(region.inner_points)
+    slack = float((hull @ support.T - region.offsets[None, :]).max())
     checks["inner_within_outer"] = slack <= 1e-9
 
     checks["essential_polygon_consistent"] = all(

@@ -33,7 +33,7 @@ from .geometry import (
     upper_support_polygon,
 )
 from .qmatrix import QMatrix
-from .quaternion import CONJ_SIGNS, HAMILTON, TRIPLE, qconj, qconjugator, rotation_aligning
+from .quaternion import CONJ_SIGNS, TRIPLE, qconj, qconjugator, rotation_aligning
 
 __all__ = [
     "BildRegion",
@@ -75,13 +75,6 @@ def _to_u(x: np.ndarray) -> np.ndarray:
     """
     return np.concatenate([x[..., 0] + 1j * x[..., 1], -x[..., 2] + 1j * x[..., 3]],
                           axis=-1)
-
-
-def _from_u(u: np.ndarray) -> np.ndarray:
-    """Inverse of _to_u: quaternion vectors (..., n, 4) from columns (..., 2n)."""
-    n = u.shape[-1] // 2
-    return np.stack([u[..., :n].real, u[..., :n].imag, -u[..., n:].real, u[..., n:].imag],
-                    axis=-1)
 
 
 def _chi_values(u: np.ndarray, cu: np.ndarray) -> np.ndarray:
@@ -633,34 +626,58 @@ class RealSection:
     hi: float
 
 
-def _value_and_grad(chi: np.ndarray, x: np.ndarray):
-    """Value <Tx, x> and its per-component gradients in the real coordinates, chi = chi(T).
+def _section_forms(chi: np.ndarray) -> np.ndarray:
+    """The forms H_r, H_i and S of real_section on C = chi(T), shape (3, 2n, 2n).
 
-    With u = _to_u(x), chi u and chi^H u are the columns of Tx and T*x.
+    H_r = (C + C^H)/2 and H_i = (C - C^H)/(2i) are Hermitian, and
+    S = KC + (KC)^T with K = [[0, I], [-I, 0]] is complex symmetric.
     """
-    u = _to_u(x)
-    cu = chi @ u
-    y = _from_u(cu)
-    w = _from_u((u.conj() @ chi).conj())
-    val = _chi_values(u, cu)
-    # d/dx_l <T dx, x> has component c equal to [conj((T*x)_l) e_b]_c,
-    # and d/dx_l <Tx, dx> equals [conj(e_b) (Tx)_l]_c.
-    g1 = np.einsum("a,la,abc->lbc", CONJ_SIGNS, w, HAMILTON)
-    g2 = np.einsum("b,ld,bdc->lbc", CONJ_SIGNS, y, HAMILTON)
-    return val, g1 + g2  # (n, 4, 4): last axis is the component
+    n = chi.shape[0] // 2
+    kc = np.concatenate([chi[n:], -chi[:n]])  # K C
+    return np.stack([0.5 * (chi + chi.conj().T), 0.5j * (chi.conj().T - chi), kc + kc.T])
 
 
-def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float,
+def _value_and_grad(forms: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value <Tx, x> (4,) at u = _to_u(x) and its per-component gradients (4, 2n).
+
+    forms = _section_forms(chi(T)).  By _chi_values, <Tx, x> = z1 + z2 j with
+    z1 = u^H C u = u^H H_r u + i u^H H_i u, and its last two components are
+    (-Re w, Im w) for w = u[:n]^T (Cu)[n:] - u[n:]^T (Cu)[:n] = u^T K C u
+    = 1/2 u^T S u.  So
+
+        <Tx, x> = (u^H H_r u, u^H H_i u, -Re w, Im w).
+
+    A gradient g of a real function f of u is taken in the real inner product
+    of C^2n, df = Re(g^H du).  For Hermitian H, d(u^H H u) = 2 Re((Hu)^H du),
+    so g = 2 H u.  For symmetric S, dw = u^T S du = conj(Su)^H du, so
+    Re w has g = conj(Su) and Im w = Re(-i dw) has g = i conj(Su).  The
+    gradients are therefore 2 H_r u, 2 H_i u, -conj(Su) and i conj(Su),
+    from the three mat-vecs forms @ u.  _to_u is a real-linear isometry of
+    H^n onto C^2n, so these are the gradients in the real coordinates of x,
+    carried over by _to_u.
+    """
+    hr_u, hi_u, s_u = forms @ u
+    w = 0.5 * (u @ s_u)
+    val = np.array([np.vdot(u, hr_u).real, np.vdot(u, hi_u).real, -w.real, w.imag])
+    cs = s_u.conj()
+    return val, np.stack([2.0 * hr_u, 2.0 * hi_u, -cs, 1j * cs])
+
+
+def _refine_real(forms: np.ndarray, u0: np.ndarray, sign: float,
                  penalty: float) -> tuple[float, float]:
-    """Projected ascent of sign * Re<Tx,x> - penalty * |Im<Tx,x>| on the sphere, chi = chi(T)."""
-    x = x0 / np.linalg.norm(x0)
+    """Projected ascent of sign * Re<Tx,x> - penalty * |Im<Tx,x>| on the unit sphere of C^2n.
+
+    u0 = _to_u(x0) for a start x0, forms = _section_forms(chi(T)).  The tangent
+    part of a gradient g at u is g - Re(u^H g) u.
+    """
+    u = u0 / np.linalg.norm(u0)
     step = 0.1
 
     def objective(val):
         im = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
         return sign * val[0] - penalty * im, im
 
-    val, grads = _value_and_grad(chi, x)
+    val, grads = _value_and_grad(forms, u)
     fx, im = objective(val)
     for _ in range(_REFINE_ITERS):
         imn = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
@@ -668,19 +685,19 @@ def _refine_real(chi: np.ndarray, x0: np.ndarray, sign: float,
         w[0] = sign
         if imn > 1e-15:
             w[1:] = -penalty * val[1:] / imn
-        g = grads @ w
-        g -= np.sum(g * x) * x
+        g = w @ grads
+        g -= np.vdot(u, g).real * u
         gn = np.linalg.norm(g)
         if gn < 1e-14:
             break
         moved = False
         while step > 1e-12:
-            cand = x + step * g / gn
+            cand = u + step * g / gn
             cand /= np.linalg.norm(cand)
-            cval, cgrads = _value_and_grad(chi, cand)
+            cval, cgrads = _value_and_grad(forms, cand)
             cf, cim = objective(cval)
             if cf > fx + 1e-15:
-                x, val, grads, fx, im = cand, cval, cgrads, cf, cim
+                u, val, grads, fx, im = cand, cval, cgrads, cf, cim
                 step = min(step * 1.6, 0.5)
                 moved = True
                 break
@@ -694,12 +711,33 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
                  tol: float = 1e-6) -> RealSection:
     """Attained interval of Re<Tx, x> over unit vectors with |Im<Tx, x>| <= tol.
 
-    Combines exact two-coordinate cancellation candidates, random samples and
-    projected-gradient refinement toward both ends of the real axis; the
-    returned interval is an inner (attained) estimate.  Raises
-    RealSectionError when no candidate meets the tolerance.
+    A diagonal T has its upper bild in closed form (diagonal_bild), a convex
+    polygon in b >= 0 whose vertices are attained at explicit, checked
+    vectors.  The interval spans its vertices with b <= tol.  Where the
+    polygon meets b = 0 these include the ends of that edge, which are among
+    (c_min, 0), (c_max, 0) and the real entries, so the interval holds the
+    exact real section.  The polygon is convex, so when every vertex has
+    b > tol no value qualifies, and RealSectionError reports the least b.
+    m and seed do not matter there; nothing is sampled.
+
+    Otherwise the estimate combines exact two-coordinate cancellation
+    candidates, m random samples and a projected-gradient ascent toward
+    both ends of the real axis, run on the forms of C = chi(T) formed once
+    (_value_and_grad).  The ascent starts from four seeded random unit
+    vectors and from the extreme eigenvectors of H_r, the Hermitian part of
+    C, whose values have the extreme real parts of W(T).  The returned
+    interval is an inner (attained) estimate.  Raises RealSectionError when
+    no candidate meets the tolerance.
     """
+    if m < 1:
+        raise ValueError("m must be positive")
     n = T.n
+    if T.block_split() == 0:
+        poly = diagonal_bild(T).inner_hull
+        low = poly[:, 1] <= tol
+        if not np.any(low):
+            raise RealSectionError(float(poly[:, 1].min()))
+        return RealSection(lo=float(poly[low, 0].min()), hi=float(poly[low, 0].max()))
     found: list[float] = []
     best_im = np.inf
 
@@ -720,19 +758,14 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
         found.extend(vals[ok, 0].tolist())
     best_im = min(best_im, float(ims.min()))
 
-    # gradient refinement from deterministic starts
+    # gradient refinement from seeded starts and the extreme eigenvectors of H_r
     penalty = _PENALTY_SCALE * (1.0 + T.frobenius())
-    rng = _rng(seed, 2)
-    starts = [_unit_samples(rng, 1, n)[0] for _ in range(4)]
-    chi = T.complex_rep()
-    if n <= 48:
-        # extreme eigenvectors of Re<Tx, x>, the Hermitian part of chi(T)
-        vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))[1]
-        starts.append(_from_u(vecs[:, -1]))
-        starts.append(_from_u(vecs[:, 0]))
+    forms = _section_forms(T.complex_rep())
+    vecs = np.linalg.eigh(forms[0])[1]
+    starts = np.vstack([_to_u(_unit_samples(_rng(seed, 2), 4, n)), vecs[:, [-1, 0]].T])
     for sign in (1.0, -1.0):
-        for x0 in starts:
-            re, im = _refine_real(chi, x0, sign, penalty)
+        for u0 in starts:
+            re, im = _refine_real(forms, u0, sign, penalty)
             best_im = min(best_im, im)
             if im <= tol:
                 found.append(re)

@@ -14,6 +14,7 @@ from quatrange.geometry import (
 from quatrange import numrange
 from quatrange.eigen import NumericalError
 from quatrange.numrange import _CHUNK_BUDGET, _rng
+from quatrange.quaternion import CONJ_SIGNS, HAMILTON
 
 from conftest import mirrored, random_qmatrix, random_unit_qvector, slow_nr_values
 
@@ -536,9 +537,9 @@ def test_pair_values_match_scalar_oracle(monkeypatch, pair):
 @pytest.mark.parametrize("T", [random_qmatrix(22, 3), _block_plus_diagonal()],
                          ids=["dense", "block_plus_diagonal"])
 def test_value_and_grad_match_oracle_and_differences(T):
-    chi = T.complex_rep()
+    forms = numrange._section_forms(T.complex_rep())
     x = random_unit_qvector(23, T.n).arr
-    val, grads = numrange._value_and_grad(chi, x)
+    val, grads = numrange._value_and_grad(forms, numrange._to_u(x))
     assert np.max(np.abs(val - slow_nr_values(T, [x])[0].to_array())) <= 1e-12
     step = 1e-6
     for idx in np.ndindex(x.shape):
@@ -546,7 +547,8 @@ def test_value_and_grad_match_oracle_and_differences(T):
         dx[idx] = step
         diff = (slow_nr_values(T, [x + dx])[0].to_array()
                 - slow_nr_values(T, [x - dx])[0].to_array()) / (2.0 * step)
-        assert np.max(np.abs(grads[idx] - diff)) <= 1e-6
+        slope = (grads.conj() @ numrange._to_u(dx)).real / step
+        assert np.max(np.abs(slope - diff)) <= 1e-6
 
 
 def test_refined_values_reach_diagonal_classes():
@@ -594,3 +596,153 @@ def test_real_section_within_support_bounds():
         hi = qr.upper_bild_support(T, 0.0)
         lo = -qr.upper_bild_support(T, math.pi)
         assert lo - 1e-9 <= rs.lo <= rs.hi <= hi + 1e-9
+
+
+def test_real_section_of_a_diagonal_matrix_spans_its_vertices_within_tol():
+    # the closed form ignores m and seed: the vertex (0.2, 1e-8) is within tol,
+    # and the pair of entries crosses b = 0 at c = (0.2 * 2 + 3 * 1e-8) / (2 + 1e-8);
+    # a single entry above tol is the whole region, and its |Im| is reported
+    T = qr.QMatrix.diag([Quaternion(0.2, 1e-8, 0.0, 0.0), Quaternion(3.0, 2.0, 0.0, 0.0)])
+    for m, seed in ((1, 0), (500, 7)):
+        rs = qr.real_section(T, m=m, seed=seed)
+        assert rs.lo == 0.2
+        assert rs.hi == pytest.approx((0.4 + 3e-8) / (2.0 + 1e-8), rel=1e-15)
+    with pytest.raises(qr.RealSectionError) as err:
+        qr.real_section(qr.QMatrix.diag([Quaternion(0.3, 0.0, 0.5, 0.0)]), m=500, seed=0)
+    assert err.value.best_im == 0.5
+    with pytest.raises(ValueError):
+        qr.real_section(qr.QMatrix.identity(2), m=0)
+
+
+# -- the former quaternion-coordinate ascent, kept as the reference ----------------
+
+def _reference_from_u(u):
+    """Inverse of _to_u for one column: the quaternion vector (n, 4)."""
+    n = u.shape[-1] // 2
+    return np.stack([u[:n].real, u[:n].imag, -u[n:].real, u[n:].imag], axis=-1)
+
+
+def _reference_value_and_grad(chi, x):
+    """<Tx, x> and its gradients (n, 4, 4) in the real coordinates of x, from quaternion arrays."""
+    u = numrange._to_u(x)
+    cu = chi @ u
+    y = _reference_from_u(cu)
+    w = _reference_from_u((u.conj() @ chi).conj())
+    val = numrange._chi_values(u, cu)
+    # d/dx_l <T dx, x> has component c equal to [conj((T*x)_l) e_b]_c,
+    # and d/dx_l <Tx, dx> equals [conj(e_b) (Tx)_l]_c.
+    g1 = np.einsum("a,la,abc->lbc", CONJ_SIGNS, w, HAMILTON)
+    g2 = np.einsum("b,ld,bdc->lbc", CONJ_SIGNS, y, HAMILTON)
+    return val, g1 + g2
+
+
+def _reference_refine_real(chi, x0, sign, penalty):
+    x = x0 / np.linalg.norm(x0)
+    step = 0.1
+
+    def objective(val):
+        im = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
+        return sign * val[0] - penalty * im, im
+
+    val, grads = _reference_value_and_grad(chi, x)
+    fx, im = objective(val)
+    for _ in range(numrange._REFINE_ITERS):
+        imn = math.sqrt(val[1] ** 2 + val[2] ** 2 + val[3] ** 2)
+        w = np.zeros(4)
+        w[0] = sign
+        if imn > 1e-15:
+            w[1:] = -penalty * val[1:] / imn
+        g = grads @ w
+        g -= np.sum(g * x) * x
+        gn = np.linalg.norm(g)
+        if gn < 1e-14:
+            break
+        moved = False
+        while step > 1e-12:
+            cand = x + step * g / gn
+            cand /= np.linalg.norm(cand)
+            cval, cgrads = _reference_value_and_grad(chi, cand)
+            cf, cim = objective(cval)
+            if cf > fx + 1e-15:
+                x, val, grads, fx, im = cand, cval, cgrads, cf, cim
+                step = min(step * 1.6, 0.5)
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            break
+    return float(val[0]), im
+
+
+def _reference_real_section(T, m, seed, tol=1e-6):
+    """The former real_section: no closed form, eigenvector starts only for n <= 48."""
+    n = T.n
+    found, best_im = [], np.inf
+    for vals in (qr.refined_values(T, gammas=65, psis=9), qr.nr_sample(T, m, seed)):
+        ims = np.sqrt(np.sum(vals[:, 1:] ** 2, axis=1))
+        found.extend(vals[ims <= tol, 0].tolist())
+        best_im = min(best_im, float(ims.min()))
+    penalty = numrange._PENALTY_SCALE * (1.0 + T.frobenius())
+    rng = _rng(seed, 2)
+    starts = [numrange._unit_samples(rng, 1, n)[0] for _ in range(4)]
+    chi = T.complex_rep()
+    if n <= 48:
+        vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))[1]
+        starts += [_reference_from_u(vecs[:, -1]), _reference_from_u(vecs[:, 0])]
+    for sign in (1.0, -1.0):
+        for x0 in starts:
+            re, im = _reference_refine_real(chi, x0, sign, penalty)
+            best_im = min(best_im, im)
+            if im <= tol:
+                found.append(re)
+    if not found:
+        raise qr.RealSectionError(best_im)
+    return qr.RealSection(lo=float(min(found)), hi=float(max(found)))
+
+
+def _dense_blocks_matrix(i, n):
+    """Row i of the dense_blocks benchmark workload at its default seed 20260808."""
+    rng = np.random.default_rng(np.random.SeedSequence(3 * 20260808 + i, spawn_key=(11,)))
+    return qr.QMatrix(rng.standard_normal((n, n, 4)))
+
+
+@pytest.mark.parametrize("T, seed", [(_dense_blocks_matrix(0, 4), 20260808),
+                                     (_dense_blocks_matrix(1, 30), 20260809),
+                                     *[(random_qmatrix(40 + n, n), n) for n in range(1, 7)],
+                                     (_block_plus_diagonal(), 3)],
+                         ids=["dense4", "dense30", *[f"seeded{n}" for n in range(1, 7)],
+                              "block_plus_diagonal"])
+def test_real_section_matches_the_quaternion_ascent(T, seed):
+    try:
+        ref = _reference_real_section(T, m=20000, seed=seed)
+    except qr.RealSectionError as exc:
+        with pytest.raises(qr.RealSectionError) as err:
+            qr.real_section(T, m=20000, seed=seed)
+        assert err.value.best_im == pytest.approx(exc.best_im, rel=1e-9)
+        return
+    rs = qr.real_section(T, m=20000, seed=seed)
+    scale = 1e-12 * (1.0 + T.frobenius())
+    assert abs(rs.lo - ref.lo) <= scale and abs(rs.hi - ref.hi) <= scale
+
+
+def test_real_section_reaches_across_a_dense_n60_block():
+    # the former n <= 48 guard left this section at [-0.4918, 0.5292]
+    T = _dense_blocks_matrix(2, 60)
+    ref = _reference_real_section(T, m=20000, seed=20260810)
+    assert ref.lo == pytest.approx(-0.4918, abs=1e-4) and ref.hi == pytest.approx(0.5292, abs=1e-4)
+    rs = qr.real_section(T, m=20000, seed=20260810)
+    assert rs.lo <= ref.lo and rs.hi >= ref.hi
+    eigs = np.linalg.eigvalsh(numrange._section_forms(T.complex_rep())[0])
+    assert rs.hi - rs.lo >= 0.9 * (eigs[-1] - eigs[0])
+
+
+@pytest.mark.parametrize("N", [20, 100])
+def test_real_section_of_remark_sections_is_the_closed_form(N):
+    T = qr.truncate(qr.remark_operator(), N).matrix
+    poly = qr.diagonal_bild(T).inner_hull
+    axis = poly[poly[:, 1] == 0.0, 0]
+    rs = qr.real_section(T, m=20000, seed=0)
+    assert (rs.lo, rs.hi) == (axis.min(), axis.max())
+    if N == 20:
+        ref = _reference_real_section(T, m=20000, seed=0)
+        assert rs.lo <= ref.lo and rs.hi >= ref.hi
