@@ -17,19 +17,22 @@ import numpy as np
 from . import fileio
 from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
-from .geometry import DegenerateRegionError, convex_hull
+from .geometry import DegenerateRegionError, convex_hull, signed_inner_distance
 from .lancaster import lancaster_check, nonclosedness_probe
-from .numrange import RealSectionError, real_section, upper_bild
+from .numrange import RealSectionError, bild_points, diagonal_bild, real_section, upper_bild
 from .spectra import s_spectrum
 
 DEFAULT_SECTIONS = (50, 100, 200, 500)
 
 
-def _section_size(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"section size must be at least 1, got {value}")
-    return value
+def _at_least_one(what: str):
+    # argparse names the type function in its message for a non-integer
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+        return value
+    return integer
 
 
 def _tolerance(text: str) -> float:
@@ -43,9 +46,9 @@ def _tolerance(text: str) -> float:
 # handlers read and the summary's config echoes
 _OPTIONS = {
     "seed": (("--seed",), dict(type=int, default=0)),
-    "samples": (("--samples", "-m"), dict(type=int, default=20000)),
+    "samples": (("--samples", "-m"), dict(type=_at_least_one("sample count"), default=20000)),
     "angles": (("--angles", "-k"), dict(type=int, default=360)),
-    "section": (("--section", "-N"), dict(type=_section_size, default=None)),
+    "section": (("--section", "-N"), dict(type=_at_least_one("section size"), default=None)),
     "tol": (("--tol",), dict(type=_tolerance, default=1e-6)),
     "svg": (("--svg",), dict(action="store_true", help="also write an SVG plot")),
     "target": (("--target",), dict(
@@ -216,9 +219,6 @@ def _cmd_lancaster(args, out: Path) -> int:
 
 
 def _cmd_verify(args, out: Path) -> int:
-    from .geometry import signed_inner_distance
-    from .numrange import bild_points
-
     M = fileio.load_operator(args.input)
     checks = {}
 
@@ -230,20 +230,23 @@ def _cmd_verify(args, out: Path) -> int:
     spheres = s_spectrum(T)
     block_spec = s_spectrum(M.block) if M.block_size else None
     tail_classes = bild_points(T.diagonal()[M.block_size:])
-    ok_spec = True
-    for s in spheres:
-        # finite-section spheres must be tail diagonal classes, block spectrum,
-        # or already inside the essential polygon
-        inside = signed_inner_distance(poly, s.point()) >= -max(args.tol, 1e-3)
-        near_block = block_spec is not None and any(
-            s.distance(b) <= 1e-6 for b in block_spec)
-        near_tail = float(np.min(np.linalg.norm(
-            tail_classes - np.array(s.point()), axis=1), initial=np.inf)) <= 1e-6
-        if not (inside or near_block or near_tail):
-            ok_spec = False
-    checks["sspec_accounted"] = ok_spec
+    # finite-section spheres must be tail diagonal classes, block spectrum,
+    # or already inside the essential polygon; the tail test is one array pass
+    pts = spheres.points()
+    dx = tail_classes[None, :, 0] - pts[:, :1]
+    dy = tail_classes[None, :, 1] - pts[:, 1:]
+    near_tail = np.sqrt(dx * dx + dy * dy).min(axis=1, initial=np.inf) <= 1e-6
+    checks["sspec_accounted"] = all(
+        near or signed_inner_distance(poly, s.point()) >= -max(args.tol, 1e-3)
+        or (block_spec is not None and any(s.distance(b) <= 1e-6 for b in block_spec))
+        for s, near in zip(spheres, near_tail))
 
-    region = upper_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
+    # a diagonal section's region is its exact polygon, checked attained and
+    # against h by diagonal_bild, so nothing is sampled there (as in lancaster)
+    if T.block_split() == 0:
+        region = diagonal_bild(T, k=args.angles)
+    else:
+        region = upper_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
     support = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
     # a linear functional peaks at a hull vertex, so the hull checks every point
     hull = convex_hull(region.inner_points)

@@ -334,13 +334,16 @@ class ModelOperator:
                 targets.extend(map(tuple, part.probes()))
         targets = np.array(targets)
         unmet = np.ones(len(targets), dtype=bool)
-        window = 1024
+        window, done = 1024, 0
         while True:
             window = min(window, n_check)
-            pts = bild_points(self.tail.prefix(window))
-            mags = np.sqrt(np.sum(self.tail.prefix(window) ** 2, axis=1))
+            # the earlier windows checked prefix(done), so only the new entries
+            fresh = self.tail.prefix(window)[done:]
+            done = window
+            mags = np.sqrt(np.sum(fresh ** 2, axis=1))
             if float(mags.max(initial=0.0)) > self.bound + 1e-12:
                 raise ValidationError("tail value exceeds the declared bound")
+            pts = bild_points(fresh)
             if unmet.any():
                 d = np.linalg.norm(pts[None, :, :] - targets[unmet][:, None, :], axis=2)
                 unmet[np.flatnonzero(unmet)[d.min(axis=1) <= tol]] = False

@@ -63,7 +63,10 @@ class QMatrix:
         arr[:b, :b, :] = block.arr
         idx = np.arange(b, b + k)
         arr[idx, idx, :] = tail
-        return QMatrix(arr)
+        out = QMatrix(arr)
+        # every off-diagonal entry lies in the block, so its split is T's
+        out._block_size = block.block_split()
+        return out
 
     # -- basic accessors ---------------------------------------------------------
 

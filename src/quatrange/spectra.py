@@ -9,6 +9,7 @@ only for the block, and only when an eigenvector bound cannot settle it.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -40,18 +41,52 @@ class SphereSet:
 
 
 def _merge(points: np.ndarray, tol: float) -> list[tuple[float, float]]:
+    """First-fit merge: each point joins the least-index sphere whose running
+    mean lies within tol (np.hypot), else it starts a new sphere.
+
+    A grid index keeps the scan near each point.  Every sphere with a finite
+    mean is binned by the cell floor(mean / side), re-binned when its mean
+    moves, and a point tests only the spheres of its 3 x 3 block of cells,
+    in index order.  side >= 2 tol, so a mean within tol of the point lies
+    at most half a cell away; side >= 2^-49 max |point|, so every quotient
+    is below 2^50 and its rounding moves it by at most 1/8 of a cell.  The
+    block therefore holds every sphere the test can accept, and the result
+    is the full scan's, mean for mean and bit for bit.  A non-finite point
+    or mean fails the test against anything, so it stays out of the index.
+    At tol = 0 the cells shrink to 2^-49 max |point|; equal points share one.
+    """
+    finite = np.isfinite(points).all(axis=1)
+    scale = float(np.abs(points[finite]).max(initial=0.0))
+    side = max(2.0 * tol, scale * 2.0 ** -49, sys.float_info.min)
+    cells: dict[tuple[int, int], list[int]] = {}
+
+    def cell(a, b):
+        if math.isfinite(a) and math.isfinite(b):
+            return math.floor(a / side), math.floor(b / side)
+        return None
+
     out: list[list[float]] = []
     counts: list[int] = []
     for a, b in points:
-        placed = False
-        for idx, (ca, cb) in enumerate(out):
+        key = cell(a, b)
+        near = [] if key is None else sorted(
+            idx for di in (-1, 0, 1) for dj in (-1, 0, 1)
+            for idx in cells.get((key[0] + di, key[1] + dj), ()))
+        for idx in near:
+            ca, cb = out[idx]
             if np.hypot(ca - a, cb - b) <= tol:
                 c = counts[idx]
                 out[idx] = [(ca * c + a) / (c + 1), (cb * c + b) / (c + 1)]
                 counts[idx] += 1
-                placed = True
+                old, new = cell(ca, cb), cell(*out[idx])
+                if new != old:
+                    cells[old].remove(idx)
+                    if new is not None:
+                        cells.setdefault(new, []).append(idx)
                 break
-        if not placed:
+        else:
+            if key is not None:
+                cells.setdefault(key, []).append(len(out))
             out.append([a, b])
             counts.append(1)
     return [(a, b) for a, b in out]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import quatrange as qr
-from quatrange import Quaternion, fileio
+from quatrange import Quaternion, cli, fileio, numrange
 from quatrange.cli import main
+
+from conftest import seeded_model_operator
 
 
 @pytest.fixture
@@ -22,6 +24,9 @@ def remark_file(tmp_path):
     path = tmp_path / "remark.json"
     fileio.dump_operator(qr.remark_operator(), path)
     return path
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "demos" / "data" / "remark_operator.json"
 
 
 def read_summary(out_dir):
@@ -218,6 +223,74 @@ def test_verify_the_bundled_operator_at_section_500(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert read_summary(out)["pass"] is True
+
+
+def _count(monkeypatch, owner, name, log):
+    """Wrap owner.name so each call appends (name, its m argument) to log."""
+    func = getattr(owner, name)
+
+    def counted(T, *args, **kwargs):
+        log.append((name, kwargs.get("m", args[0] if args else None)))
+        return func(T, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_verify_samples_nothing_on_a_diagonal_section(tmp_path, monkeypatch):
+    # the default section of the bundled operator is diagonal: its region is
+    # diagonal_bild's exact polygon, so --samples changes nothing
+    log = []
+    _count(monkeypatch, numrange, "nr_sample", log)
+    _count(monkeypatch, cli, "upper_bild", log)
+    checks = []
+    for samples in ("1", "20000"):
+        out = tmp_path / samples
+        assert main(["verify", str(BUNDLED), "--samples", samples, "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["pass"] is True
+        checks.append(summary["checks"])
+    assert log == []
+    assert checks[0] == checks[1]
+    assert len(checks[0]) == 4 and all(checks[0].values())
+
+
+def test_verify_samples_a_section_with_a_dense_block(tmp_path, monkeypatch):
+    M = seeded_model_operator(0)
+    assert M.block_size == 2 and M.block.block_split() == 2
+    path = tmp_path / "block.json"
+    fileio.dump_operator(M, path)
+    log = []
+    _count(monkeypatch, cli, "upper_bild", log)
+    out = tmp_path / "out"
+    assert main(["verify", str(path), "--section", "40", "--samples", "3000",
+                 "--angles", "90", "--out", str(out)]) == 0
+    assert read_summary(out)["pass"] is True
+    assert log == [("upper_bild", 3000)]
+
+
+def test_verify_fails_numerically_when_the_closed_form_misses_h(tmp_path, monkeypatch):
+    # diagonal_bild compares its polygon's support with support_offsets; a
+    # shifted h breaks that check, so the run is a numerical failure
+    offsets = numrange.support_offsets
+    monkeypatch.setattr(numrange, "support_offsets",
+                        lambda T, thetas: offsets(T, thetas) + 1e-6)
+    out = tmp_path / "out"
+    assert main(["verify", str(BUNDLED), "--out", str(out)]) == 3
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bild", "lancaster", "verify"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_are_rejected(matrix_file, remark_file, tmp_path, capsys,
+                                        command, samples):
+    # a diagonal section reads no samples, so the count is checked at the parse
+    source = matrix_file if command == "bild" else remark_file
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(source), "--samples", samples, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "sample count must be at least 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_removed_depth_flag_is_rejected(matrix_file, tmp_path, capsys):

@@ -154,6 +154,101 @@ def test_validation_rejects_bound_violation():
         qr.essential_bild(M)
 
 
+def _reference_validate(M, n_check=200000, tol=1e-3):
+    """The former check, which rescanned every window from entry 0."""
+    targets = []
+    for part in M.limit_set:
+        if isinstance(part, qr.SimilaritySphere):
+            targets.append(part.point())
+        else:
+            targets.extend(map(tuple, part.probes()))
+    targets = np.array(targets)
+    unmet = np.ones(len(targets), dtype=bool)
+    window = 1024
+    while True:
+        window = min(window, n_check)
+        pts = qr.bild_points(M.tail.prefix(window))
+        mags = np.sqrt(np.sum(M.tail.prefix(window) ** 2, axis=1))
+        if float(mags.max(initial=0.0)) > M.bound + 1e-12:
+            raise qr.ValidationError("tail value exceeds the declared bound")
+        if unmet.any():
+            d = np.linalg.norm(pts[None, :, :] - targets[unmet][:, None, :], axis=2)
+            unmet[np.flatnonzero(unmet)[d.min(axis=1) <= tol]] = False
+        if not unmet.any():
+            return
+        if window == n_check:
+            bad = targets[unmet][0]
+            raise qr.ValidationError(
+                f"declared limit point ({bad[0]:.6g}, {bad[1]:.6g}) not approached "
+                f"within {tol:g} by the first {n_check} tail values")
+        window *= 8
+
+
+def _validation_outcome(check):
+    try:
+        check()
+    except qr.ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _validation_cases():
+    # targets met in a later window, phantom targets named in declared order,
+    # a bound broken only past the first windows, and operators that pass
+    slow = qr.ExplicitTail([Quaternion(0.0, 0.5 + 2.0 / n, 0, 0) for n in range(1, 3000)]
+                           + [Quaternion(0.0, 0.5, 0, 0)])
+    late = qr.ExplicitTail([Quaternion(0.0, 0.5 + 2.0 / n, 0, 0) for n in range(1, 5000)]
+                           + [Quaternion(0.0, 4.0, 0, 0)])
+    phantoms = [qr.SimilaritySphere(5.0, 0.0), qr.LimitSegment(0.0, 0.0, 0.5),
+                qr.SimilaritySphere(-3.0, 1.0)]
+    return [
+        (qr.remark_operator(), 200000),
+        (seeded_model_operator(3), 200000),
+        (qr.ModelOperator(qr.QMatrix.zeros(0), slow, [qr.SimilaritySphere(0.0, 0.5)],
+                          bound=3.0), 20000),
+        (qr.ModelOperator(qr.QMatrix.zeros(0), slow, [qr.SimilaritySphere(0.0, 0.5)],
+                          bound=3.0), 1500),
+        (qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I), phantoms, bound=6.0),
+         70000),
+        (qr.ModelOperator(qr.QMatrix.zeros(0), late, [qr.SimilaritySphere(0.0, 0.5)],
+                          bound=3.0), 20000),
+        (qr.ModelOperator(qr.QMatrix.zeros(0), late, [qr.SimilaritySphere(0.0, 0.5)],
+                          bound=3.0), 4000),
+    ]
+
+
+def test_validate_matches_the_full_rescan():
+    outcomes = []
+    for M, n_check in _validation_cases():
+        expected = _validation_outcome(lambda: _reference_validate(M, n_check))
+        assert _validation_outcome(lambda: M.validate(n_check)) == expected
+        outcomes.append(expected)
+    assert outcomes[:2] == [None, None]
+    assert outcomes[2] is None
+    assert outcomes[3].startswith("declared limit point (0, 0.5) not approached")
+    assert outcomes[4].startswith("declared limit point (5, 0) not approached")
+    assert outcomes[5] == "tail value exceeds the declared bound"
+    assert outcomes[6] is None
+
+
+def test_validate_reads_each_tail_entry_once(monkeypatch):
+    # a phantom target is never met, so every window up to n_check runs:
+    # 1024, 8192, 65536 and 200000 entries, each scanned from the last one's end
+    scanned = []
+    real = essential.bild_points
+
+    def counted(values):
+        scanned.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(essential, "bild_points", counted)
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I),
+                         [qr.SimilaritySphere(5.0, 0.0)], bound=1.5)
+    with pytest.raises(qr.ValidationError, match="first 200000 tail values"):
+        M.validate()
+    assert scanned == [1024, 7168, 57344, 134464]
+
+
 # -- essential bild -------------------------------------------------------------------
 
 

@@ -84,6 +84,20 @@ def test_block_split():
     assert full.block_split() == 4
 
 
+def test_block_diag_split_is_the_scanned_split():
+    # block_diag takes its split from the block; a fresh QMatrix on the same
+    # array scans every entry
+    lower = np.zeros((3, 3, 4))
+    lower[1, 0] = (1.0, 0.0, 2.0, 0.0)
+    blocks = [random_qmatrix(13, 3), qr.QMatrix.diag([I, J]), qr.QMatrix(lower),
+              qr.QMatrix.zeros(0)]
+    for block in blocks:
+        T = qr.QMatrix.block_diag(block, np.ones((4, 4)))
+        assert T.block_split() == qr.QMatrix(T.arr).block_split()
+    assert [qr.QMatrix.block_diag(b, np.ones((4, 4))).block_split() for b in blocks] \
+        == [3, 0, 2, 0]
+
+
 def test_block_diag_layout():
     block = qr.QMatrix.diag([Quaternion(-1, 1, 0, 0), Quaternion(1, 1, 0, 0)])
     tail = np.array([[0.0, 0.5, 0.0, 0.0]])

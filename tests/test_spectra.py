@@ -256,3 +256,118 @@ def test_rejects_a_non_finite_matrix_before_any_solve(monkeypatch, where, value)
     with pytest.raises(ValueError, match="finite"):
         qr.s_spectrum(qr.QMatrix(arr))
     assert log == []
+
+
+# -- the grid-indexed merge -----------------------------------------------------------
+
+
+def _reference_merge(points, tol):
+    """The full first-fit scan over points x spheres that the grid index replaces."""
+    out = []
+    counts = []
+    for a, b in points:
+        placed = False
+        for idx, (ca, cb) in enumerate(out):
+            if np.hypot(ca - a, cb - b) <= tol:
+                c = counts[idx]
+                out[idx] = [(ca * c + a) / (c + 1), (cb * c + b) / (c + 1)]
+                counts[idx] += 1
+                placed = True
+                break
+        if not placed:
+            out.append([a, b])
+            counts.append(1)
+    return [(a, b) for a, b in out]
+
+
+def _merge_inputs(monkeypatch, matrices):
+    """The (points, tol) pairs that s_spectrum hands to _merge on each matrix."""
+    seen = []
+    merge = spectra._merge
+
+    def spy(points, tol):
+        seen.append((points.copy(), tol))
+        return merge(points, tol)
+
+    monkeypatch.setattr(spectra, "_merge", spy)
+    for T in matrices:
+        qr.s_spectrum(T)
+    monkeypatch.setattr(spectra, "_merge", merge)
+    return seen
+
+
+def test_grid_merge_matches_the_scan_on_remark_sections_and_dense_blocks(monkeypatch):
+    remark = qr.remark_operator()
+    sections = [qr.truncate(remark, N).matrix for N in (100, 500, 2000)]
+    # the dense matrices of the benchmark's dense_blocks workload, default seed
+    dense = [random_qmatrix(3 * 20260808 + i, n) for i, n in enumerate((4, 30, 60))]
+    inputs = _merge_inputs(monkeypatch, sections + dense)
+    counts = []
+    for points, tol in inputs:
+        got = spectra._merge(points, tol)
+        assert got == _reference_merge(points, tol)
+        counts.append(len(got))
+    assert counts == [53, 258, 1012, 4, 30, 60]
+
+
+def test_grid_merge_at_zero_tolerance_joins_only_equal_points():
+    # the third 0.1 rounds the running mean to (0.1 * 2 + 0.1) / 3, one ulp
+    # above 0.1, so the fourth starts a sphere of its own
+    pts = np.array([[0.1, 0.3], [0.1, 0.3], [0.1, 0.3 + 2.0 ** -54], [-0.0, 0.0],
+                    [0.0, 0.0], [0.1, 0.3], [1e300, -1e300], [1e300, -1e300],
+                    [0.1, 0.3]])
+    got = spectra._merge(pts, 0.0)
+    assert got == _reference_merge(pts, 0.0)
+    assert got == [(0.10000000000000002, 0.3), (0.1, 0.3 + 2.0 ** -54), (-0.0, 0.0),
+                   (1e300, -1e300), (0.1, 0.3)]
+    # a zero scale at zero tolerance still bins every point
+    zeros = np.zeros((3, 2))
+    assert spectra._merge(zeros, 0.0) == _reference_merge(zeros, 0.0) == [(0.0, 0.0)]
+
+
+def test_grid_merge_joins_across_a_cell_edge():
+    # tol = 5/16 gives cells of side 5/8; each pair sits exactly tol apart in
+    # binary (the diagonal one as a 3-4-5 triangle), a cell edge between them
+    tol = 0.3125
+    pts = np.array([[0.3125, 0.0], [0.625, 0.0], [3.0, 0.625], [3.0, 0.3125],
+                    [-0.9375, -1.25], [-0.625, -1.25], [6.25, 6.25], [6.0625, 6.0]])
+    got = spectra._merge(pts, tol)
+    assert got == _reference_merge(pts, tol)
+    assert got == [(0.46875, 0.0), (3.0, 0.46875), (-0.78125, -1.25), (6.15625, 6.125)]
+
+
+def test_grid_merge_follows_a_mean_that_drifts_across_cells():
+    # each point lies 0.9 tol to the right of the running mean, so the one
+    # sphere drifts across several cells; a point near its final mean must
+    # still find it although the sphere started in a cell two or more away
+    tol = 0.25
+    mean, count, pts = 0.0, 1, [(0.0, 0.0)]
+    while mean < 4.0 * tol:
+        a = mean + 0.9 * tol
+        pts.append((a, 0.0))
+        mean, count = (mean * count + a) / (count + 1), count + 1
+    pts = np.array(pts + [(mean + 0.9 * tol, 0.1)])
+    got = spectra._merge(pts, tol)
+    assert got == _reference_merge(pts, tol)
+    assert len(got) == 1 and got[0][0] > 4.0 * tol
+
+
+def test_grid_merge_matches_the_scan_on_seeded_clouds():
+    rng = np.random.default_rng(16)
+    for trial in range(200):
+        n = int(rng.integers(1, 120))
+        tol = (0.0, 1e-6, 0.05, 0.25, 1.0, 1e-300)[trial % 6]
+        step = rng.choice([0.5, 0.25, 0.05, 1e-6])
+        jitter = rng.choice([0.0, 1e-7, 1e-3, 0.1])
+        pts = rng.integers(-4, 5, size=(n, 2)) * step + rng.standard_normal((n, 2)) * jitter
+        if trial % 7 == 0:
+            pts[rng.integers(n)] = (np.nan, 1.0)
+        if trial % 11 == 0:
+            pts[rng.integers(n)] = (np.inf, 1.0)
+        if trial % 2:
+            pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        got = spectra._merge(pts, tol)
+        ref = _reference_merge(pts, tol)
+        # == fails on NaN, so compare the float arrays with NaN equal to NaN
+        assert np.array_equal(np.array(got, dtype=float), np.array(ref, dtype=float),
+                              equal_nan=True)
