@@ -22,7 +22,6 @@ from .essential import (
     RationalsITail,
     SparseVec,
     TailBasisSequence,
-    TruncatedOperator,
     ValidationError,
     convex_combination_sequence,
     essential_bild,
@@ -50,6 +49,7 @@ from .numrange import (
     nr_sample,
     real_section,
     refined_values,
+    section_bild,
     support_offsets,
     upper_bild,
     upper_bild_support,
@@ -93,7 +93,6 @@ __all__ = [
     "SphereSet",
     "SymSpectrum",
     "TailBasisSequence",
-    "TruncatedOperator",
     "ValidationError",
     "bild_points",
     "convex_combination_sequence",
@@ -116,6 +115,7 @@ __all__ = [
     "refined_values",
     "remark_operator",
     "s_spectrum",
+    "section_bild",
     "support_offsets",
     "sym_eig",
     "truncate",

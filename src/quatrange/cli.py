@@ -17,9 +17,9 @@ import numpy as np
 from . import fileio
 from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
-from .geometry import DegenerateRegionError, convex_hull, signed_inner_distance
+from .geometry import convex_hull, signed_inner_distance
 from .lancaster import lancaster_check, nonclosedness_probe
-from .numrange import RealSectionError, bild_points, diagonal_bild, real_section, upper_bild
+from .numrange import RealSectionError, bild_points, real_section, section_bild, upper_bild
 from .spectra import s_spectrum
 
 DEFAULT_SECTIONS = (50, 100, 200, 500)
@@ -226,7 +226,7 @@ def _cmd_verify(args, out: Path) -> int:
     checks["limits_validated"] = True
 
     n = 100 if args.section is None else args.section
-    T = truncate(M, n).matrix
+    T = truncate(M, n)
     spheres = s_spectrum(T)
     block_spec = s_spectrum(M.block) if M.block_size else None
     tail_classes = bild_points(T.diagonal()[M.block_size:])
@@ -241,12 +241,9 @@ def _cmd_verify(args, out: Path) -> int:
         or (block_spec is not None and any(s.distance(b) <= 1e-6 for b in block_spec))
         for s, near in zip(spheres, near_tail))
 
-    # a diagonal section's region is its exact polygon, checked attained and
-    # against h by diagonal_bild, so nothing is sampled there (as in lancaster)
-    if T.block_split() == 0:
-        region = diagonal_bild(T, k=args.angles)
-    else:
-        region = upper_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
+    # the section's region as lancaster builds it: a diagonal section's is its
+    # exact polygon, so nothing is sampled there; otherwise the block is sampled
+    region = section_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
     support = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
     # a linear functional peaks at a hull vertex, so the hull checks every point
     hull = convex_hull(region.inner_points)
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args, out)
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (NumericalError, DegenerateRegionError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (fileio.ParseError, ValidationError, ValueError) as exc:

@@ -12,7 +12,7 @@ empirically against the generated tail, never inferred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "DecayingPeriodicTail",
     "LimitSegment",
     "ModelOperator",
-    "TruncatedOperator",
     "truncate",
     "essential_bild",
     "quasi_orth_select",
@@ -389,28 +388,11 @@ class _MappedTail(Tail):
         return spec
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
+def truncate(M: ModelOperator, N: int) -> QMatrix:
     """Finite section diag(block, s_1, ..., s_N) of a model operator."""
-
-    matrix: QMatrix
-    block_size: int
-    n_tail: int
-    model: ModelOperator = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def apply(self, x: QVector) -> QVector:
-        return self.matrix.apply(x)
-
-
-def truncate(M: ModelOperator, N: int) -> TruncatedOperator:
     if N < 1:
         raise ValueError("section size must be at least 1")
-    mat = QMatrix.block_diag(M.block, M.tail.prefix(N))
-    return TruncatedOperator(matrix=mat, block_size=M.block_size, n_tail=N, model=M)
+    return QMatrix.block_diag(M.block, M.tail.prefix(N))
 
 
 # -- the essential bild -------------------------------------------------------------
@@ -455,11 +437,11 @@ class QuasiOrthExhausted(RuntimeError):
         self.best_bounds = best_bounds
 
 
-def quasi_orth_select(T, xs, ys, N: int, eps: float) -> QuasiOrthSelection:
+def quasi_orth_select(T: QMatrix, xs, ys, N: int, eps: float) -> QuasiOrthSelection:
     """Smallest M >= N with |<x_N, y_M>|, |<T x_N, y_M>|, |<T* x_N, y_M>| all <= eps.
 
-    ``T`` may be a QMatrix or a TruncatedOperator; ``xs`` and ``ys`` are
-    sequences of unit QVectors indexed from zero, and 0 <= N < len(xs).
+    ``T`` is a QMatrix; ``xs`` and ``ys`` are sequences of unit QVectors
+    indexed from zero, and 0 <= N < len(xs).
     Raises QuasiOrthExhausted with the best triple seen when the finite list
     runs out.
     """
@@ -467,10 +449,9 @@ def quasi_orth_select(T, xs, ys, N: int, eps: float) -> QuasiOrthSelection:
         raise ValueError("eps must be positive")
     if not 0 <= N < len(xs):
         raise ValueError(f"N = {N} is not an index of xs (length {len(xs)})")
-    A = T.matrix if isinstance(T, TruncatedOperator) else T
     x = xs[N]
-    tx = A.apply(x)
-    tsx = A.adjoint().apply(x)
+    tx = T.apply(x)
+    tsx = T.adjoint().apply(x)
     best = None
     for m in range(N, len(ys)):
         y = ys[m]

@@ -8,8 +8,9 @@ bild with the bild itself,
 a strictly weaker closure than conv(A u B) when B is not convex.  All
 verification happens in bild coordinates: the essential polygon is exact by
 construction.  The upper bild of a finite section is convex, so the other
-ingredient is one convex polygon Q of attained values inside it (exact for a
-diagonal section, numrange.diagonal_bild).  For two convex sets the
+ingredient is one convex polygon Q of attained values inside it, composed
+from the section's dense block and its diagonal tail (numrange.section_bild;
+exact for a diagonal section).  For two convex sets the
 inter-convex hull is their convex hull (iconv_polygon), so each Lancaster
 region is one convex polygon and its Hausdorff distances are exact
 (geometry.hausdorff_convex).  iconv keeps the union of convex pieces for a
@@ -32,14 +33,7 @@ from .geometry import (
     signed_inner_distance,
 )
 from .essential import ModelOperator, essential_bild, truncate
-from .numrange import (
-    BildRegion,
-    bild_points,
-    diagonal_bild,
-    nr_sample,
-    refined_values,
-    upper_bild,
-)
+from .numrange import BildRegion, section_bild
 
 __all__ = [
     "IconvRegion",
@@ -217,41 +211,24 @@ class LancasterReport:
         return self.rows[-1]
 
 
-def _attained_polygon(T, m: int, k: int, seed: int) -> tuple[BildRegion, np.ndarray]:
-    """A section's bild region and a convex polygon Q of attained values.
-
-    A diagonal section's Q is its exact upper bild polygon
-    (numrange.diagonal_bild).  Any other section's Q is the hull of its
-    upper_bild inner hull (m samples with this seed plus a boundary point
-    per angle) and the deterministic basis/pair values; each is attained, so
-    by convexity of the upper bild Q lies inside it.
-    """
-    if T.block_split() == 0:
-        bild = diagonal_bild(T, k=k)
-        return bild, bild.inner_hull
-    bild = upper_bild(T, m=m, k=k, seed=seed)
-    exact = bild_points(refined_values(T))
-    return bild, convex_hull(np.vstack([bild.inner_hull, exact]))
-
-
 def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                     seed: int = 0, target: np.ndarray | None = None) -> LancasterReport:
     """Compare iconv(essential bild, section bild) with reference regions.
 
     For each section size N the region is L_N = iconv_polygon(B_e, Q) =
     conv(B_e u Q), cut to b >= 0: one convex polygon.  B_e is the full
-    (both-sign) essential polygon and Q a convex polygon of attained values
-    inside the upper bild of the truncation, and n_satellites counts the
-    vertices of Q.
+    (both-sign) essential polygon and Q = numrange.section_bild(T, m, k,
+    seed + index).inner_hull, a convex polygon of attained values inside the
+    upper bild of the truncation T; n_satellites counts its vertices and gap
+    is the section region's hausdorff_gap.
 
     * A diagonal section (every section of an operator with a diagonal
       block) has its bild in closed form, numrange.diagonal_bild, checked
       exact on the k-angle grid.  Q is that polygon, so L_N is exact: no
       vector is sampled, m and seed do not matter, and gap is the 1e-12
       rounding pad between Q and its outer polygon.
-    * Any other section takes Q as the hull of its upper_bild inner hull
-      (m samples, k angles, seed + index) and the deterministic basis/pair
-      values, all genuinely attained; gap is upper_bild's hausdorff_gap.
+    * Any other section composes Q from its dense block, sampled m times,
+      and its diagonal tail's exact polygon (section_bild).
 
     Reported per N: the Hausdorff distance from L_N to the truncation's
     outer support polygon, and to an optional analytic target polygon.  All
@@ -265,8 +242,8 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     regions: list[IconvRegion] = []
     bilds: list[BildRegion] = []
     for idx, N in enumerate(sections):
-        T = truncate(M, int(N)).matrix
-        region_bild, Q = _attained_polygon(T, m, k, seed + idx)
+        region_bild = section_bild(truncate(M, int(N)), m=m, k=k, seed=seed + idx)
+        Q = region_bild.inner_hull
         Lup = iconv_polygon(base, Q).upper()
         L = Lup.pieces[0]
         d_outer = hausdorff_convex(L, region_bild.outer_polygon)
@@ -309,12 +286,12 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     residual to rounding level; a non-attained edge keeps it strictly
     positive at every N.
 
-    * A diagonal section is exact: its upper bild polygon
-      (numrange.diagonal_bild) is clipped to the window strip and the best
-      point is a vertex of the clipped polygon.  m and seed do not matter.
-    * Any other section takes the best of m sampled values (seed + index)
-      and the deterministic basis/pair values, all genuinely attained, so
-      its residual can only overstate the exact one.
+    Each section's polygon of attained values,
+    numrange.section_bild(T, m, seed=seed + index).inner_hull, is clipped to
+    the window strip and the best point is a vertex of the clipped polygon.
+    A diagonal section's polygon is its exact upper bild, so m and seed do
+    not matter there; any other section samples its dense block m times,
+    and its residual can only overstate the exact one.
     """
     edge = np.asarray(edge, dtype=float).reshape(2, 2)
     direction = edge[1] - edge[0]
@@ -331,18 +308,9 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     start = float(direction @ edge[0])
     rows: list[ProbeRow] = []
     for idx, N in enumerate(sections):
-        T = truncate(M, int(N)).matrix
-        if T.block_split() == 0:
-            strip = clip_polygon(diagonal_bild(T).inner_hull, -direction,
-                                 -(start + _PROBE_MARGIN * length))
-            pts = clip_polygon(strip, direction, start + (1.0 - _PROBE_MARGIN) * length)
-        else:
-            pts = np.vstack([
-                bild_points(nr_sample(T, m, seed + idx)),
-                bild_points(refined_values(T)),
-            ])
-            t = (pts - edge[0]) @ direction / length
-            pts = pts[(t >= _PROBE_MARGIN) & (t <= 1.0 - _PROBE_MARGIN)]
+        Q = section_bild(truncate(M, int(N)), m=m, seed=seed + idx).inner_hull
+        strip = clip_polygon(Q, -direction, -(start + _PROBE_MARGIN * length))
+        pts = clip_polygon(strip, direction, start + (1.0 - _PROBE_MARGIN) * length)
         if len(pts) == 0:
             rows.append(ProbeRow(N=int(N), residual=float("inf"), attained=-float("inf")))
             continue

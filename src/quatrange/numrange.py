@@ -15,6 +15,10 @@ The gap between the convex hull of the inner values and the outer polygon is
 reported as an explicit certificate; the outer polygon is only supported in
 upward directions, so the part of the plane below the region and above b = 0
 is never excluded by construction.
+
+A diagonal matrix has its upper bild in closed form (diagonal_bild), and a
+block-plus-diagonal section composes its region from the block's sampled
+region and the tail's closed form (section_bild).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "support_offsets",
     "upper_bild",
     "diagonal_bild",
+    "section_bild",
     "refined_values",
     "bild_points",
     "real_section",
@@ -170,8 +175,7 @@ def _component_forms(T: np.ndarray) -> np.ndarray:
     return np.moveaxis(sym, -1, 0)
 
 
-def _support_points(T: QMatrix, thetas: np.ndarray,
-                    vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Support values h(theta) and, per angle, a bild point that attains h(theta).
 
     For the dense block B, h(theta) is the top eigenvalue of
@@ -206,10 +210,8 @@ def _support_points(T: QMatrix, thetas: np.ndarray,
     A diagonal tail entry d has the similarity sphere of d as its values, so
     the tail's support is the closed form max_k a_k cos(theta) + b_k sin(theta)
     over its bild points (a_k, b_k), attained at its best diagonal class.
-    With vectors=False the dense block is solved for eigenvalues only
-    (eigvalsh) and the points come back as None.  Any 1-D angle array in
-    [0, pi] is accepted, unsorted, with duplicates or empty; anything else,
-    NaN included, raises ValueError.
+    Any 1-D angle array in [0, pi] is accepted, unsorted, with duplicates or
+    empty; anything else, NaN included, raises ValueError.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not np.all((thetas >= -1e-12) & (thetas <= math.pi + 1e-12)):
@@ -217,7 +219,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray,
     n = T.n
     b = T.block_split()
     h = np.full(thetas.shape, -np.inf)
-    points = np.zeros((len(thetas), 2)) if vectors else None
+    points = np.zeros((len(thetas), 2))
     if b > 0 and len(thetas):
         chi = QMatrix(T.arr[:b, :b, :]).complex_rep()
         herm_re = 0.5 * (chi + chi.conj().T)
@@ -234,22 +236,18 @@ def _support_points(T: QMatrix, thetas: np.ndarray,
         group[order] = np.searchsorted(first, np.arange(len(thetas)), side="right") - 1
         phis = folded[order[first]]
         ends = np.empty((len(phis), 2))  # (lambda_min, lambda_max) per solve
-        end_points = np.empty((len(phis), 2, 2)) if vectors else None
+        end_points = np.empty((len(phis), 2, 2))
         for lo in range(0, len(phis), _ANGLE_CHUNK):
             hi = min(lo + _ANGLE_CHUNK, len(phis))
             stack = (np.cos(phis[lo:hi])[:, None, None] * herm_re
                      + np.sin(phis[lo:hi])[:, None, None] * herm_im)
-            if not vectors:
-                ends[lo:hi] = np.linalg.eigvalsh(stack)[:, [0, -1]]
-                continue
             vals, vecs = np.linalg.eigh(stack)
             ends[lo:hi] = vals[:, [0, -1]]
             pair = np.swapaxes(vecs[:, :, [0, -1]], 1, 2)  # (chunk, 2, 2n)
             values = _chi_values(pair, pair @ chi.T).reshape(-1, 4)
             end_points[lo:hi] = bild_points(values).reshape(-1, 2, 2)
         h = np.where(mirror, -ends[group, 0], ends[group, 1])
-        if vectors:
-            points = end_points[group, np.where(mirror, 0, 1)]
+        points = end_points[group, np.where(mirror, 0, 1)]
     if b < n:
         tail = bild_points(T.diagonal()[b:, :])
         reach = np.outer(np.cos(thetas), tail[:, 0]) + np.outer(np.sin(thetas), tail[:, 1])
@@ -257,8 +255,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray,
         tail_h = reach[np.arange(len(thetas)), best]
         take = tail_h > h
         h = np.where(take, tail_h, h)
-        if vectors:
-            points[take] = tail[best[take]]
+        points[take] = tail[best[take]]
     return h, points
 
 
@@ -268,16 +265,16 @@ def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
     Because the set of values is closed under similarity rotations, the target
     equals the maximum of Re(exp(-i theta) u^H chi(T) u) over unit complex u,
     the top eigenvalue of H(theta), the Hermitian part of exp(-i theta) chi(T).
-    Only the dense block is solved this way, for eigenvalues alone (eigvalsh;
-    no eigenvectors are formed), and one solve serves both theta and
+    Only the dense block is solved this way, with the eigh solve that
+    upper_bild makes, so both report the same h bit for bit (eigvalsh alone
+    can differ in the last bits).  One solve serves both theta and
     pi - theta: chi is quaternionic, so h(pi - theta) = -lambda_min(H(theta))
     (proof in _support_points).  The diagonal tail contributes the closed
     form max_k a_k cos(theta) + b_k sin(theta) over its bild points.
     thetas must be a 1-D array in [0, pi]; NaN, infinities and other shapes
     raise ValueError.
     """
-    h, _ = _support_points(T, np.asarray(thetas, dtype=float), vectors=False)
-    return h
+    return _support_points(T, np.asarray(thetas, dtype=float))[0]
 
 
 def upper_bild_support(T: QMatrix, theta: float) -> float:
@@ -519,6 +516,77 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
                       thetas=thetas, offsets=offsets)
 
 
+# -- the upper bild of a finite section, composed --------------------------------
+
+def section_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildRegion:
+    """Upper bild region of T = B (+) D from its dense block B and diagonal tail D.
+
+    With mirror(a, b) = (a, -b) and B(.) the upper bild,
+
+        B(T) = conv(B(B) u B(D) u I x {0}),  I = conv(B(B) u mirror(B(D))) n R.
+
+    Proof.  For a unit x = (y, z), <Tx, x> = t q1 + (1 - t) q2 with
+    t = |y|^2, q1 in W(B) and q2 in W(D); replacing y, z by y u, z v for
+    unit quaternions u, v rotates q1 and q2 independently over their
+    similarity spheres.  So with p1 = (a1, b1), p2 = (a2, b2) their bild
+    points, the values at fixed t have a = t a1 + (1 - t) a2 and fill the
+    b-interval [|t b1 - (1 - t) b2|, t b1 + (1 - t) b2].  The top end
+    t p1 + (1 - t) p2 lies in conv(B(B) u B(D)).  The bottom end is
+    t p1 + (1 - t) mirror(p2) in C = conv(B(B) u mirror(B(D))), or its
+    mirror in mirror(C).  Above b = 0 either set is spanned by its vertices
+    there, which lie in B(B) u B(D), and by its crossings with b = 0, which
+    span I x {0}.  The right side is convex and holds both ends, hence the
+    interval.  Conversely B(B) (z = 0) and B(D) (y = 0) lie in B(T), and a
+    point of I is t p1 + (1 - t) mirror(p2) with t b1 = (1 - t) b2 (as in
+    lancaster.iconv_polygon), attained at x = (sqrt(t) y, sqrt(1 - t) z u)
+    with u from quaternion.qconjugator turning the two imaginary parts, of
+    equal length, antiparallel.  The upper bild is convex (So and Thompson
+    1996), so it holds the right side.
+
+    The region applies the lemma to attained parts: A, upper_bild(B)'s inner
+    hull (m samples of the block only, with this seed) and the block's two
+    real-section ends (_real_ends on those samples), each at its own
+    attained b <= 1e-6; P, diagonal_bild(D)'s exact polygon; and
+    I = conv(A u mirror(P)) n R.  So Q = conv(A u P u I x {0}) is attained
+    and lies in B(T); it is both inner_points and inner_hull.  The offsets
+    are the larger of the two parts' offsets, which is support_offsets(T)
+    (I x {0} adds nothing upward, by the same convex combination), and the
+    outer polygon is read off them with upper_bild's pad.  Raises
+    NumericalError when Q leaves a support half-plane or misses h by more
+    than 1e-9 (1 + max |h|).  A diagonal T returns diagonal_bild(T, k).
+    """
+    b = T.block_split()
+    if b == 0:
+        return diagonal_bild(T, k=k)
+    B = QMatrix(T.arr[:b, :b])
+    block = upper_bild(B, m=m, k=k, seed=seed)
+    try:
+        ends = _real_ends(B, block.inner_points, seed, 1e-6)
+    except RealSectionError:
+        ends = np.empty((0, 2))
+    parts = [block.inner_hull, ends]
+    offsets = block.offsets
+    if b < T.n:
+        tail = diagonal_bild(QMatrix.diag(T.diagonal()[b:]), k=k)
+        hull = convex_hull(np.vstack(parts + [tail.inner_hull * (1.0, -1.0)]))
+        cut = clip_polygon(clip_polygon(hull, (0.0, -1.0), 0.0), (0.0, 1.0), 0.0)
+        parts += [tail.inner_hull, np.column_stack([cut[:, 0], np.zeros(len(cut))])]
+        offsets = np.maximum(offsets, tail.offsets)
+    Q = convex_hull(np.vstack(parts))
+    thetas = block.thetas
+    scale = 1.0 + float(np.max(np.abs(offsets)))
+    reach = Q @ np.stack([np.cos(thetas), np.sin(thetas)], axis=1).T
+    missed = float(np.abs(reach.max(axis=0) - offsets).max())
+    if missed > 1e-9 * scale:
+        raise NumericalError(f"composed section region misses h by {missed:.3e}")
+    outer = upper_support_polygon(thetas, offsets + 1e-12 * scale)
+    return BildRegion(inner_points=Q, inner_hull=Q, outer_polygon=outer,
+                      hausdorff_gap=hausdorff_convex(Q, outer),
+                      support_gap=float((offsets - reach.max(axis=0)).max()),
+                      boundary_points=Q[np.argmax(reach, axis=0)],
+                      thetas=thetas, offsets=offsets)
+
+
 # -- deterministic boundary-seeking samples ---------------------------------------
 
 def _pair_values(T: QMatrix, i: int, j: int, gammas: np.ndarray, psis: np.ndarray) -> np.ndarray:
@@ -707,6 +775,33 @@ def _refine_real(forms: np.ndarray, u0: np.ndarray, sign: float,
     return float(val[0]), im
 
 
+def _real_ends(T: QMatrix, points: np.ndarray, seed: int, tol: float) -> np.ndarray:
+    """Attained bild points with b <= tol and the least and largest a, shape (2, 2).
+
+    points are attained bild points of T.  A matrix with a dense block adds
+    the ends of a projected-gradient ascent toward both ends of the real
+    axis, run on the forms of C = chi(T) formed once (_value_and_grad).  The
+    ascent starts from four seeded random unit vectors and from the extreme
+    eigenvectors of H_r, the Hermitian part of C, whose values have the
+    extreme real parts of W(T).  Each end keeps its own attained b, so it is
+    a genuine bild point.  Raises RealSectionError, with the least b seen,
+    when no point has b <= tol.
+    """
+    found = [points]
+    if T.block_split() > 0:
+        penalty = _PENALTY_SCALE * (1.0 + T.frobenius())
+        forms = _section_forms(T.complex_rep())
+        vecs = np.linalg.eigh(forms[0])[1]
+        starts = np.vstack([_to_u(_unit_samples(_rng(seed, 2), 4, T.n)), vecs[:, [-1, 0]].T])
+        found.append([_refine_real(forms, u0, sign, penalty)
+                      for sign in (1.0, -1.0) for u0 in starts])
+    found = np.vstack(found)
+    low = found[found[:, 1] <= tol]
+    if not len(low):
+        raise RealSectionError(float(found[:, 1].min()))
+    return low[[np.argmin(low[:, 0]), np.argmax(low[:, 0])]]
+
+
 def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
                  tol: float = 1e-6) -> RealSection:
     """Attained interval of Re<Tx, x> over unit vectors with |Im<Tx, x>| <= tol.
@@ -720,56 +815,15 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
     b > tol no value qualifies, and RealSectionError reports the least b.
     m and seed do not matter there; nothing is sampled.
 
-    Otherwise the estimate combines exact two-coordinate cancellation
-    candidates, m random samples and a projected-gradient ascent toward
-    both ends of the real axis, run on the forms of C = chi(T) formed once
-    (_value_and_grad).  The ascent starts from four seeded random unit
-    vectors and from the extreme eigenvectors of H_r, the Hermitian part of
-    C, whose values have the extreme real parts of W(T).  The returned
-    interval is an inner (attained) estimate.  Raises RealSectionError when
+    Otherwise the interval spans m random samples and the ascent's ends
+    (_real_ends), an inner (attained) estimate.  Raises RealSectionError when
     no candidate meets the tolerance.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    n = T.n
     if T.block_split() == 0:
-        poly = diagonal_bild(T).inner_hull
-        low = poly[:, 1] <= tol
-        if not np.any(low):
-            raise RealSectionError(float(poly[:, 1].min()))
-        return RealSection(lo=float(poly[low, 0].min()), hi=float(poly[low, 0].max()))
-    found: list[float] = []
-    best_im = np.inf
-
-    # exact candidates from diagonal entries and pair sweeps
-    ref = refined_values(T, gammas=65, psis=9)
-    ims = np.sqrt(np.sum(ref[:, 1:] ** 2, axis=1))
-    ok = ims <= tol
-    if np.any(ok):
-        found.extend(ref[ok, 0].tolist())
-    if ims.size:
-        best_im = min(best_im, float(ims.min()))
-
-    # random sampled values
-    vals = nr_sample(T, m, seed)
-    ims = np.sqrt(np.sum(vals[:, 1:] ** 2, axis=1))
-    ok = ims <= tol
-    if np.any(ok):
-        found.extend(vals[ok, 0].tolist())
-    best_im = min(best_im, float(ims.min()))
-
-    # gradient refinement from seeded starts and the extreme eigenvectors of H_r
-    penalty = _PENALTY_SCALE * (1.0 + T.frobenius())
-    forms = _section_forms(T.complex_rep())
-    vecs = np.linalg.eigh(forms[0])[1]
-    starts = np.vstack([_to_u(_unit_samples(_rng(seed, 2), 4, n)), vecs[:, [-1, 0]].T])
-    for sign in (1.0, -1.0):
-        for u0 in starts:
-            re, im = _refine_real(forms, u0, sign, penalty)
-            best_im = min(best_im, im)
-            if im <= tol:
-                found.append(re)
-
-    if not found:
-        raise RealSectionError(best_im)
-    return RealSection(lo=float(min(found)), hi=float(max(found)))
+        points = diagonal_bild(T).inner_hull
+    else:
+        points = bild_points(nr_sample(T, m, seed))
+    ends = _real_ends(T, points, seed, tol)
+    return RealSection(lo=float(ends[0, 0]), hi=float(ends[1, 0]))

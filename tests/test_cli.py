@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quatrange as qr
-from quatrange import Quaternion, cli, fileio, numrange
+from quatrange import Quaternion, fileio, numrange
 from quatrange.cli import main
 
 from conftest import seeded_model_operator
@@ -241,7 +241,7 @@ def test_verify_samples_nothing_on_a_diagonal_section(tmp_path, monkeypatch):
     # diagonal_bild's exact polygon, so --samples changes nothing
     log = []
     _count(monkeypatch, numrange, "nr_sample", log)
-    _count(monkeypatch, cli, "upper_bild", log)
+    _count(monkeypatch, numrange, "upper_bild", log)
     checks = []
     for samples in ("1", "20000"):
         out = tmp_path / samples
@@ -259,13 +259,16 @@ def test_verify_samples_a_section_with_a_dense_block(tmp_path, monkeypatch):
     assert M.block_size == 2 and M.block.block_split() == 2
     path = tmp_path / "block.json"
     fileio.dump_operator(M, path)
-    log = []
-    _count(monkeypatch, cli, "upper_bild", log)
+    # section_bild samples the 2x2 block, not the 42-row section
+    sampled = []
+    upper_bild = numrange.upper_bild
+    monkeypatch.setattr(numrange, "upper_bild",
+                        lambda T, **kw: sampled.append((T.n, kw["m"])) or upper_bild(T, **kw))
     out = tmp_path / "out"
     assert main(["verify", str(path), "--section", "40", "--samples", "3000",
                  "--angles", "90", "--out", str(out)]) == 0
     assert read_summary(out)["pass"] is True
-    assert log == [("upper_bild", 3000)]
+    assert sampled == [(2, 3000)]
 
 
 def test_verify_fails_numerically_when_the_closed_form_misses_h(tmp_path, monkeypatch):

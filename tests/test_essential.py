@@ -106,17 +106,17 @@ def test_truncate_inverse_tail():
                          [qr.SimilaritySphere(0.0, 0.0)], bound=1.0)
     T = qr.truncate(M, 2)
     assert T.n == 2
-    assert T.matrix.entry(0, 0).isclose(I)
-    assert T.matrix.entry(1, 1).isclose(Quaternion(0, 0.5, 0, 0))
+    assert T.entry(0, 0).isclose(I)
+    assert T.entry(1, 1).isclose(Quaternion(0, 0.5, 0, 0))
 
 
 def test_truncate_remark(remark):
     T = qr.truncate(remark, 1)
     assert T.n == 3
-    assert T.matrix.entry(0, 0).isclose(Quaternion(-1, 1, 0, 0))
-    assert T.matrix.entry(1, 1).isclose(Quaternion(1, 1, 0, 0))
-    assert T.matrix.entry(2, 2).isclose(Quaternion())  # first rational is 0
-    assert T.block_size == 2
+    assert T.entry(0, 0).isclose(Quaternion(-1, 1, 0, 0))
+    assert T.entry(1, 1).isclose(Quaternion(1, 1, 0, 0))
+    assert T.entry(2, 2).isclose(Quaternion())  # first rational is 0
+    assert remark.block_size == 2 and T.block_split() == 0  # the block is diagonal
 
 
 def test_truncate_constant():
@@ -125,9 +125,9 @@ def test_truncate_constant():
                          [qr.csim(q)], bound=1.0)
     T = qr.truncate(M, 3)
     assert T.n == 4
-    assert T.matrix.entry(0, 0).isclose(Quaternion())
+    assert T.entry(0, 0).isclose(Quaternion())
     for k in (1, 2, 3):
-        assert T.matrix.entry(k, k).isclose(q)
+        assert T.entry(k, k).isclose(q)
 
 
 def test_truncate_requires_positive_section(remark):
@@ -294,8 +294,8 @@ def test_finite_sections_forget_contained_blocks():
     m2 = qr.ModelOperator(qr.QMatrix.zeros(0), tail, limits, bound=1.0)
     thetas = np.linspace(0, math.pi, 60)
     for N in (25, 100):
-        h1 = qr.support_offsets(qr.truncate(m1, N).matrix, thetas)
-        h2 = qr.support_offsets(qr.truncate(m2, N).matrix, thetas)
+        h1 = qr.support_offsets(qr.truncate(m1, N), thetas)
+        h2 = qr.support_offsets(qr.truncate(m2, N), thetas)
         assert np.max(np.abs(h1 - h2)) <= 1e-9
 
 
@@ -359,8 +359,8 @@ def test_block_diagonal_unitary_invariance():
     # the section support polygons are identical
     assert np.array_equal(qr.essential_bild(M), qr.essential_bild(rotated))
     thetas = np.linspace(0, math.pi, 45)
-    h1 = qr.support_offsets(qr.truncate(M, 40).matrix, thetas)
-    h2 = qr.support_offsets(qr.truncate(rotated, 40).matrix, thetas)
+    h1 = qr.support_offsets(qr.truncate(M, 40), thetas)
+    h2 = qr.support_offsets(qr.truncate(rotated, 40), thetas)
     assert np.max(np.abs(h1 - h2)) <= 1e-9
 
 
@@ -369,7 +369,7 @@ def test_truncation_spectrum_accumulates_inside():
     poly = qr.essential_bild(M)
     block_spec = qr.s_spectrum(M.block).points() if M.block_size else np.zeros((0, 2))
     T = qr.truncate(M, 200)
-    tail_pts = qr.bild_points(T.matrix.diagonal()[M.block_size:])
+    tail_pts = qr.bild_points(T.diagonal()[M.block_size:])
     for pt in tail_pts[100:]:
         d_poly = -min(0.0, signed_inner_distance(poly, pt))
         d_block = np.min(np.linalg.norm(block_spec - pt[None, :], axis=1)) \
@@ -456,7 +456,7 @@ def test_combination_values_are_unit_vector_quadratics(remark):
     run = qr.convex_combination_sequence(
         remark, Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.25, 0, 0),
         math.sqrt(0.3), 25)
-    T = qr.truncate(remark, int(run.index.max()) + 1).matrix
+    T = qr.truncate(remark, int(run.index.max()) + 1)
     for index, coeffs, value in zip(run.index[-3:], run.coeffs[-3:], run.values[-3:]):
         x = _run_step(index, coeffs).to_qvector(T.n)
         assert x.norm() == pytest.approx(1.0, abs=1e-12)
@@ -732,7 +732,7 @@ def test_sparse_vectors_match_dense_evaluation():
     # block coordinates 0..2 meet off-diagonal block entries; 5, 9 and 12 are tail
     x = qr.SparseVec([0, 2, 5, 9], rng.standard_normal((4, 4)))
     y = qr.SparseVec([1, 2, 7, 9, 12], rng.standard_normal((5, 4)))
-    T = qr.truncate(M, 12).matrix
+    T = qr.truncate(M, 12)
     X, Y = x.to_qvector(T.n), y.to_qvector(T.n)
     tol = 1e-12
     assert abs(x.inner(y) - X.inner(Y)) <= tol
@@ -793,7 +793,7 @@ def test_model_entries_lookup():
     i, j, values = M.entries(rows, cols)
     dense = np.zeros((4, 4, 4))
     dense[i, j] = values
-    T = qr.truncate(M, 10).matrix
+    T = qr.truncate(M, 10)
     assert np.array_equal(dense, T.arr[np.ix_(rows, cols)])
     assert M.entries([4], [5])[0].size == 0
 

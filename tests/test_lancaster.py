@@ -4,9 +4,16 @@ import pytest
 import quatrange as qr
 from quatrange import Quaternion
 from quatrange.essential import Tail
-from quatrange.geometry import clip_polygon, convex_hull, points_polygon_distance
-from quatrange import lancaster
+from quatrange.geometry import (
+    clip_polygon,
+    convex_hull,
+    hausdorff_convex,
+    points_polygon_distance,
+)
+from quatrange import lancaster, numrange
 from quatrange.lancaster import hausdorff_union_convex, iconv, iconv_polygon
+
+from conftest import seeded_model_operator
 
 I = Quaternion.i
 
@@ -197,9 +204,7 @@ def test_lancaster_pure_matrix_matches_padded_matrix():
 
     # one zero tail entry is exactly the matrix padded by a zero row/column
     padded = qr.QMatrix.block_diag(B, np.zeros((1, 4)))
-    bild = qr.upper_bild(padded, m=2000, k=120, seed=4)
-    pairs = qr.bild_points(qr.refined_values(padded))
-    Q = convex_hull(np.vstack([bild.inner_hull, pairs]))
+    Q = qr.section_bild(padded, m=2000, k=120, seed=4).inner_hull
     region_matrix = iconv_polygon(np.array([(0.0, 0.0)]), Q).upper()
 
     probes = np.mgrid[-3:3:0.15, 0:3:0.15].reshape(2, -1).T
@@ -219,8 +224,9 @@ def _block_plus_tail():
 
 
 def test_lancaster_dense_section_contains_satellite_reference():
-    # a section with a dense block: the region over the hull Q of the
-    # attained values contains the satellite union over the same values and
+    # a section with a dense block: the region over the composed polygon Q
+    # contains the satellite union over the attained values Q is built from,
+    # the block's samples (seed + index) and the tail's exact polygon, and
     # comes closer to the outer polygon
     M = _block_plus_tail()
     report = qr.lancaster_check(M, [1, 2], m=400, k=90, seed=1)
@@ -228,14 +234,16 @@ def test_lancaster_dense_section_contains_satellite_reference():
     probes = np.mgrid[-1:1:0.04, 0:1:0.04].reshape(2, -1).T
     for idx, (row, region, bild) in enumerate(zip(report.rows, report.regions,
                                                   report.bilds)):
-        T = qr.truncate(M, row.N).matrix
-        assert T.block_split() > 0
-        sampled = qr.upper_bild(T, m=400, k=90, seed=1 + idx)
-        assert np.array_equal(bild.inner_points, sampled.inner_points)
-        pairs = qr.bild_points(qr.refined_values(T))
-        Q = convex_hull(np.vstack([sampled.inner_hull, pairs]))
-        assert row.n_satellites == len(Q) == len(region.satellites)
-        reference = iconv(base, np.vstack([sampled.inner_points, pairs])).upper()
+        T = qr.truncate(M, row.N)
+        b = T.block_split()
+        assert b > 0
+        sampled = qr.upper_bild(qr.QMatrix(T.arr[:b, :b]), m=400, k=90, seed=1 + idx)
+        tail = qr.diagonal_bild(qr.QMatrix.diag(T.diagonal()[b:]))
+        values = np.vstack([sampled.inner_points, tail.inner_hull])
+        assert points_polygon_distance(bild.inner_hull, values).max() <= 1e-12
+        assert np.array_equal(bild.inner_points, bild.inner_hull)
+        assert row.n_satellites == len(bild.inner_hull) == len(region.satellites)
+        reference = iconv(base, values).upper()
         assert float(np.max(region.distance_to(probes)
                             - reference.distance_to(probes))) <= 1e-12
         reference_outer = hausdorff_union_convex(reference, bild.outer_polygon, res=0.02)
@@ -258,13 +266,10 @@ def test_lancaster_region_is_one_polygon_with_exact_distances(case, remark):
     base = qr.essential_bild(M)
     for idx, (row, region, bild) in enumerate(zip(report.rows, report.regions,
                                                   report.bilds)):
-        if case == "remark":
-            Q = bild.inner_hull
-        else:
-            T = qr.truncate(M, row.N).matrix
-            sampled = qr.upper_bild(T, m=400, k=90, seed=1 + idx)
-            Q = convex_hull(np.vstack([sampled.inner_hull,
-                                       qr.bild_points(qr.refined_values(T))]))
+        seed = 0 if case == "remark" else 1
+        T = qr.truncate(M, row.N)
+        Q = qr.section_bild(T, m=400, k=90, seed=seed + idx).inner_hull
+        assert np.array_equal(Q, bild.inner_hull)
         cut = convex_hull(clip_polygon(convex_hull(np.vstack([base, Q])), (0.0, -1.0), 0.0))
         assert len(region.pieces) == 1
         assert region.pieces[0].shape == cut.shape
@@ -284,10 +289,31 @@ def test_lancaster_region_is_one_polygon_with_exact_distances(case, remark):
         assert all(row.hausdorff_target <= 1e-12 for row in report.rows)
 
 
+@pytest.mark.parametrize("operator", ["block_plus_tail", 0, 1, 5, 8, 9, 11])
+def test_composed_section_is_no_further_than_the_sampled_reference(operator):
+    # the reference Q samples the whole section and adds the pair sweeps of
+    # refined_values; the composed Q has the same outer polygon, lies inside
+    # it and leaves the region no further from it
+    M = _block_plus_tail() if operator == "block_plus_tail" else seeded_model_operator(operator)
+    base = qr.essential_bild(M)
+    sections = [1, 2, 20]
+    report = qr.lancaster_check(M, sections, m=2000, k=180, seed=3)
+    for idx, (N, row, bild) in enumerate(zip(sections, report.rows, report.bilds)):
+        T = qr.truncate(M, N)
+        assert T.block_split() > 0
+        sampled = qr.upper_bild(T, m=2000, k=180, seed=3 + idx)
+        assert np.array_equal(bild.outer_polygon, sampled.outer_polygon)
+        assert points_polygon_distance(bild.outer_polygon, bild.inner_hull).max() == 0.0
+        Q = convex_hull(np.vstack([sampled.inner_hull, qr.bild_points(qr.refined_values(T))]))
+        L = convex_hull(clip_polygon(convex_hull(np.vstack([base, Q])), (0.0, -1.0), 0.0))
+        assert row.hausdorff_outer <= hausdorff_convex(L, sampled.outer_polygon) + 1e-12
+
+
 def test_probe_dense_section_residual_from_attained_values():
-    # a section with a dense block is probed through its sampled and pair
-    # values, the sample stream seeded with seed + index; on the side edge
-    # the samples decide the residual, on the top edge the pair values do
+    # a section with a dense block is probed through its composed polygon Q
+    # (block samples seeded with seed + index) clipped to the window strip;
+    # the best clipped point is at least every attained vertex of Q in the
+    # window, and it is attained: Q's edges join attained values
     M = _block_plus_tail()
     sections = [1, 2]
     for edge in ([(-0.6, 0.0), (-0.3, 0.5)], [(-0.25, 0.6), (0.25, 0.65)]):
@@ -295,12 +321,16 @@ def test_probe_dense_section_residual_from_attained_values():
         probe = qr.nonclosedness_probe(M, edge, sections, m=3000, seed=2)
         assert probe.level == pytest.approx(float(probe.normal @ edge[0]), abs=1e-15)
         for idx, (N, row) in enumerate(zip(sections, probe.rows)):
-            T = qr.truncate(M, N).matrix
+            T = qr.truncate(M, N)
             assert T.block_split() > 0
-            pts = np.vstack([qr.bild_points(qr.nr_sample(T, 3000, 2 + idx)),
-                             qr.bild_points(qr.refined_values(T))])
-            t = (pts - edge[0]) @ (edge[1] - edge[0]) / np.sum((edge[1] - edge[0]) ** 2)
-            best = float((pts[(t >= 0.05) & (t <= 0.95)] @ probe.normal).max())
+            Q = qr.section_bild(T, m=3000, seed=2 + idx).inner_hull
+            d = edge[1] - edge[0]
+            t = (Q - edge[0]) @ d / (d @ d)
+            window = Q[(t >= 0.05) & (t <= 0.95)]
+            assert len(window) and row.attained >= float((window @ probe.normal).max())
+            strip = clip_polygon(clip_polygon(Q, -d, -float(d @ (edge[0] + 0.05 * d))),
+                                 d, float(d @ (edge[0] + 0.95 * d)))
+            best = float((strip @ probe.normal).max())
             assert row.attained == pytest.approx(best, abs=1e-12)
             assert row.residual == pytest.approx(probe.level - best, abs=1e-12)
     far = qr.nonclosedness_probe(M, [(5.0, 5.0), (6.0, 6.0)], sections, m=3000)
@@ -314,7 +344,7 @@ def test_diagonal_sections_are_exact_without_sampling(monkeypatch, remark):
         raise AssertionError("a diagonal section was sampled")
 
     for name in ("nr_sample", "upper_bild", "refined_values"):
-        monkeypatch.setattr(lancaster, name, forbidden)
+        monkeypatch.setattr(numrange, name, forbidden)
     trapezoid = np.array([(-1.0, 1.0), (1.0, 1.0), (1 / 3, 0.0), (-1 / 3, 0.0)])
     report = qr.lancaster_check(remark, [50, 500], m=1, k=90, target=trapezoid)
     probe = qr.nonclosedness_probe(remark, [(-1 / 3, 0.0), (-1.0, 1.0)], [50, 200], m=1)
@@ -333,7 +363,7 @@ def test_exact_probe_residual_below_attained_values(remark):
     probe = qr.nonclosedness_probe(remark, edge, [30, 120])
     direction = (edge[1] - edge[0]) / np.linalg.norm(edge[1] - edge[0])
     for row in probe.rows:
-        T = qr.truncate(remark, row.N).matrix
+        T = qr.truncate(remark, row.N)
         pts = np.vstack([qr.bild_points(qr.nr_sample(T, 20000, 5)),
                          qr.bild_points(qr.refined_values(T))])
         t = (pts - edge[0]) @ direction / np.linalg.norm(edge[1] - edge[0])

@@ -14,9 +14,15 @@ from quatrange.geometry import (
 from quatrange import numrange
 from quatrange.eigen import NumericalError
 from quatrange.numrange import _CHUNK_BUDGET, _rng
-from quatrange.quaternion import CONJ_SIGNS, HAMILTON
+from quatrange.quaternion import CONJ_SIGNS, HAMILTON, qconj, qconjugator
 
-from conftest import mirrored, random_qmatrix, random_unit_qvector, slow_nr_values
+from conftest import (
+    mirrored,
+    random_qmatrix,
+    random_unit_qvector,
+    seeded_model_operator,
+    slow_nr_values,
+)
 
 I = Quaternion.i
 J = Quaternion.j
@@ -210,7 +216,7 @@ def _unfolded_support_points(T, thetas):
 
 
 def _remark_section_with_dense_block():
-    arr = qr.truncate(qr.remark_operator(), 6).matrix.arr.copy()
+    arr = qr.truncate(qr.remark_operator(), 6).arr.copy()
     arr[0, 1, 0] = 1e-300  # route the 2 x 2 block through the eigen solve, values unchanged
     return qr.QMatrix(arr)
 
@@ -227,7 +233,7 @@ def _fold_angle_sets():
 
 @pytest.mark.parametrize("T", [random_qmatrix(60 + n, n) for n in range(1, 7)]
                          + [_block_plus_diagonal(), _remark_section_with_dense_block(),
-                            qr.truncate(qr.remark_operator(), 6).matrix],
+                            qr.truncate(qr.remark_operator(), 6)],
                          ids=[f"dense_{n}" for n in range(1, 7)]
                          + ["block_plus_diagonal", "remark_dense_block", "remark_diagonal"])
 def test_folded_support_matches_unfolded_solve(T):
@@ -445,7 +451,7 @@ def test_diagonal_bild_contains_fixed_weight_intervals():
 def test_diagonal_bild_vertices_attained():
     matrices = _seeded_diagonals() + [
         qr.QMatrix.diag([Quaternion(1, 1, 0, 0)] * 2),
-        qr.truncate(qr.remark_operator(), 50).matrix,
+        qr.truncate(qr.remark_operator(), 50),
     ]
     pair_vertices = 0
     for T in matrices:
@@ -483,7 +489,7 @@ def test_diagonal_bild_rejects_inexact_vertex(monkeypatch, fault):
 
 
 def test_diagonal_bild_region_is_exact():
-    T = qr.truncate(qr.remark_operator(), 200).matrix
+    T = qr.truncate(qr.remark_operator(), 200)
     region = qr.diagonal_bild(T, k=90)
     pad = 1e-12 * (1.0 + np.abs(region.offsets).max())
     assert np.array_equal(region.inner_hull, region.inner_points)
@@ -495,6 +501,87 @@ def test_diagonal_bild_region_is_exact():
     assert np.max(np.abs(region.offsets - qr.support_offsets(T, region.thetas))) == 0.0
     with pytest.raises(ValueError, match="diagonal"):
         qr.diagonal_bild(_block_plus_diagonal())
+
+
+# -- the composed region of a block-plus-diagonal section ---------------------------
+
+
+def test_section_bild_crossing_is_attained_by_two_summands():
+    # x = (sqrt(t) y, sqrt(1 - t) u e_k), with u turning the imaginary part
+    # of d_k against that of q1 = <By, y> and t b1 = (1 - t) b2, attains the
+    # crossing of p1 -- mirror(p2) with b = 0
+    T = _block_plus_diagonal()
+    y = random_unit_qvector(5, 2).arr
+    q1 = slow_nr_values(qr.QMatrix(T.arr[:2, :2]), [y])[0].to_array()
+    for k in range(2, T.n):
+        d = T.arr[k, k]
+        p1, p2 = qr.bild_points(np.array([q1, d]))
+        t = p2[1] / (p1[1] + p2[1])
+        x = np.zeros((T.n, 4))
+        x[:2] = math.sqrt(t) * y
+        x[k] = math.sqrt(1.0 - t) * qconjugator(d, qconj(q1))
+        value = slow_nr_values(T, [x])[0].to_array()
+        crossing = (t * p1[0] + (1.0 - t) * p2[0], 0.0, 0.0, 0.0)
+        assert np.abs(value - crossing).max() <= 1e-12
+
+
+@pytest.mark.parametrize("T", [_block_plus_diagonal(), random_qmatrix(30, 3),
+                               qr.truncate(seeded_model_operator(0), 20)],
+                         ids=["block_plus_diagonal", "dense", "seeded_section"])
+def test_section_bild_offsets_are_the_section_support(T):
+    region = qr.section_bild(T, m=500, k=90, seed=2)
+    assert np.array_equal(region.offsets, qr.support_offsets(T, region.thetas))
+    dirs = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
+    reach = (region.inner_hull @ dirs.T).max(axis=0)
+    assert np.abs(reach - region.offsets).max() <= 1e-9 * (1.0 + np.abs(region.offsets).max())
+    assert np.array_equal(region.inner_points, region.inner_hull)
+    assert points_polygon_distance(region.outer_polygon, region.inner_hull).max() == 0.0
+
+
+@pytest.mark.parametrize("T", [_block_plus_diagonal(), qr.truncate(seeded_model_operator(0), 20)],
+                         ids=["block_plus_diagonal", "seeded_section"])
+def test_section_bild_holds_every_crossing_of_its_parts(T):
+    # Q holds the block's inner hull A, the tail's polygon P and the point
+    # where each segment from a vertex of A to a mirrored vertex of P meets b = 0
+    b = T.block_split()
+    Q = qr.section_bild(T, m=500, k=90, seed=2).inner_hull
+    A = qr.upper_bild(qr.QMatrix(T.arr[:b, :b]), m=500, k=90, seed=2).inner_hull
+    P = qr.diagonal_bild(qr.QMatrix.diag(T.diagonal()[b:])).inner_hull
+    a, p = np.repeat(A, len(P), axis=0), np.tile(P, (len(A), 1))
+    live = a[:, 1] + p[:, 1] > 0.0
+    s = a[live, 1] / (a[live, 1] + p[live, 1])
+    crossings = np.stack([a[live, 0] + s * (p[live, 0] - a[live, 0]), np.zeros(len(s))], axis=1)
+    assert points_polygon_distance(Q, np.vstack([A, P, crossings])).max() <= 1e-12
+
+
+def test_section_bild_of_a_diagonal_section_is_diagonal_bild():
+    T = qr.truncate(qr.remark_operator(), 50)
+    region, exact = qr.section_bild(T, m=1, k=90, seed=7), qr.diagonal_bild(T, k=90)
+    for name in ("inner_hull", "outer_polygon", "offsets", "boundary_points"):
+        assert np.array_equal(getattr(region, name), getattr(exact, name))
+
+
+def test_section_bild_rejects_a_shifted_support(monkeypatch):
+    offsets = numrange.support_offsets
+    monkeypatch.setattr(numrange, "support_offsets",
+                        lambda T, thetas: offsets(T, thetas) + 1e-6)
+    with pytest.raises(NumericalError):
+        qr.section_bild(_block_plus_diagonal(), m=200, k=60)
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_section_bild_rejects_a_region_off_its_support_lines(monkeypatch, shift):
+    # the block's offsets moved either way: Q misses h, or leaves a half-plane
+    upper_bild = numrange.upper_bild
+
+    def shifted(B, **kwargs):
+        region = upper_bild(B, **kwargs)
+        region.offsets = region.offsets + shift
+        return region
+
+    monkeypatch.setattr(numrange, "upper_bild", shifted)
+    with pytest.raises(NumericalError, match="composed"):
+        qr.section_bild(_block_plus_diagonal(), m=200, k=60)
 
 
 def test_refined_values_are_genuine():
@@ -738,7 +825,7 @@ def test_real_section_reaches_across_a_dense_n60_block():
 
 @pytest.mark.parametrize("N", [20, 100])
 def test_real_section_of_remark_sections_is_the_closed_form(N):
-    T = qr.truncate(qr.remark_operator(), N).matrix
+    T = qr.truncate(qr.remark_operator(), N)
     poly = qr.diagonal_bild(T).inner_hull
     axis = poly[poly[:, 1] == 0.0, 0]
     rs = qr.real_section(T, m=20000, seed=0)

@@ -180,7 +180,7 @@ def _block_plus_diagonal_cases():
 
 def _reference_cases():
     remark = qr.remark_operator()
-    return ([qr.truncate(remark, N).matrix for N in (10, 50, 100)]
+    return ([qr.truncate(remark, N) for N in (10, 50, 100)]
             + _block_plus_diagonal_cases()
             + [random_qmatrix(400 + n, n) for n in range(1, 7)]
             + [qr.QMatrix.diag([I, J]), 2.0 * qr.QMatrix.identity(3),
@@ -198,7 +198,7 @@ def test_matches_the_full_chi_reference(T):
 def test_no_svd_on_the_remark_section_or_the_dense_benchmark_blocks(monkeypatch):
     log = []
     _count_calls(monkeypatch, "svd", log)
-    remark = qr.truncate(qr.remark_operator(), 100).matrix
+    remark = qr.truncate(qr.remark_operator(), 100)
     assert remark.block_split() == 0
     assert len(qr.s_spectrum(remark)) == 53
     # the dense matrices of the benchmark's dense_blocks workload, default seed
@@ -221,7 +221,7 @@ def test_the_only_eigen_solve_is_the_block(monkeypatch):
         assert log == ([("eig", (2 * b, 2 * b))] if b else [])
     assert sorted(set(splits)) == [0, 2, 3, 4]
     log.clear()
-    qr.s_spectrum(qr.truncate(qr.remark_operator(), 100).matrix)
+    qr.s_spectrum(qr.truncate(qr.remark_operator(), 100))
     assert log == []
 
 
@@ -298,7 +298,7 @@ def _merge_inputs(monkeypatch, matrices):
 
 def test_grid_merge_matches_the_scan_on_remark_sections_and_dense_blocks(monkeypatch):
     remark = qr.remark_operator()
-    sections = [qr.truncate(remark, N).matrix for N in (100, 500, 2000)]
+    sections = [qr.truncate(remark, N) for N in (100, 500, 2000)]
     # the dense matrices of the benchmark's dense_blocks workload, default seed
     dense = [random_qmatrix(3 * 20260808 + i, n) for i, n in enumerate((4, 30, 60))]
     inputs = _merge_inputs(monkeypatch, sections + dense)
