@@ -12,6 +12,7 @@ empirically against the generated tail, never inferred.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -599,6 +600,18 @@ class _Picks:
     errors: np.ndarray
 
 
+def _chain_steps(eps, cursor: int, forbidden) -> list:
+    """The tolerances of a ``chain`` call as floats, once its arguments are checked."""
+    if cursor < 0:
+        raise ValueError("cursor must be non-negative")
+    tol = np.asarray(eps, dtype=float)
+    if tol.ndim != 1 or not np.all(tol >= 0.0):
+        raise ValueError("eps must be a sequence of tolerances >= 0, none NaN")
+    if forbidden is not None and len(forbidden) != tol.size:
+        raise ValueError(f"forbidden has {len(forbidden)} rows for {tol.size} tolerances")
+    return tol.tolist()
+
+
 class TailBasisSequence:
     """Essential sequence of phase-rotated tail basis vectors for a target value.
 
@@ -607,16 +620,15 @@ class TailBasisSequence:
     <T e u, e u> = conj(u) s u converges to the target at the scan rate.
 
     A pick depends on the class distance alone: the bild distances of the
-    tail entries to the target class are kept in one array, scanned once per
-    sequence and grown 8-fold at a time up to ``MAX_SCAN``.  As
-    qconjugator turns only the imaginary direction, |conj(u) s u - target|
-    equals the class distance up to rounding, so only the picked entries are
-    rotated, in one qconjugator call per ``chain``; ``pick`` is its one-step
-    case.
+    tail entries to the target class are kept in one flat ``array("d")``,
+    grown 8-fold at a time up to ``MAX_SCAN`` and walked entry by entry, as
+    a pick usually lies a few entries past the cursor.  As qconjugator turns
+    only the imaginary direction, |conj(u) s u - target| equals the class
+    distance up to rounding, so only the picked entries are rotated, in one
+    qconjugator call per ``chain``; ``pick`` is its one-step case.
     """
 
     MAX_SCAN = 2_000_000
-    SPAN = 256
 
     def __init__(self, M: ModelOperator, target: Quaternion):
         self.M = M
@@ -627,31 +639,16 @@ class TailBasisSequence:
                 f"class ({sphere.a:.6g}, {sphere.b:.6g}) is not a declared limit")
         self._sphere = sphere
         self._target = target.to_array()
-        self._dist = np.zeros(0)
+        self._dist = array("d")
 
-    def _next(self, cursor: int, eps: float, m0: int, forbidden) -> int:
-        """First entry >= cursor with class distance <= eps and coordinate allowed.
-
-        When the search reaches the end of the distance array, the array
-        grows 8-fold (to 2048 entries at first), up to MAX_SCAN; past that,
-        MissingSequenceError is raised.
-        """
-        n = cursor
-        while True:
-            done = self._dist.size
-            # search in short spans: the first candidate usually lies a few entries on
-            for lo in range(n, done, self.SPAN):
-                for k in (self._dist[lo:lo + self.SPAN] <= eps).nonzero()[0].tolist():
-                    if m0 + lo + k not in forbidden:
-                        return lo + k
-            if done == self.MAX_SCAN:
-                raise MissingSequenceError(
-                    f"no tail class within {eps:g} of the target beyond cursor {cursor}")
-            size = min(max(8 * done, 2048), self.MAX_SCAN)
-            pts = bild_points(self.M.tail.prefix(size)[done:])
-            dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
-            self._dist = np.concatenate((self._dist, dist))
-            n = max(n, done)
+    def _grow(self) -> int:
+        """Extend the class distances 8-fold (to 2048 entries at first), up to MAX_SCAN."""
+        done = len(self._dist)
+        size = min(max(8 * done, 2048), self.MAX_SCAN)
+        pts = bild_points(self.M.tail.prefix(size)[done:])
+        self._dist.frombytes(
+            np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b).tobytes())
+        return size
 
     def chain(self, eps, cursor: int = 0, forbidden=None) -> _Picks:
         """Picks for the tolerances eps[0], eps[1], ..., each from where the last ended.
@@ -662,21 +659,36 @@ class TailBasisSequence:
         step starts at n0 + 1.  Past MAX_SCAN entries, MissingSequenceError
         is raised.  The picked entries are then rotated onto the target; a
         rotated value farther than eps[p] (1 + 1e-9) + 1e-15 from the target
-        raises NumericalError.  A negative cursor raises ValueError.
+        raises NumericalError.  A negative cursor, a NaN or negative eps[p]
+        or a forbidden with other than len(eps) rows raises ValueError.
         """
-        if cursor < 0:
-            raise ValueError("cursor must be non-negative")
+        steps = _chain_steps(eps, cursor, forbidden)
         m0 = self.M.block_size
+        dist = self._dist
+        size = len(dist)
+        n = cursor
         hits = []
-        for p, e in enumerate(eps):
-            hits.append(self._next(cursor, e, m0, () if forbidden is None else forbidden[p]))
-            cursor = hits[-1] + 1
+        for p, e in enumerate(steps):
+            avoid = () if forbidden is None else forbidden[p]
+            start = n
+            while True:
+                while n >= size:
+                    if size >= self.MAX_SCAN:
+                        raise MissingSequenceError(
+                            f"no tail class within {e:g} of the target beyond cursor {start}")
+                    size = self._grow()
+                if dist[n] <= e and m0 + n not in avoid:
+                    break
+                n += 1
+            hits.append(n)
+            n += 1
+        cursor = n
         hits = np.array(hits, dtype=np.intp)
         s = self.M.tail.prefix(cursor)[hits]
         u = qconjugator(s, self._target)
         values = qmul(qmul(qconj(u), s), u)
         errors = qabs(values - self._target)
-        tol = np.asarray(eps, dtype=float) * (1.0 + 1e-9) + 1e-15
+        tol = np.array(steps) * (1.0 + 1e-9) + 1e-15
         miss = np.flatnonzero(~(errors <= tol))
         if miss.size:
             k = miss[0]
@@ -725,14 +737,14 @@ class CombinationResult:
         """Picks over the run's steps, with the rule of TailBasisSequence.chain.
 
         Step p returns the first run step at or past the cursor whose error
-        is at most eps[p] and whose support avoids forbidden[p].
+        is at most eps[p] and whose support avoids forbidden[p]; bad
+        arguments raise ValueError as there.
         """
-        if cursor < 0:
-            raise ValueError("cursor must be non-negative")
+        steps = _chain_steps(eps, cursor, forbidden)
         errors = self.errors.tolist()
         index = self.index.tolist()
         hits = []
-        for p, e in enumerate(eps):
+        for p, e in enumerate(steps):
             avoid = () if forbidden is None else forbidden[p]
             n = cursor
             while n < len(errors) and not (
@@ -859,8 +871,11 @@ def we_membership(M: ModelOperator, q: Quaternion, eps: float = 1e-9,
     Geometric test against the essential bild with boundary slack eps;
     strictly interior points are cross-validated by building a constructive
     essential sequence from the polygon vertices and checking its value
-    converges to the canonical representative of q.
+    converges to the canonical representative of q.  An eps that is not
+    finite and >= 0 raises ValueError.
     """
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be finite and >= 0")
     poly = essential_bild(M)
     pt = np.array(csim(q).point())
     sd = signed_inner_distance(poly, pt)

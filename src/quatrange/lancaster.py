@@ -211,6 +211,14 @@ class LancasterReport:
         return self.rows[-1]
 
 
+def _section_list(sections) -> list:
+    """The section sizes as a list, which must not be empty."""
+    sections = list(sections)
+    if not sections:
+        raise ValueError("sections must name at least one section size")
+    return sections
+
+
 def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                     seed: int = 0, target: np.ndarray | None = None) -> LancasterReport:
     """Compare iconv(essential bild, section bild) with reference regions.
@@ -233,8 +241,10 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     Reported per N: the Hausdorff distance from L_N to the truncation's
     outer support polygon, and to an optional analytic target polygon.  All
     three are convex polygons, so both distances are exact
-    (geometry.hausdorff_convex), attained at a vertex.
+    (geometry.hausdorff_convex), attained at a vertex.  An empty sections
+    raises ValueError.
     """
+    sections = _section_list(sections)
     base = essential_bild(M)
     if target is not None:
         target = convex_hull(np.asarray(target, dtype=float))
@@ -291,8 +301,10 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     the window strip and the best point is a vertex of the clipped polygon.
     A diagonal section's polygon is its exact upper bild, so m and seed do
     not matter there; any other section samples its dense block m times,
-    and its residual can only overstate the exact one.
+    and its residual can only overstate the exact one.  An empty sections
+    raises ValueError.
     """
+    sections = _section_list(sections)
     edge = np.asarray(edge, dtype=float).reshape(2, 2)
     direction = edge[1] - edge[0]
     length = float(np.linalg.norm(direction))

@@ -817,10 +817,13 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
 
     Otherwise the interval spans m random samples and the ascent's ends
     (_real_ends), an inner (attained) estimate.  Raises RealSectionError when
-    no candidate meets the tolerance.
+    no candidate meets the tolerance.  A tol that is not finite and >= 0
+    raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be positive")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and >= 0")
     if T.block_split() == 0:
         points = diagonal_bild(T).inner_hull
     else:

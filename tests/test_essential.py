@@ -9,6 +9,7 @@ from quatrange import Quaternion
 from quatrange import essential
 from quatrange.essential import Tail
 from quatrange.geometry import minkowski_sum, signed_inner_distance
+from quatrange.quaternion import qconj, qconjugator, qmul
 
 from conftest import random_qmatrix, seeded_model_operator
 
@@ -498,6 +499,12 @@ def test_membership_interior_triangle_decomposition():
     assert not qr.we_membership(M, Quaternion(0.9, 0.9, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
+def test_membership_rejects_a_bad_tolerance(remark, bad):
+    with pytest.raises(ValueError, match="eps"):
+        qr.we_membership(remark, Quaternion(0.0, 0.1, 0.0, 0.0), eps=bad)
+
+
 # -- the essential-sequence engine against scalar references -------------------------------
 
 
@@ -577,7 +584,7 @@ def test_pick_matches_scalar_reference_scan():
             assert abs(err - want[4]) <= 1e-15 * (1.0 + abs(target))
             cursor = index
     # far hits: 49/100 is the first fraction within 1e-4 of 0.49, past the first
-    # scan and many search spans
+    # scan
     seq = qr.TailBasisSequence(remark, Quaternion(0.0, 0.0, 0.0, -0.49))
     got = seq.pick(1e-4, 0)
     want = _reference_pick(remark, Quaternion(0.0, 0.0, 0.0, -0.49), 1e-4, 0)
@@ -717,6 +724,149 @@ def test_chain_raises_at_the_cap_without_reading_past_it(monkeypatch):
     assert WatchedTail.largest == 5000
     assert seq.chain([1.0, 0.5]).index[:, 0].tolist() == [1, 2]
 
+
+
+class _SpanSearch:
+    """The span search TailBasisSequence used before its entry-by-entry walk.
+
+    The class distances sit in one numpy array, grown 8-fold (to 2048
+    entries at first) up to MAX_SCAN; a step compares 256-entry spans of it
+    and takes the first allowed entry at or past the cursor.
+    """
+
+    SPAN = 256
+
+    def __init__(self, M, target):
+        self.M = M
+        self._sphere = qr.csim(target)
+        self._dist = np.zeros(0)
+
+    def _next(self, cursor, eps, m0, forbidden):
+        n = cursor
+        while True:
+            done = self._dist.size
+            for lo in range(n, done, self.SPAN):
+                for k in (self._dist[lo:lo + self.SPAN] <= eps).nonzero()[0].tolist():
+                    if m0 + lo + k not in forbidden:
+                        return lo + k
+            if done == qr.TailBasisSequence.MAX_SCAN:
+                raise qr.MissingSequenceError("span search exhausted")
+            size = min(max(8 * done, 2048), qr.TailBasisSequence.MAX_SCAN)
+            pts = qr.bild_points(self.M.tail.prefix(size)[done:])
+            dist = np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b)
+            self._dist = np.concatenate((self._dist, dist))
+            n = max(n, done)
+
+    def hits(self, eps, cursor=0, forbidden=None):
+        """The picked tail indices n0 of each step, and the final cursor."""
+        hits = []
+        for p, e in enumerate(eps):
+            hits.append(self._next(cursor, e, self.M.block_size,
+                                   () if forbidden is None else forbidden[p]))
+            cursor = hits[-1] + 1
+        return hits, cursor
+
+
+def _assert_span_search_picks(M, target, eps, cursor=0, forbidden=None):
+    """chain's picks against the span search; returns them."""
+    picks = qr.TailBasisSequence(M, target).chain(eps, cursor, forbidden)
+    hits, end = _SpanSearch(M, target).hits(eps, cursor, forbidden)
+    assert (picks.index[:, 0] - M.block_size).tolist() == hits and picks.cursor == end
+    s = M.tail.prefix(end)[hits]
+    u = qconjugator(s, target.to_array())
+    assert np.array_equal(picks.coeffs[:, 0], u)
+    assert np.array_equal(picks.values, qmul(qmul(qconj(u), s), u))
+    return picks
+
+
+def test_chain_matches_the_span_search_on_the_convexity_operators():
+    # both ingredient chains of every criterion 4 run, the second avoiding
+    # the first's coordinates
+    eps = [1.0 / p for p in range(1, 201)]
+    for seed in range(20):
+        M = seeded_model_operator(seed)
+        poly = qr.essential_bild(M)
+        om1 = Quaternion(float(poly[0][0]), float(poly[0][1]), 0.0, 0.0)
+        om2 = Quaternion(float(poly[-1][0]), float(poly[-1][1]), 0.0, 0.0)
+        x = _assert_span_search_picks(M, om1, eps)
+        _assert_span_search_picks(M, om2, eps, forbidden=x.index.tolist())
+
+
+def _inverse_operator():
+    """Tail i/n: class distance 1/n to the origin, strictly decreasing."""
+    return qr.ModelOperator(qr.QMatrix.zeros(1), InverseTail(),
+                            [qr.SimilaritySphere(0.0, 0.0)], bound=1.0)
+
+
+def _between(M, n0):
+    """A tolerance that the tail entries n0, n0 + 1, ... meet and n0 - 1 does not."""
+    d = qr.bild_points(M.tail.prefix(n0 + 1))[:, 1]
+    return 0.5 * (d[n0 - 1] + d[n0])
+
+
+def test_chain_from_a_cursor_several_windows_past_the_scan():
+    # a fresh sequence grows 2048 -> 16384 -> 131072 -> 1048576 entries
+    # before it reads the cursor's entry
+    M, target = qr.remark_operator(), Quaternion(0.0, 0.25, 0.0, 0.0)
+    picks = _assert_span_search_picks(M, target, [1e-3] * 3, cursor=150_000)
+    assert picks.index[0, 0] - M.block_size >= 150_000
+    cursor = 150_000
+    for hit in (picks.index[:, 0] - M.block_size).tolist():
+        cursor = _reference_pick(M, target, 1e-3, cursor)[0]
+        assert cursor == hit + 1
+
+
+def test_chain_picks_the_last_entry_before_the_cap(monkeypatch):
+    monkeypatch.setattr(qr.TailBasisSequence, "MAX_SCAN", 5000)
+    M, target = _inverse_operator(), Quaternion(0.0)
+    eps = _between(M, 4999)
+    picks = _assert_span_search_picks(M, target, [eps])
+    assert picks.index[:, 0].tolist() == [M.block_size + 4999] and picks.cursor == 5000
+    assert _reference_pick(M, target, eps, 0)[0] == 5000
+    with pytest.raises(qr.MissingSequenceError):
+        qr.TailBasisSequence(M, target).chain([eps, eps])
+
+
+def test_chain_skips_a_forbidden_lone_candidate_into_the_next_window():
+    # entry 2047 is the only one of the first 2048 within eps, and it is
+    # forbidden, so the pick is the first entry of the grown scan
+    M, target = _inverse_operator(), Quaternion(0.0)
+    eps = _between(M, 2047)
+    forbidden = [{M.block_size + 2047}]
+    picks = _assert_span_search_picks(M, target, [eps], forbidden=forbidden)
+    assert picks.index[:, 0].tolist() == [M.block_size + 2048]
+    assert _reference_pick(M, target, eps, 0, forbidden[0])[0] == 2049
+    assert _assert_span_search_picks(M, target, [eps]).index[0, 0] == M.block_size + 2047
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.5])
+def test_chain_rejects_a_bad_tolerance_before_any_scan(monkeypatch, bad):
+    scans = []
+    monkeypatch.setattr(essential, "bild_points", lambda values: scans.append(values))
+    M = qr.remark_operator()
+    seq = qr.TailBasisSequence(M, Quaternion(0.0, 0.25, 0.0, 0.0))
+    with pytest.raises(ValueError, match="eps"):
+        seq.pick(bad, 0)
+    with pytest.raises(ValueError, match="eps"):
+        seq.chain([0.5, bad, 0.5])
+    assert scans == []
+    run = qr.CombinationResult(target=Quaternion.one, alpha=1.0, beta=0.0,
+                               index=np.zeros((1, 1), dtype=np.intp),
+                               coeffs=np.zeros((1, 1, 4)), values=np.zeros((1, 4)),
+                               errors=np.zeros(1), triples=np.zeros((0, 3)),
+                               error_constant=3.0)
+    with pytest.raises(ValueError, match="eps"):
+        run.chain([bad])
+
+
+def test_chain_rejects_forbidden_rows_that_do_not_match_eps(monkeypatch):
+    scans = []
+    monkeypatch.setattr(essential, "bild_points", lambda values: scans.append(values))
+    seq = qr.TailBasisSequence(qr.remark_operator(), Quaternion(0.0, 0.25, 0.0, 0.0))
+    for rows in ([], [[2]], [[2], [3], [4]]):
+        with pytest.raises(ValueError, match="forbidden"):
+            seq.chain([0.5, 0.5], forbidden=rows)
+    assert scans == []
 
 def _mixed_support_operator():
     rng = np.random.default_rng(44)

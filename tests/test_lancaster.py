@@ -387,3 +387,10 @@ def test_probe_closed_case_attained_edges():
 def test_probe_requires_real_edge(remark):
     with pytest.raises(ValueError):
         qr.nonclosedness_probe(remark, [(0.0, 0.0), (0.0, 0.0)], [10])
+
+
+def test_empty_sections_are_rejected(remark):
+    with pytest.raises(ValueError, match="sections"):
+        qr.lancaster_check(remark, [])
+    with pytest.raises(ValueError, match="sections"):
+        qr.nonclosedness_probe(remark, [(0.0, 0.0), (0.0, 0.5)], iter(()))

@@ -701,6 +701,13 @@ def test_real_section_of_a_diagonal_matrix_spans_its_vertices_within_tol():
         qr.real_section(qr.QMatrix.identity(2), m=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_real_section_rejects_a_bad_tolerance(bad):
+    for T in (qr.QMatrix.diag([I]), random_qmatrix(3, 3)):
+        with pytest.raises(ValueError, match="tol"):
+            qr.real_section(T, m=500, tol=bad)
+
+
 # -- the former quaternion-coordinate ascent, kept as the reference ----------------
 
 def _reference_from_u(u):
