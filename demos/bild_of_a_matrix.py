@@ -3,8 +3,8 @@
 
 The inner route samples values <Tx, x> at random unit vectors and maps them
 to bild coordinates (Re q, |Im q|); the outer route bounds the region by its
-support function, one Hermitian eigenvalue problem per direction.  Each
-problem's top eigenvector is a unit vector whose value lies on the support
+support function, one Hermitian eigenvalue problem per direction.  A unit
+vector attaining each problem's top eigenvalue has its value on the support
 line, and those boundary points join the inner hull.  The gap between the
 two routes is the certificate of what remains unresolved.
 """
@@ -41,7 +41,7 @@ print(f"\nhausdorff gap between the hull and the outer polygon: "
 print(f"support-direction deficiency of the inner hull: {region.support_gap:.1e}")
 
 # the attained real values form an interval strictly inside the outer width
-section = qr.real_section(T, m=20000, seed=1)
+section = qr.real_section(T, seed=1)
 print(f"\nattained real section: [{section.lo:.4f}, {section.hi:.4f}]")
 print(f"outer polygon width at b = 0: "
       f"[{region.outer_polygon[:, 0].min():.4f}, {region.outer_polygon[:, 0].max():.4f}]")

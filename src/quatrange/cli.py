@@ -120,8 +120,7 @@ def _cmd_bild(args, out: Path) -> int:
                                                                  "vertex")
     fileio.write_csv(out / "bild.csv", ["a", "b", "kind"], rows)
     try:
-        section = real_section(T, m=min(args.samples, 20000), seed=args.seed,
-                               tol=args.tol)
+        section = real_section(T, seed=args.seed, tol=args.tol)
         real_part = [section.lo, section.hi]
     except RealSectionError:
         real_part = None

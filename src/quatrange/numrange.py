@@ -4,7 +4,8 @@ Two independent routes are combined:
 
 * an inner route of attained values <Tx, x> mapped to bild coordinates
   (a, b) = (Re q, |Im q|): values at sampled unit vectors, plus the value at
-  each support angle's extreme eigenvector, which lies on the support line;
+  a unit vector attaining each support angle's extreme eigenvalue, which
+  lies on the support line;
 * an outer route computing the support function of the upper bild: for the
   dense block the top eigenvalue of a Hermitian form on the complex adjoint
   matrix chi(T), exact up to eigensolver precision and solved once per
@@ -175,6 +176,32 @@ def _component_forms(T: np.ndarray) -> np.ndarray:
     return np.moveaxis(sym, -1, 0)
 
 
+def _end_vectors(stack: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Unit vectors near the bottom and top eigenvectors of a Hermitian stack, (s, 2, N).
+
+    stack is (s, N, N) with extreme eigenvalues ends (s, 2).  Each end takes
+    one step of inverse iteration (Ipsen 1997, SIAM Review 39): the solve
+    (H - sigma I) y = start with sigma = lambda_min - delta or
+    lambda_max + delta, where delta = 1e-10 (1 + max |lambda|), from a
+    fixed seeded start, so the vectors depend on the stack alone.  sigma
+    lies outside the spectrum, so H - sigma I is definite and the solve
+    meets no zero pivot, and y weighs each eigenvector by
+    1 / |lambda - sigma|, favouring the end's eigenspace by gap / delta.
+    The stack's diagonal is overwritten.
+    """
+    n = stack.shape[-1]
+    start = (1.0, 1j) @ _rng(0, 4).standard_normal((2, n))
+    idx = np.arange(n)
+    diag = stack[:, idx, idx]
+    delta = 1e-10 * (1.0 + np.abs(ends).max(axis=1))
+    out = np.empty((len(stack), 2, n), dtype=complex)
+    for col, sigma in enumerate((ends[:, 0] - delta, ends[:, 1] + delta)):
+        stack[:, idx, idx] = diag - sigma[:, None]
+        y = np.linalg.solve(stack, start[:, None])[..., 0]
+        out[:, col] = y / np.linalg.norm(y, axis=1, keepdims=True)
+    return out
+
+
 def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Support values h(theta) and, per angle, a bild point that attains h(theta).
 
@@ -196,16 +223,21 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     the solved angle by at most 2e-15, and h by at most 2e-15 max |h|
     (|h'| is at most the norm of a bild point), far inside upper_bild's
     1e-12 (1 + max |h|) pad.  The stacks are solved in chunks of
-    _ANGLE_CHUNK folded angles, which bounds the eigen stack.
+    _ANGLE_CHUNK folded angles, which bounds the eigen stack.  Each chunk's
+    h comes from one eigvalsh call, which computes no eigenvectors.
 
-    Boundary points (Johnson's): the top eigenvector u of H(phi) is the
-    column _to_u(x) of a unit vector x, so <Bx, x> attains h(phi) for
-    t <= pi/2.  For t > pi/2 the bottom eigenvector w serves: with
-    q = <Bx, x> = z1 + z2 j its value, w^H H(phi) w = lambda_min =
-    cos(phi) Re z1 + sin(phi) Im z1, and |Im q| >= |Im z1| >= -Im z1, so the
-    bild point (a, b) of q has (-cos(phi), sin(phi)) . (a, b) >= -lambda_min
-    = h(pi - phi); being attained, it cannot exceed h, so it lies on the
-    support line.
+    Boundary points (Johnson's): a unit vector u attaining the top
+    eigenvalue of H(phi) is the column _to_u(x) of a unit vector x, so
+    <Bx, x> attains h(phi) for t <= pi/2.  For t > pi/2 a unit vector w
+    attaining the bottom eigenvalue serves: with q = <Bx, x> = z1 + z2 j its
+    value, w^H H(phi) w = lambda_min = cos(phi) Re z1 + sin(phi) Im z1, and
+    |Im q| >= |Im z1| >= -Im z1, so the bild point (a, b) of q has
+    (-cos(phi), sin(phi)) . (a, b) >= -lambda_min = h(pi - phi); being
+    attained, it cannot exceed h, so it lies on the support line.  Each
+    end's vector comes from one shifted solve (_end_vectors), and its point
+    is the value <Bx, x> at that explicit unit vector, so it is attained
+    whatever the solve's accuracy; how close it comes to h is what
+    upper_bild checks.
 
     A diagonal tail entry d has the similarity sphere of d as its values, so
     the tail's support is the closed form max_k a_k cos(theta) + b_k sin(theta)
@@ -241,9 +273,8 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
             hi = min(lo + _ANGLE_CHUNK, len(phis))
             stack = (np.cos(phis[lo:hi])[:, None, None] * herm_re
                      + np.sin(phis[lo:hi])[:, None, None] * herm_im)
-            vals, vecs = np.linalg.eigh(stack)
-            ends[lo:hi] = vals[:, [0, -1]]
-            pair = np.swapaxes(vecs[:, :, [0, -1]], 1, 2)  # (chunk, 2, 2n)
+            ends[lo:hi] = np.linalg.eigvalsh(stack)[:, [0, -1]]
+            pair = _end_vectors(stack, ends[lo:hi])  # (chunk, 2, 2n)
             values = _chi_values(pair, pair @ chi.T).reshape(-1, 4)
             end_points[lo:hi] = bild_points(values).reshape(-1, 2, 2)
         h = np.where(mirror, -ends[group, 0], ends[group, 1])
@@ -265,11 +296,12 @@ def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
     Because the set of values is closed under similarity rotations, the target
     equals the maximum of Re(exp(-i theta) u^H chi(T) u) over unit complex u,
     the top eigenvalue of H(theta), the Hermitian part of exp(-i theta) chi(T).
-    Only the dense block is solved this way, with the eigh solve that
-    upper_bild makes, so both report the same h bit for bit (eigvalsh alone
-    can differ in the last bits).  One solve serves both theta and
-    pi - theta: chi is quaternionic, so h(pi - theta) = -lambda_min(H(theta))
-    (proof in _support_points).  The diagonal tail contributes the closed
+    Only the dense block is solved this way, by the eigvalsh call that
+    upper_bild makes, so both report the same h bit for bit; upper_bild's
+    boundary vectors come from a shifted solve after it, which leaves h as
+    it is.  One eigenvalue solve serves both theta and pi - theta: chi is
+    quaternionic, so h(pi - theta) = -lambda_min(H(theta)) (proof in
+    _support_points).  The diagonal tail contributes the closed
     form max_k a_k cos(theta) + b_k sin(theta) over its bild points.
     thetas must be a 1-D array in [0, pi]; NaN, infinities and other shapes
     raise ValueError.
@@ -325,9 +357,11 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
     meeting points of consecutive lines and (-h(pi), 0).
 
     The grid is symmetric about pi/2, so the dense block needs ceil(k/2)
-    eigen solves (_support_points): the top eigenpair of H(t) gives h(t) and
-    its boundary point, and the bottom eigenpair gives
-    h(pi - t) = -lambda_min(H(t)) and a value attaining it.
+    eigenvalue solves (_support_points): eigvalsh on H(t) gives h(t) and
+    h(pi - t) = -lambda_min(H(t)), and one shifted solve per end gives a
+    unit vector whose value is that angle's boundary point.  The inner
+    route's soundness rests on the check below, which compares each
+    attained boundary value with h, not on the accuracy of that solve.
 
     Only upward support directions exist, so the outer polygon extends down
     to b = 0 even where the region does not, and hausdorff_gap includes that
@@ -778,14 +812,14 @@ def _refine_real(forms: np.ndarray, u0: np.ndarray, sign: float,
 def _real_ends(T: QMatrix, points: np.ndarray, seed: int, tol: float) -> np.ndarray:
     """Attained bild points with b <= tol and the least and largest a, shape (2, 2).
 
-    points are attained bild points of T.  A matrix with a dense block adds
-    the ends of a projected-gradient ascent toward both ends of the real
-    axis, run on the forms of C = chi(T) formed once (_value_and_grad).  The
-    ascent starts from four seeded random unit vectors and from the extreme
-    eigenvectors of H_r, the Hermitian part of C, whose values have the
-    extreme real parts of W(T).  Each end keeps its own attained b, so it is
-    a genuine bild point.  Raises RealSectionError, with the least b seen,
-    when no point has b <= tol.
+    points are attained bild points of T, possibly none.  A matrix with a
+    dense block adds the ends of a projected-gradient ascent toward both ends
+    of the real axis, run on the forms of C = chi(T) formed once
+    (_value_and_grad).  The ascent starts from four seeded random unit
+    vectors and from the extreme eigenvectors of H_r, the Hermitian part of
+    C, whose values have the extreme real parts of W(T).  Each end keeps its
+    own attained b, so it is a genuine bild point.  Raises RealSectionError,
+    with the least b seen, when no point has b <= tol.
     """
     found = [points]
     if T.block_split() > 0:
@@ -813,20 +847,18 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
     (c_min, 0), (c_max, 0) and the real entries, so the interval holds the
     exact real section.  The polygon is convex, so when every vertex has
     b > tol no value qualifies, and RealSectionError reports the least b.
-    m and seed do not matter there; nothing is sampled.
+    Nothing is sampled there, and seed does not matter.
 
-    Otherwise the interval spans m random samples and the ascent's ends
-    (_real_ends), an inner (attained) estimate.  Raises RealSectionError when
-    no candidate meets the tolerance.  A tol that is not finite and >= 0
-    raises ValueError.
+    Otherwise the interval is the ascent's ends (_real_ends), an inner
+    (attained) estimate; nothing is sampled either.  RealSectionError, when
+    no ascent end meets the tolerance, reports the ascent's least |Im|.
+    m is accepted and checked (m < 1 raises ValueError) but unused.  A tol
+    that is not finite and >= 0 raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tol must be finite and >= 0")
-    if T.block_split() == 0:
-        points = diagonal_bild(T).inner_hull
-    else:
-        points = bild_points(nr_sample(T, m, seed))
+    points = diagonal_bild(T).inner_hull if T.block_split() == 0 else np.empty((0, 2))
     ends = _real_ends(T, points, seed, tol)
     return RealSection(lo=float(ends[0, 0]), hi=float(ends[1, 0]))

@@ -251,12 +251,13 @@ def test_folded_support_matches_unfolded_solve(T):
 
 
 def _solve_sizes(monkeypatch):
-    sizes = []
-    for name in ("eigh", "eigvalsh"):
+    """Stack sizes of every eigh, eigvalsh and solve call, by name."""
+    sizes = {"eigh": [], "eigvalsh": [], "solve": []}
+    for name, seen in sizes.items():
         solve = getattr(np.linalg, name)
 
-        def counted(a, *args, _solve=solve, **kwargs):
-            sizes.append(a.shape[0] if a.ndim == 3 else 1)
+        def counted(a, *args, _solve=solve, _seen=seen, **kwargs):
+            _seen.append(a.shape[0] if a.ndim == 3 else 1)
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -264,18 +265,73 @@ def _solve_sizes(monkeypatch):
 
 
 def test_support_solves_once_per_mirrored_angle_pair(monkeypatch):
+    # h from eigvalsh, no eigenvectors; each end's vector from one shifted solve
     sizes = _solve_sizes(monkeypatch)
     T = random_qmatrix(23, 5)
     for k in (360, 361):
-        sizes.clear()
+        for seen in sizes.values():
+            seen.clear()
         qr.upper_bild(T, m=200, k=k, seed=1)
-        assert sum(sizes) == (k + 1) // 2
-        assert max(sizes) <= numrange._ANGLE_CHUNK
-    sizes.clear()
+        assert sizes["eigh"] == []
+        assert sum(sizes["eigvalsh"]) == (k + 1) // 2
+        assert max(sizes["eigvalsh"]) <= numrange._ANGLE_CHUNK
+        assert sizes["solve"] == [size for size in sizes["eigvalsh"] for _ in range(2)]
+    for seen in sizes.values():
+        seen.clear()
     unmirrored = np.random.default_rng(4).uniform(0.0, math.pi / 2, 70)
     qr.support_offsets(T, unmirrored)
-    assert sum(sizes) == 70
-    assert max(sizes) <= numrange._ANGLE_CHUNK
+    assert sizes["eigh"] == []
+    assert sum(sizes["eigvalsh"]) == 70
+    assert max(sizes["eigvalsh"]) <= numrange._ANGLE_CHUNK
+
+
+def _doubled_block(A, shift=0.0):
+    """diag(A, A + shift I) as one dense block.
+
+    Each eigenvalue of H(t) has a twin shift cos(t) above it.
+    """
+    n = A.n
+    arr = np.zeros((2 * n, 2 * n, 4))
+    arr[:n, :n] = A.arr
+    arr[n:, n:] = A.arr
+    arr[n + np.arange(n), n + np.arange(n), 0] += shift
+    return qr.QMatrix(arr)
+
+
+def _clustered_block(width=1e-11):
+    A = random_qmatrix(24, 3)
+    h = qr.support_offsets(A, np.linspace(0.0, math.pi, 181))
+    return _doubled_block(A, shift=width * (1.0 + np.abs(h).max()))
+
+
+def _twice_identity_through_the_block():
+    arr = 2.0 * qr.QMatrix.identity(3).arr
+    arr[0, 2, 0] = 1e-300  # route all of it through the eigen solve, values unchanged
+    return qr.QMatrix(arr)
+
+
+@pytest.mark.parametrize("T, width", [(_twice_identity_through_the_block(), 0.0),
+                                      (_doubled_block(random_qmatrix(24, 3)), 0.0),
+                                      (_clustered_block(), 1e-11)],
+                         ids=["twice_identity", "repeated_top", "clustered_top"])
+def test_support_points_at_repeated_and_clustered_extreme_eigenvalues(T, width):
+    # the shifted solve lands anywhere in a repeated or clustered end's
+    # eigenspace, and any unit vector there attains h within the cluster's width
+    thetas = np.linspace(0.0, math.pi, 181)
+    want, _ = _unfolded_support_points(T, thetas)
+    scale = 1.0 + np.abs(want).max()
+    assert T.block_split() == T.n
+    chi = T.complex_rep()
+    t = thetas[1]  # off t = 0, where every eigenvalue of H(t) is doubled anyway
+    top = np.linalg.eigvalsh(math.cos(t) * 0.5 * (chi + chi.conj().T)
+                             + math.sin(t) * 0.5j * (chi.conj().T - chi))[-2:]
+    assert top[1] - top[0] == pytest.approx(width * math.cos(t) * scale,
+                                            rel=1e-3, abs=1e-14 * scale)
+    region = qr.upper_bild(T, m=200, k=len(thetas), seed=5)
+    assert np.abs(region.offsets - want).max() <= 1e-12 * scale
+    reach = np.einsum("ij,ij->i", region.boundary_points,
+                      np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
+    assert np.abs(reach - region.offsets).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("k", [3, 4, 360, pytest.param(3601, marks=pytest.mark.slow)])
@@ -699,6 +755,21 @@ def test_real_section_of_a_diagonal_matrix_spans_its_vertices_within_tol():
     assert err.value.best_im == 0.5
     with pytest.raises(ValueError):
         qr.real_section(qr.QMatrix.identity(2), m=0)
+
+
+def test_real_section_samples_nothing(monkeypatch):
+    # the ascent's ends are the interval; m is still checked
+    def refuse(*args, **kwargs):
+        raise AssertionError("real_section sampled")
+
+    monkeypatch.setattr(numrange, "nr_sample", refuse)
+    for T in (random_qmatrix(25, 4), _block_plus_diagonal()):
+        assert T.block_split() > 0
+        for m in (1, 20000):
+            rs = qr.real_section(T, m=m, seed=3)
+            assert rs.lo <= rs.hi
+        with pytest.raises(ValueError, match="m must be positive"):
+            qr.real_section(T, m=0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
