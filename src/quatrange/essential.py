@@ -226,6 +226,10 @@ class DecayingPeriodicTail(Tail):
 
 # -- model operators ---------------------------------------------------------------
 
+_SEGMENT_PROBES = 9  # evenly spaced points standing for a declared segment
+_VALIDATE_TOL = 1e-3  # how near the tail must come to each declared limit point
+
+
 @dataclass(frozen=True)
 class LimitSegment:
     """Canonical-representative segment {a + t*i : t in [b0, b1]}, 0 <= b0 <= b1."""
@@ -238,8 +242,8 @@ class LimitSegment:
         if not (0.0 <= self.b0 <= self.b1):
             raise ValueError("segment needs 0 <= b0 <= b1")
 
-    def probes(self, count: int = 9) -> np.ndarray:
-        bs = np.linspace(self.b0, self.b1, count)
+    def probes(self) -> np.ndarray:
+        bs = np.linspace(self.b0, self.b1, _SEGMENT_PROBES)
         return np.stack([np.full_like(bs, self.a), bs], axis=1)
 
 
@@ -317,12 +321,12 @@ class ModelOperator:
             values[diag] = self.tail.prefix(int(k.max()) + 1)[k]
         return values, block | diag
 
-    def validate(self, n_check: int = 200000, tol: float = 1e-3) -> None:
+    def validate(self, n_check: int = 200000) -> None:
         """Check the declared limit parts against the generated tail prefix.
 
         Scans geometrically growing prefixes; every declared sphere (and a
-        probe grid on every declared segment) must be approached within tol,
-        and no generated value may exceed the declared bound.
+        probe grid on every declared segment) must be approached within
+        _VALIDATE_TOL, and no generated value may exceed the declared bound.
         """
         if self._validated_to >= n_check:
             return
@@ -346,7 +350,7 @@ class ModelOperator:
             pts = bild_points(fresh)
             if unmet.any():
                 d = np.linalg.norm(pts[None, :, :] - targets[unmet][:, None, :], axis=2)
-                unmet[np.flatnonzero(unmet)[d.min(axis=1) <= tol]] = False
+                unmet[np.flatnonzero(unmet)[d.min(axis=1) <= _VALIDATE_TOL]] = False
             if not unmet.any():
                 self._validated_to = n_check
                 return
@@ -354,7 +358,7 @@ class ModelOperator:
                 bad = targets[unmet][0]
                 raise ValidationError(
                     f"declared limit point ({bad[0]:.6g}, {bad[1]:.6g}) not approached "
-                    f"within {tol:g} by the first {n_check} tail values")
+                    f"within {_VALIDATE_TOL:g} by the first {n_check} tail values")
             window *= 8
 
     def __repr__(self) -> str:

@@ -194,14 +194,15 @@ def write_json(path, data) -> None:
 
 # -- minimal SVG -------------------------------------------------------------------
 
-def write_svg(path, polygons, point_sets, width: int = 640, height: int = 480) -> None:
+def write_svg(path, polygons, point_sets) -> None:
     """Hand-rolled SVG with polygon outlines and point markers.
 
     ``polygons`` is a list of (vertices, color); ``point_sets`` a list of
-    (points, color, radius).  Coordinates are fitted to the view box with a
-    small margin; emission order is the argument order, so output is
+    (points, color, radius).  Coordinates are fitted to a 640 x 480 view box
+    with a small margin; emission order is the argument order, so output is
     deterministic.
     """
+    width, height = 640, 480
     all_pts = [np.asarray(p[0], dtype=float).reshape(-1, 2) for p in polygons]
     all_pts += [np.asarray(p[0], dtype=float).reshape(-1, 2) for p in point_sets]
     stacked = np.vstack([p for p in all_pts if len(p)]) if all_pts else np.zeros((1, 2))

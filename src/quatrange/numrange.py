@@ -332,17 +332,27 @@ class BildRegion:
 
     The inner hull is the convex hull of attained values: the sampled cloud
     plus, at every support angle, a boundary point attaining h(theta).  The
-    upper bild is convex, so the hull is a sound inner region.
+    upper bild is convex, so the hull is a sound inner region.  The two
+    certificates are computed from the fields each time they are read.
     """
 
     inner_points: np.ndarray  # (m, 2) sampled values, b >= 0
     inner_hull: np.ndarray  # hull vertices of inner_points and boundary_points
     outer_polygon: np.ndarray  # intersection of support half-planes with b >= 0
-    hausdorff_gap: float  # Hausdorff distance between inner_hull and outer_polygon
-    support_gap: float  # worst support deficiency of the hull over the angle grid
     boundary_points: np.ndarray  # (k, 2), row j attains h(thetas[j])
-    thetas: np.ndarray = field(repr=False, default=None)
-    offsets: np.ndarray = field(repr=False, default=None)
+    thetas: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+
+    @property
+    def hausdorff_gap(self) -> float:
+        """Hausdorff distance between inner_hull and outer_polygon."""
+        return hausdorff_convex(self.inner_hull, self.outer_polygon)
+
+    @property
+    def support_gap(self) -> float:
+        """Worst support deficiency of inner_hull: max over the grid of h(t) - its reach."""
+        dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)], axis=1)
+        return float((self.offsets - (self.inner_hull @ dirs.T).max(axis=0)).max())
 
 
 def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildRegion:
@@ -394,10 +404,7 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
     # an outward pad keeps the polygon a superset when h(t) is rounded down
     outer = upper_support_polygon(thetas, offsets + 1e-12 * scale)
     hull = convex_hull(np.vstack([inner, edge]))
-    gap = hausdorff_convex(hull, outer)
-    support_gap = float((offsets - (hull @ dirs.T).max(axis=0)).max())
     return BildRegion(inner_points=inner, inner_hull=hull, outer_polygon=outer,
-                      hausdorff_gap=gap, support_gap=support_gap,
                       boundary_points=boundary, thetas=thetas, offsets=offsets)
 
 
@@ -544,8 +551,6 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
     square = np.array([(-pad, -pad), (pad, -pad), (pad, pad), (-pad, pad)])
     outer = convex_hull(clip_polygon(minkowski_sum(poly, square), (0.0, -1.0), 0.0))
     return BildRegion(inner_points=poly, inner_hull=poly, outer_polygon=outer,
-                      hausdorff_gap=hausdorff_convex(poly, outer),
-                      support_gap=float((offsets - reach.max(axis=0)).max()),
                       boundary_points=poly[np.argmax(reach, axis=0)],
                       thetas=thetas, offsets=offsets)
 
@@ -579,7 +584,7 @@ def section_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> Bil
 
     The region applies the lemma to attained parts: A, upper_bild(B)'s inner
     hull (m samples of the block only, with this seed) and the block's two
-    real-section ends (_real_ends on those samples), each at its own
+    real-section ends (_real_ends, the ascent's), each at its own
     attained b <= 1e-6; P, diagonal_bild(D)'s exact polygon; and
     I = conv(A u mirror(P)) n R.  So Q = conv(A u P u I x {0}) is attained
     and lies in B(T); it is both inner_points and inner_hull.  The offsets
@@ -595,7 +600,7 @@ def section_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> Bil
     B = QMatrix(T.arr[:b, :b])
     block = upper_bild(B, m=m, k=k, seed=seed)
     try:
-        ends = _real_ends(B, block.inner_points, seed, 1e-6)
+        ends = _real_ends(B, seed, 1e-6)
     except RealSectionError:
         ends = np.empty((0, 2))
     parts = [block.inner_hull, ends]
@@ -615,8 +620,6 @@ def section_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> Bil
         raise NumericalError(f"composed section region misses h by {missed:.3e}")
     outer = upper_support_polygon(thetas, offsets + 1e-12 * scale)
     return BildRegion(inner_points=Q, inner_hull=Q, outer_polygon=outer,
-                      hausdorff_gap=hausdorff_convex(Q, outer),
-                      support_gap=float((offsets - reach.max(axis=0)).max()),
                       boundary_points=Q[np.argmax(reach, axis=0)],
                       thetas=thetas, offsets=offsets)
 
@@ -809,27 +812,31 @@ def _refine_real(forms: np.ndarray, u0: np.ndarray, sign: float,
     return float(val[0]), im
 
 
-def _real_ends(T: QMatrix, points: np.ndarray, seed: int, tol: float) -> np.ndarray:
+def _real_ends(T: QMatrix, seed: int, tol: float) -> np.ndarray:
     """Attained bild points with b <= tol and the least and largest a, shape (2, 2).
 
-    points are attained bild points of T, possibly none.  A matrix with a
-    dense block adds the ends of a projected-gradient ascent toward both ends
-    of the real axis, run on the forms of C = chi(T) formed once
-    (_value_and_grad).  The ascent starts from four seeded random unit
-    vectors and from the extreme eigenvectors of H_r, the Hermitian part of
-    C, whose values have the extreme real parts of W(T).  Each end keeps its
-    own attained b, so it is a genuine bild point.  Raises RealSectionError,
-    with the least b seen, when no point has b <= tol.
+    A diagonal T takes the vertices of diagonal_bild(T), a convex polygon in
+    b >= 0 attained at explicit, checked vectors; where it meets b = 0 they
+    include that edge's ends, among (c_min, 0), (c_max, 0) and the real
+    entries, so the points span the exact real section, and seed does not
+    matter.  Otherwise the candidates are the ends of a projected-gradient
+    ascent toward both ends of the real axis, run on the forms of C = chi(T)
+    formed once (_value_and_grad).  The ascent starts from four seeded
+    random unit vectors and from the extreme eigenvectors of H_r, the
+    Hermitian part of C, whose values have the extreme real parts of W(T).
+    Each end keeps its own attained b, so it is a genuine bild point.
+    Raises RealSectionError, with the least b seen, when no candidate has
+    b <= tol.
     """
-    found = [points]
-    if T.block_split() > 0:
+    if T.block_split() == 0:
+        found = diagonal_bild(T).inner_hull
+    else:
         penalty = _PENALTY_SCALE * (1.0 + T.frobenius())
         forms = _section_forms(T.complex_rep())
         vecs = np.linalg.eigh(forms[0])[1]
         starts = np.vstack([_to_u(_unit_samples(_rng(seed, 2), 4, T.n)), vecs[:, [-1, 0]].T])
-        found.append([_refine_real(forms, u0, sign, penalty)
-                      for sign in (1.0, -1.0) for u0 in starts])
-    found = np.vstack(found)
+        found = np.array([_refine_real(forms, u0, sign, penalty)
+                          for sign in (1.0, -1.0) for u0 in starts])
     low = found[found[:, 1] <= tol]
     if not len(low):
         raise RealSectionError(float(found[:, 1].min()))
@@ -840,25 +847,17 @@ def real_section(T: QMatrix, m: int = 20000, seed: int = 0,
                  tol: float = 1e-6) -> RealSection:
     """Attained interval of Re<Tx, x> over unit vectors with |Im<Tx, x>| <= tol.
 
-    A diagonal T has its upper bild in closed form (diagonal_bild), a convex
-    polygon in b >= 0 whose vertices are attained at explicit, checked
-    vectors.  The interval spans its vertices with b <= tol.  Where the
-    polygon meets b = 0 these include the ends of that edge, which are among
-    (c_min, 0), (c_max, 0) and the real entries, so the interval holds the
-    exact real section.  The polygon is convex, so when every vertex has
-    b > tol no value qualifies, and RealSectionError reports the least b.
-    Nothing is sampled there, and seed does not matter.
-
-    Otherwise the interval is the ascent's ends (_real_ends), an inner
-    (attained) estimate; nothing is sampled either.  RealSectionError, when
-    no ascent end meets the tolerance, reports the ascent's least |Im|.
-    m is accepted and checked (m < 1 raises ValueError) but unused.  A tol
-    that is not finite and >= 0 raises ValueError.
+    The interval spans the two ends of _real_ends.  A diagonal T gets the
+    exact real section from diagonal_bild's closed form, and seed does not
+    matter there; otherwise the ends are the ascent's, an inner (attained)
+    estimate.  Nothing is sampled.  RealSectionError, when no candidate
+    meets the tolerance, reports the least |Im| seen.  m is accepted and
+    checked (m < 1 raises ValueError) but unused.  A tol that is not finite
+    and >= 0 raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tol must be finite and >= 0")
-    points = diagonal_bild(T).inner_hull if T.block_split() == 0 else np.empty((0, 2))
-    ends = _real_ends(T, points, seed, tol)
+    ends = _real_ends(T, seed, tol)
     return RealSection(lo=float(ends[0, 0]), hi=float(ends[1, 0]))

@@ -49,10 +49,6 @@ class Quaternion:
     def from_array(arr) -> "Quaternion":
         return Quaternion(*np.asarray(arr, dtype=float).reshape(4).tolist())
 
-    @staticmethod
-    def from_real(t: float) -> "Quaternion":
-        return Quaternion(float(t), 0.0, 0.0, 0.0)
-
     def to_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 

@@ -617,6 +617,31 @@ def test_section_bild_of_a_diagonal_section_is_diagonal_bild():
         assert np.array_equal(getattr(region, name), getattr(exact, name))
 
 
+@pytest.mark.parametrize("build", ["section_bild", "upper_bild"])
+def test_region_certificates_are_computed_where_read(monkeypatch, build):
+    hausdorff = numrange.hausdorff_convex
+    calls = []
+
+    def counted(P, Q):
+        calls.append(1)
+        return hausdorff(P, Q)
+
+    monkeypatch.setattr(numrange, "hausdorff_convex", counted)
+    if build == "section_bild":
+        region = qr.section_bild(_block_plus_diagonal(), m=200, k=60)
+    else:
+        region = qr.upper_bild(random_qmatrix(25, 3), m=200, k=60)
+    assert not calls
+    gap = region.hausdorff_gap
+    assert len(calls) == 1
+    assert gap == hausdorff(region.inner_hull, region.outer_polygon)
+    region.offsets = region.offsets + 0.25
+    dirs = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
+    assert region.support_gap == float(
+        (region.offsets - (region.inner_hull @ dirs.T).max(axis=0)).max())
+    assert region.support_gap >= 0.25 - 1e-9
+
+
 def test_section_bild_rejects_a_shifted_support(monkeypatch):
     offsets = numrange.support_offsets
     monkeypatch.setattr(numrange, "support_offsets",
