@@ -49,7 +49,6 @@ from .numrange import (
     nr_sample,
     real_section,
     refined_values,
-    section_bild,
     support_offsets,
     upper_bild,
     upper_bild_support,
@@ -115,7 +114,6 @@ __all__ = [
     "refined_values",
     "remark_operator",
     "s_spectrum",
-    "section_bild",
     "support_offsets",
     "sym_eig",
     "truncate",

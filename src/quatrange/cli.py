@@ -19,7 +19,7 @@ from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
 from .geometry import signed_inner_distance
 from .lancaster import lancaster_check, nonclosedness_probe
-from .numrange import RealSectionError, bild_points, real_section, section_bild, upper_bild
+from .numrange import RealSectionError, bild_points, real_section, upper_bild
 from .spectra import s_spectrum
 
 DEFAULT_SECTIONS = (50, 100, 200, 500)
@@ -242,7 +242,7 @@ def _cmd_verify(args, out: Path) -> int:
 
     # the section's region as lancaster builds it: a diagonal section's is its
     # exact polygon, so nothing is sampled there; otherwise the block is sampled
-    region = section_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
+    region = upper_bild(T, m=min(args.samples, 50000), k=args.angles, seed=args.seed)
     support = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
     # a linear functional peaks at a hull vertex, so the hull checks every point
     slack = float((region.inner_hull @ support.T - region.offsets[None, :]).max())

@@ -9,7 +9,7 @@ a strictly weaker closure than conv(A u B) when B is not convex.  All
 verification happens in bild coordinates: the essential polygon is exact by
 construction.  The upper bild of a finite section is convex, so the other
 ingredient is one convex polygon Q of attained values inside it, composed
-from the section's dense block and its diagonal tail (numrange.section_bild;
+from the section's dense block and its diagonal tail (numrange.upper_bild;
 exact for a diagonal section).  For two convex sets the
 inter-convex hull is their convex hull (iconv_polygon), so each Lancaster
 region is one convex polygon and its Hausdorff distances are exact
@@ -33,7 +33,7 @@ from .geometry import (
     signed_inner_distance,
 )
 from .essential import ModelOperator, essential_bild, truncate
-from .numrange import BildRegion, section_bild
+from .numrange import BildRegion, upper_bild
 
 __all__ = [
     "IconvRegion",
@@ -225,7 +225,7 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
 
     For each section size N the region is L_N = iconv_polygon(B_e, Q) =
     conv(B_e u Q), cut to b >= 0: one convex polygon.  B_e is the full
-    (both-sign) essential polygon and Q = numrange.section_bild(T, m, k,
+    (both-sign) essential polygon and Q = numrange.upper_bild(T, m, k,
     seed + index).inner_hull, a convex polygon of attained values inside the
     upper bild of the truncation T; n_satellites counts its vertices and gap
     is the section region's hausdorff_gap.
@@ -236,7 +236,7 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
       vector is sampled, m and seed do not matter, and gap is the 1e-12
       rounding pad between Q and its outer polygon.
     * Any other section composes Q from its dense block, sampled m times,
-      and its diagonal tail's exact polygon (section_bild).
+      and its diagonal tail's exact polygon (upper_bild).
 
     Reported per N: the Hausdorff distance from L_N to the truncation's
     outer support polygon, and to an optional analytic target polygon.  All
@@ -252,7 +252,7 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     regions: list[IconvRegion] = []
     bilds: list[BildRegion] = []
     for idx, N in enumerate(sections):
-        region_bild = section_bild(truncate(M, int(N)), m=m, k=k, seed=seed + idx)
+        region_bild = upper_bild(truncate(M, int(N)), m=m, k=k, seed=seed + idx)
         Q = region_bild.inner_hull
         Lup = iconv_polygon(base, Q).upper()
         L = Lup.pieces[0]
@@ -297,7 +297,7 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     positive at every N.
 
     Each section's polygon of attained values,
-    numrange.section_bild(T, m, seed=seed + index).inner_hull, is clipped to
+    numrange.upper_bild(T, m, seed=seed + index).inner_hull, is clipped to
     the window strip and the best point is a vertex of the clipped polygon.
     A diagonal section's polygon is its exact upper bild, so m and seed do
     not matter there; any other section samples its dense block m times,
@@ -320,7 +320,7 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     start = float(direction @ edge[0])
     rows: list[ProbeRow] = []
     for idx, N in enumerate(sections):
-        Q = section_bild(truncate(M, int(N)), m=m, seed=seed + idx).inner_hull
+        Q = upper_bild(truncate(M, int(N)), m=m, seed=seed + idx).inner_hull
         strip = clip_polygon(Q, -direction, -(start + _PROBE_MARGIN * length))
         pts = clip_polygon(strip, direction, start + (1.0 - _PROBE_MARGIN) * length)
         if len(pts) == 0:

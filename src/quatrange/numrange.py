@@ -17,9 +17,10 @@ reported as an explicit certificate; the outer polygon is only supported in
 upward directions, so the part of the plane below the region and above b = 0
 is never excluded by construction.
 
-A diagonal matrix has its upper bild in closed form (diagonal_bild), and a
-block-plus-diagonal section composes its region from the block's sampled
-region and the tail's closed form (section_bild).
+A diagonal matrix has its upper bild in closed form (diagonal_bild).
+upper_bild is the one region builder: it samples only a dense block
+(_sampled_bild) and composes a block-plus-diagonal matrix's region from the
+block's sampled region and the tail's closed form.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "support_offsets",
     "upper_bild",
     "diagonal_bild",
-    "section_bild",
     "refined_values",
     "bild_points",
     "real_section",
@@ -79,8 +79,13 @@ def _to_u(x: np.ndarray) -> np.ndarray:
     Writing x = A + B j with complex A = x0 + i x1 and B = x2 + i x3, the
     column is (A, -conj(B)).
     """
-    return np.concatenate([x[..., 0] + 1j * x[..., 1], -x[..., 2] + 1j * x[..., 3]],
-                          axis=-1)
+    n = x.shape[-2]
+    u = np.empty(x.shape[:-2] + (2 * n,), dtype=complex)
+    u.real[..., :n] = x[..., 0]
+    u.imag[..., :n] = x[..., 1]
+    np.negative(x[..., 2], out=u.real[..., n:])
+    u.imag[..., n:] = x[..., 3]
+    return u
 
 
 def _chi_values(u: np.ndarray, cu: np.ndarray) -> np.ndarray:
@@ -100,44 +105,17 @@ def _chi_values(u: np.ndarray, cu: np.ndarray) -> np.ndarray:
     return np.stack([z1_re, z1_im, -wcu.real, wcu.imag], axis=-1)
 
 
-_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
-
-
-def _packed_diag_forms(d: np.ndarray) -> np.ndarray:
-    """Symmetric forms of x -> conj(x) d x packed over coordinate pairs.
-
-    Returns S with shape (10, k, 4): for each unordered component pair the
-    per-coordinate coefficients of the four value components.
-    """
-    # A[k, c, a, b] with conj(p) d p = sum_ab A[., a, b] p_a p_b
-    A = np.einsum("a,adbc,kd->kcab", CONJ_SIGNS, TRIPLE, d)
-    k = d.shape[0]
-    S = np.empty((10, k, 4))
-    for idx, (a, b) in enumerate(_PAIRS):
-        coeff = A[:, :, a, a] if a == b else A[:, :, a, b] + A[:, :, b, a]
-        S[idx] = coeff
-    return S
-
-
-def _values_diag_fast(X4: np.ndarray, packed: np.ndarray, out: np.ndarray) -> None:
-    """Accumulate <Dx, x> into out for component-major samples X4 (4, m, k)."""
-    for idx, (a, b) in enumerate(_PAIRS):
-        out += (X4[a] * X4[b]) @ packed[idx]
-
-
 def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
     """Values <Tx, x> at m uniformly sampled unit vectors, shape (m, 4).
 
     Unit vectors are normalized Gaussian coordinate tuples; the output is
-    deterministic for a fixed seed and independent of chunking.
+    deterministic for a fixed seed and independent of chunking.  Every
+    value is taken on the complex adjoint matrix chi(T) (_chi_values).
     """
     if m < 1:
         raise ValueError("m must be positive")
     n = T.n
-    b = T.block_split()
-    diag_tail = T.diagonal()[b:, :]
-    packed = _packed_diag_forms(diag_tail) if b < n else None
-    chi_t = QMatrix(T.arr[:b, :b, :]).complex_rep().T if b > 0 else None
+    chi_t = T.complex_rep().T
     rng = _rng(seed, 0)
     chunk = max(1, _CHUNK_BUDGET // (4 * n))
     out = np.empty((m, 4))
@@ -147,13 +125,8 @@ def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
         X4 = rng.standard_normal((4, take, n))
         norms = np.sqrt(np.einsum("cmk,cmk->m", X4, X4))
         X4 /= norms[None, :, None]
-        vals = np.zeros((take, 4))
-        if b > 0:
-            u = _to_u(np.moveaxis(X4[:, :, :b], 0, -1))
-            vals += _chi_values(u, u @ chi_t)
-        if b < n:
-            _values_diag_fast(X4[:, :, b:], packed, vals)
-        out[done:done + take] = vals
+        u = _to_u(np.moveaxis(X4, 0, -1))
+        out[done:done + take] = _chi_values(u, u @ chi_t)
         done += take
     return out
 
@@ -221,7 +194,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     within _ANGLE_MERGE of the least angle of their group share that angle's
     solve; linspace(0, pi, k) thus needs ceil(k/2) solves.  The merge moves
     the solved angle by at most 2e-15, and h by at most 2e-15 max |h|
-    (|h'| is at most the norm of a bild point), far inside upper_bild's
+    (|h'| is at most the norm of a bild point), far inside _sampled_bild's
     1e-12 (1 + max |h|) pad.  The stacks are solved in chunks of
     _ANGLE_CHUNK folded angles, which bounds the eigen stack.  Each chunk's
     h comes from one eigvalsh call, which computes no eigenvectors.
@@ -237,7 +210,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     end's vector comes from one shifted solve (_end_vectors), and its point
     is the value <Bx, x> at that explicit unit vector, so it is attained
     whatever the solve's accuracy; how close it comes to h is what
-    upper_bild checks.
+    _sampled_bild checks.
 
     A diagonal tail entry d has the similarity sphere of d as its values, so
     the tail's support is the closed form max_k a_k cos(theta) + b_k sin(theta)
@@ -297,7 +270,7 @@ def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
     equals the maximum of Re(exp(-i theta) u^H chi(T) u) over unit complex u,
     the top eigenvalue of H(theta), the Hermitian part of exp(-i theta) chi(T).
     Only the dense block is solved this way, by the eigvalsh call that
-    upper_bild makes, so both report the same h bit for bit; upper_bild's
+    _sampled_bild makes, so both report the same h bit for bit; its
     boundary vectors come from a shifted solve after it, which leaves h as
     it is.  One eigenvalue solve serves both theta and pi - theta: chi is
     quaternionic, so h(pi - theta) = -lambda_min(H(theta)) (proof in
@@ -330,13 +303,15 @@ def upper_bild_support(T: QMatrix, theta: float) -> float:
 class BildRegion:
     """Inner hull and outer support polygon of an upper bild.
 
-    The inner hull is the convex hull of attained values: the sampled cloud
-    plus, at every support angle, a boundary point attaining h(theta).  The
-    upper bild is convex, so the hull is a sound inner region.  The two
-    certificates are computed from the fields each time they are read.
+    The inner hull is the convex hull of attained values: on a dense matrix
+    the sampled cloud plus, at every support angle, a boundary point
+    attaining h(theta); on a matrix with a diagonal part the composed
+    polygon itself (upper_bild).  The upper bild is convex, so the hull is a
+    sound inner region.  The two certificates are computed from the fields
+    each time they are read.
     """
 
-    inner_points: np.ndarray  # (m, 2) sampled values, b >= 0
+    inner_points: np.ndarray  # (m, 2) sampled values, or the composed polygon
     inner_hull: np.ndarray  # hull vertices of inner_points and boundary_points
     outer_polygon: np.ndarray  # intersection of support half-planes with b >= 0
     boundary_points: np.ndarray  # (k, 2), row j attains h(thetas[j])
@@ -355,8 +330,8 @@ class BildRegion:
         return float((self.offsets - (self.inner_hull @ dirs.T).max(axis=0)).max())
 
 
-def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildRegion:
-    """Inner hull of attained values plus support-function outer polygon.
+def _sampled_bild(T: QMatrix, m: int, k: int, seed: int) -> BildRegion:
+    """Inner hull of m sampled values plus support-function outer polygon.
 
     The outer polygon intersects the half-planes a cos(t) + b sin(t) <= h(t)
     for k equispaced angles in [0, pi] with b >= 0.  The inner hull spans the
@@ -383,8 +358,6 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
     Raises NumericalError when a boundary point leaves a support half-plane
     or misses its own h(t) by more than 1e-9 (1 + max |h|).
     """
-    if m < 1:
-        raise ValueError("m must be positive")
     if k < 3:
         raise ValueError("need at least three support angles")
     values = nr_sample(T, m, seed)
@@ -410,35 +383,34 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
 
 # -- the upper bild of a diagonal matrix, in closed form ---------------------------
 
-_PAIR_BUDGET = 1 << 18  # pair values per row chunk of the closed form
-
-
 def _axis_pairs(lam: np.ndarray) -> list[tuple[int, int]]:
     """Index pairs k < l attaining the least and the largest c_kl.
 
-    c_kl = (a_k b_l + a_l b_k) / (b_k + b_l) over the pairs with
-    b_k + b_l > 0, scanned in row chunks of about _PAIR_BUDGET values.
-    Empty when no pair qualifies.
+    c_kl = (a_k b_l + a_l b_k) / (b_k + b_l) over the pairs k != l with
+    b_k + b_l > 0, a weighted mean of a_k and a_l.  Let p be the first
+    index with the least a.  Then the least c_kl is the least c_pl over the
+    qualifying pairs (p, l), so one pass over l finds it.
+
+    Proof.  Take a qualifying pair (k, l) without p, with a_k <= a_l, so
+    c_kl >= a_k.  If (p, k) qualifies, c_pk <= a_k, a mean of a_p <= a_k
+    and a_k.  If it does not, b_p = b_k = 0, so b_l > 0, (p, l) qualifies
+    and c_pl = a_p <= a_k = c_kl.  When no pair (p, l) qualifies, every b
+    vanishes and no pair qualifies at all.  The largest c_kl follows in the
+    same way from the first index with the largest a.  Empty when no pair
+    qualifies.
     """
     a, b = lam[:, 0], lam[:, 1]
-    n = len(lam)
-    cols = np.arange(n)
-    rows = max(1, _PAIR_BUDGET // n)
-    best = {+1.0: (np.inf, None), -1.0: (np.inf, None)}  # sign -> (sign * c, pair)
-    for lo in range(0, n - 1, rows):
-        hi = min(lo + rows, n - 1)
-        bk = b[lo:hi, None]
-        s = bk + b[None, :]
-        live = (cols[None, :] > cols[lo:hi, None]) & (s > 0.0)
+    pairs = []
+    for sign, p in ((1.0, int(np.argmin(a))), (-1.0, int(np.argmax(a)))):
+        s = b[p] + b
+        live = s > 0.0
+        live[p] = False
         if not live.any():
             continue
-        c = (a[lo:hi, None] * b[None, :] + a[None, :] * bk) / np.where(live, s, 1.0)
-        for sign in best:
-            masked = np.where(live, sign * c, np.inf)
-            r, l = divmod(int(np.argmin(masked)), n)
-            if masked[r, l] < best[sign][0]:
-                best[sign] = (masked[r, l], (lo + r, l))
-    return [pair for _, pair in best.values() if pair is not None]
+        c = (a[p] * b + a * b[p]) / np.where(live, s, 1.0)
+        l = int(np.argmin(np.where(live, sign * c, np.inf)))
+        pairs.append((min(p, l), max(p, l)))
+    return pairs
 
 
 def _diagonal_vertices(T: QMatrix) -> tuple[np.ndarray, list, list]:
@@ -527,7 +499,7 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
     support.  The outer polygon is the polygon widened by that tolerance
     (the Minkowski sum with a square of half-width 1e-12 (1 + max |h|), cut
     at b = 0), so it stays a superset when a vertex is rounded inward, as
-    upper_bild pads its offsets; hausdorff_gap is that pad times sqrt(2) at
+    _sampled_bild pads its offsets; hausdorff_gap is that pad times sqrt(2) at
     most.  No vectors are sampled.
     """
     if T.block_split() != 0:
@@ -555,12 +527,16 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
                       thetas=thetas, offsets=offsets)
 
 
-# -- the upper bild of a finite section, composed --------------------------------
+# -- the upper bild region of any matrix, composed ---------------------------------
 
-def section_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildRegion:
+def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildRegion:
     """Upper bild region of T = B (+) D from its dense block B and diagonal tail D.
 
-    With mirror(a, b) = (a, -b) and B(.) the upper bild,
+    B = T[:b, :b] with b = T.block_split(), and D is the rest of the
+    diagonal.  A diagonal T (b = 0) returns diagonal_bild(T, k), exact and
+    unsampled; a T without a diagonal tail (b = n) returns
+    _sampled_bild(T, m, k, seed), whose inner_points are the m samples.
+    Otherwise, with mirror(a, b) = (a, -b) and B(.) the upper bild,
 
         B(T) = conv(B(B) u B(D) u I x {0}),  I = conv(B(B) u mirror(B(D))) n R.
 
@@ -582,36 +558,37 @@ def section_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> Bil
     equal length, antiparallel.  The upper bild is convex (So and Thompson
     1996), so it holds the right side.
 
-    The region applies the lemma to attained parts: A, upper_bild(B)'s inner
-    hull (m samples of the block only, with this seed) and the block's two
-    real-section ends (_real_ends, the ascent's), each at its own
-    attained b <= 1e-6; P, diagonal_bild(D)'s exact polygon; and
+    The region applies the lemma to attained parts: A, _sampled_bild(B)'s
+    inner hull (m samples of the block only, with this seed) and the
+    block's two real-section ends (_real_ends, the ascent's), each at its
+    own attained b <= 1e-6; P, diagonal_bild(D)'s exact polygon; and
     I = conv(A u mirror(P)) n R.  So Q = conv(A u P u I x {0}) is attained
     and lies in B(T); it is both inner_points and inner_hull.  The offsets
     are the larger of the two parts' offsets, which is support_offsets(T)
     (I x {0} adds nothing upward, by the same convex combination), and the
-    outer polygon is read off them with upper_bild's pad.  Raises
+    outer polygon is read off them with _sampled_bild's pad.  Raises
     NumericalError when Q leaves a support half-plane or misses h by more
-    than 1e-9 (1 + max |h|).  A diagonal T returns diagonal_bild(T, k).
+    than 1e-9 (1 + max |h|).
     """
+    if m < 1:
+        raise ValueError("m must be positive")
     b = T.block_split()
     if b == 0:
         return diagonal_bild(T, k=k)
+    if b == T.n:
+        return _sampled_bild(T, m, k, seed)
     B = QMatrix(T.arr[:b, :b])
-    block = upper_bild(B, m=m, k=k, seed=seed)
+    block = _sampled_bild(B, m, k, seed)
     try:
         ends = _real_ends(B, seed, 1e-6)
     except RealSectionError:
         ends = np.empty((0, 2))
-    parts = [block.inner_hull, ends]
-    offsets = block.offsets
-    if b < T.n:
-        tail = diagonal_bild(QMatrix.diag(T.diagonal()[b:]), k=k)
-        hull = convex_hull(np.vstack(parts + [tail.inner_hull * (1.0, -1.0)]))
-        cut = clip_polygon(clip_polygon(hull, (0.0, -1.0), 0.0), (0.0, 1.0), 0.0)
-        parts += [tail.inner_hull, np.column_stack([cut[:, 0], np.zeros(len(cut))])]
-        offsets = np.maximum(offsets, tail.offsets)
-    Q = convex_hull(np.vstack(parts))
+    tail = diagonal_bild(QMatrix.diag(T.diagonal()[b:]), k=k)
+    hull = convex_hull(np.vstack([block.inner_hull, ends, tail.inner_hull * (1.0, -1.0)]))
+    cut = clip_polygon(clip_polygon(hull, (0.0, -1.0), 0.0), (0.0, 1.0), 0.0)
+    Q = convex_hull(np.vstack([block.inner_hull, ends, tail.inner_hull,
+                               np.column_stack([cut[:, 0], np.zeros(len(cut))])]))
+    offsets = np.maximum(block.offsets, tail.offsets)
     thetas = block.thetas
     scale = 1.0 + float(np.max(np.abs(offsets)))
     reach = Q @ np.stack([np.cos(thetas), np.sin(thetas)], axis=1).T

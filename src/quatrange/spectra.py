@@ -107,15 +107,13 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
     tail entry gives its class (alpha_k, beta_k) in closed form, counted
     twice as in chi(T).  The block's candidates are the eigenvalues of the
     2b x 2b matrix C = chi(B), one np.linalg.eig call, none when b = 0;
-    their conjugate pairs map to (Re, |Im|).  The points are lexsorted and
-    merged within merge_tol into their running means.
+    their conjugate pairs map to (Re, |Im|).
 
-    Certificate.  Every merged representative (a, b) must make the pencil
-    P(a, b) = chi(T)^2 - 2a chi(T) + (a^2 + b^2) I singular up to
-    singular_tol (default 1e-8 (1 + ||T||_F^2), since the pencil is
-    quadratic in T): NumericalError is raised iff its smallest singular
-    value exceeds singular_tol.  chi is a unital ring homomorphism, so P is
-    permutation-similar to
+    Certificate.  Every candidate (a, b) is checked at its own class, before
+    any merge: the pencil P(a, b) = chi(T)^2 - 2a chi(T) + (a^2 + b^2) I
+    must be singular up to singular_tol (default 1e-8 (1 + ||T||_F^2),
+    since the pencil is quadratic in T), else NumericalError is raised.  chi
+    is a unital ring homomorphism, so P is permutation-similar to
 
         (C^2 - 2aC + (a^2 + b^2) I)  +  chi(p_1) + ... + chi(p_k),
         p_k = d_k^2 - 2a d_k + a^2 + b^2,
@@ -125,16 +123,19 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
         sigma_min(P) = min(sigma_min(P_B), min_k |p_k|),
         |p_k| = hypot((alpha_k - a)^2 + b^2 - beta_k^2, 2 (alpha_k - a) beta_k),
 
-    which is d_k^2 = alpha_k^2 - beta_k^2 + 2 alpha_k v_k expanded.  For the
-    block, sigma_min(P_B) <= ||P_B v|| for every unit vector v; the unit
-    eigenvectors V of C give these bounds from CV and C^2 V, formed once.
-    A sphere passes when the tail minimum or the least bound is at most
-    singular_tol; only when both exceed it is the 2b x 2b SVD of P_B taken,
+    which is d_k^2 = alpha_k^2 - beta_k^2 + 2 alpha_k v_k expanded.  A tail
+    class has p_k = 0 at its own (a, b), so it passes in closed form.  For a
+    block eigenvalue, sigma_min(P_B) <= ||P_B v|| for every unit vector v;
+    the unit eigenvectors V of C give these bounds from CV and C^2 V, formed
+    once, and the candidate passes when the least bound is at most
+    singular_tol.  Only when it exceeds it is the 2b x 2b SVD of P_B taken,
     and then min(sigma_min(P_B), min_k |p_k|) = sigma_min(P) decides.  No
-    2n x 2n matrix is formed.
+    2n x 2n matrix is formed.  Each comparison with singular_tol passes only
+    on "<=", so a NaN from an overflow fails it.
 
-    Each comparison with singular_tol passes only on "<=", so a NaN from an
-    overflow fails it.
+    Spheres.  The certified points are lexsorted and merged (_merge): each
+    sphere is the running mean of certified classes chained within
+    merge_tol, and is not checked again.
 
     ValueError is raised, before any solve, unless merge_tol and (when
     given) singular_tol are finite and >= 0 and every entry of T is finite;
@@ -160,29 +161,23 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
     if nb:
         rep = QMatrix(T.arr[:nb, :nb]).complex_rep()
         eigs, vecs = np.linalg.eig(rep)
-        pts = np.vstack([np.stack([eigs.real, np.abs(eigs.imag)], axis=1), pts])
+        block = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
         rep_v = rep @ vecs
         rep2_v = rep @ rep_v
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    merged = _merge(pts[order], merge_tol)
-
-    spheres = []
-    for a, b in merged:
-        da = alpha - a
-        smallest = float(np.min(np.hypot(da * da + b * b - beta * beta, 2.0 * da * beta),
-                                initial=np.inf))
-        if not smallest <= singular_tol and nb:
+        for a, b in block:
             shift = a * a + b * b
-            bound = float(np.linalg.norm(rep2_v - (2.0 * a) * rep_v + shift * vecs, axis=0).min())
+            bound = np.linalg.norm(rep2_v - (2.0 * a) * rep_v + shift * vecs, axis=0).min()
             if bound <= singular_tol:
-                smallest = bound
-            else:
-                pencil = rep @ rep - (2.0 * a) * rep + shift * np.eye(2 * nb)
-                block = float(np.linalg.svd(pencil, compute_uv=False)[-1])
-                smallest = float(np.minimum(smallest, block))
-        if not smallest <= singular_tol:
-            raise NumericalError(
-                f"eigenvalue candidate ({a:.6g}, {b:.6g}) fails the pencil "
-                f"singularity cross-check ({smallest:.3e} > {singular_tol:.3e})")
-        spheres.append(SimilaritySphere(float(a), float(b)))
-    return SphereSet(spheres)
+                continue
+            pencil = rep @ rep - (2.0 * a) * rep + shift * np.eye(2 * nb)
+            da = alpha - a
+            smallest = float(np.min(np.hypot(da * da + b * b - beta * beta, 2.0 * da * beta),
+                                    initial=np.linalg.svd(pencil, compute_uv=False)[-1]))
+            if not smallest <= singular_tol:
+                raise NumericalError(
+                    f"eigenvalue candidate ({a:.6g}, {b:.6g}) fails the pencil "
+                    f"singularity cross-check ({smallest:.3e} > {singular_tol:.3e})")
+        pts = np.vstack([block, pts])
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    return SphereSet(SimilaritySphere(float(a), float(b))
+                     for a, b in _merge(pts[order], merge_tol))

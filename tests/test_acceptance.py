@@ -9,8 +9,9 @@ polygon.  Both are mirrored across b = 0 first: the bild is closed under
 conjugation, and the b >= 0 cut of the outer polygon is not a support
 half-plane.  The mirrored gap is the worst support deficiency of the inner
 hull over every upward direction.  The reported hausdorff_gap also counts the
-under-region between the bild and b = 0, which no support half-plane cuts
-(already |Im q| for the 1x1 matrix (q)), so it is reported but not bounded.
+under-region between the bild and b = 0, which no support half-plane cuts, so
+it is reported but not bounded.  The 1x1 rows are diagonal matrices, whose
+regions upper_bild gives in closed form (diagonal_bild).
 """
 
 import json

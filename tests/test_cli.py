@@ -133,7 +133,10 @@ def test_bild_command(matrix_file, tmp_path):
     assert code == 0
     lines = (out / "bild.csv").read_text().strip().splitlines()
     assert lines[0] == "a,b,kind"
-    assert len(lines) > 2000
+    # a diagonal matrix's region is its exact polygon, nothing sampled: the
+    # class (0, 1) and the real point (0, 0) where i and j cancel
+    assert sorted(line for line in lines if line.endswith(",inner")) == [
+        "0.0,0.0,inner", "0.0,1.0,inner"]
     summary = read_summary(out)
     assert summary["config"]["samples"] == 2000
     # both diagonal units lie on the class (0, 1)
@@ -241,7 +244,7 @@ def test_verify_samples_nothing_on_a_diagonal_section(tmp_path, monkeypatch):
     # diagonal_bild's exact polygon, so --samples changes nothing
     log = []
     _count(monkeypatch, numrange, "nr_sample", log)
-    _count(monkeypatch, numrange, "upper_bild", log)
+    _count(monkeypatch, numrange, "_sampled_bild", log)
     checks = []
     for samples in ("1", "20000"):
         out = tmp_path / samples
@@ -259,11 +262,11 @@ def test_verify_samples_a_section_with_a_dense_block(tmp_path, monkeypatch):
     assert M.block_size == 2 and M.block.block_split() == 2
     path = tmp_path / "block.json"
     fileio.dump_operator(M, path)
-    # section_bild samples the 2x2 block, not the 42-row section
+    # upper_bild samples the 2x2 block, not the 42-row section
     sampled = []
-    upper_bild = numrange.upper_bild
-    monkeypatch.setattr(numrange, "upper_bild",
-                        lambda T, **kw: sampled.append((T.n, kw["m"])) or upper_bild(T, **kw))
+    sampled_bild = numrange._sampled_bild
+    monkeypatch.setattr(numrange, "_sampled_bild",
+                        lambda T, *args: sampled.append((T.n, args[0])) or sampled_bild(T, *args))
     out = tmp_path / "out"
     assert main(["verify", str(path), "--section", "40", "--samples", "3000",
                  "--angles", "90", "--out", str(out)]) == 0

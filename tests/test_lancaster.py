@@ -204,7 +204,7 @@ def test_lancaster_pure_matrix_matches_padded_matrix():
 
     # one zero tail entry is exactly the matrix padded by a zero row/column
     padded = qr.QMatrix.block_diag(B, np.zeros((1, 4)))
-    Q = qr.section_bild(padded, m=2000, k=120, seed=4).inner_hull
+    Q = qr.upper_bild(padded, m=2000, k=120, seed=4).inner_hull
     region_matrix = iconv_polygon(np.array([(0.0, 0.0)]), Q).upper()
 
     probes = np.mgrid[-3:3:0.15, 0:3:0.15].reshape(2, -1).T
@@ -237,7 +237,7 @@ def test_lancaster_dense_section_contains_satellite_reference():
         T = qr.truncate(M, row.N)
         b = T.block_split()
         assert b > 0
-        sampled = qr.upper_bild(qr.QMatrix(T.arr[:b, :b]), m=400, k=90, seed=1 + idx)
+        sampled = numrange._sampled_bild(qr.QMatrix(T.arr[:b, :b]), 400, 90, 1 + idx)
         tail = qr.diagonal_bild(qr.QMatrix.diag(T.diagonal()[b:]))
         values = np.vstack([sampled.inner_points, tail.inner_hull])
         assert points_polygon_distance(bild.inner_hull, values).max() <= 1e-12
@@ -268,7 +268,7 @@ def test_lancaster_region_is_one_polygon_with_exact_distances(case, remark):
                                                   report.bilds)):
         seed = 0 if case == "remark" else 1
         T = qr.truncate(M, row.N)
-        Q = qr.section_bild(T, m=400, k=90, seed=seed + idx).inner_hull
+        Q = qr.upper_bild(T, m=400, k=90, seed=seed + idx).inner_hull
         assert np.array_equal(Q, bild.inner_hull)
         cut = convex_hull(clip_polygon(convex_hull(np.vstack([base, Q])), (0.0, -1.0), 0.0))
         assert len(region.pieces) == 1
@@ -301,7 +301,7 @@ def test_composed_section_is_no_further_than_the_sampled_reference(operator):
     for idx, (N, row, bild) in enumerate(zip(sections, report.rows, report.bilds)):
         T = qr.truncate(M, N)
         assert T.block_split() > 0
-        sampled = qr.upper_bild(T, m=2000, k=180, seed=3 + idx)
+        sampled = numrange._sampled_bild(T, 2000, 180, 3 + idx)
         assert np.array_equal(bild.outer_polygon, sampled.outer_polygon)
         assert points_polygon_distance(bild.outer_polygon, bild.inner_hull).max() == 0.0
         Q = convex_hull(np.vstack([sampled.inner_hull, qr.bild_points(qr.refined_values(T))]))
@@ -323,7 +323,7 @@ def test_probe_dense_section_residual_from_attained_values():
         for idx, (N, row) in enumerate(zip(sections, probe.rows)):
             T = qr.truncate(M, N)
             assert T.block_split() > 0
-            Q = qr.section_bild(T, m=3000, seed=2 + idx).inner_hull
+            Q = qr.upper_bild(T, m=3000, seed=2 + idx).inner_hull
             d = edge[1] - edge[0]
             t = (Q - edge[0]) @ d / (d @ d)
             window = Q[(t >= 0.05) & (t <= 0.95)]
@@ -343,7 +343,7 @@ def test_diagonal_sections_are_exact_without_sampling(monkeypatch, remark):
     def forbidden(*args, **kwargs):
         raise AssertionError("a diagonal section was sampled")
 
-    for name in ("nr_sample", "upper_bild", "refined_values"):
+    for name in ("nr_sample", "_sampled_bild", "refined_values"):
         monkeypatch.setattr(numrange, name, forbidden)
     trapezoid = np.array([(-1.0, 1.0), (1.0, 1.0), (1 / 3, 0.0), (-1 / 3, 0.0)])
     report = qr.lancaster_check(remark, [50, 500], m=1, k=90, target=trapezoid)

@@ -67,11 +67,13 @@ def test_nr_sample_nilpotent_bound():
 
 
 def test_nr_sample_matches_scalar_oracle():
-    for seed, n in [(1, 2), (2, 3), (3, 5)]:
-        T = random_qmatrix(seed, n)
+    # a diagonal part is sampled on chi(T) like any block
+    cases = [(seed, random_qmatrix(seed, n)) for seed, n in [(1, 2), (2, 3), (3, 5)]]
+    cases += [(6, _block_plus_diagonal()), (6, qr.truncate(qr.remark_operator(), 12))]
+    for seed, T in cases:
         m = 40
         vals = qr.nr_sample(T, m, seed=seed)
-        vecs = reconstruct_sample_vectors(n, m, seed)
+        vecs = reconstruct_sample_vectors(T.n, m, seed)
         oracle = slow_nr_values(T, vecs)
         for got, want in zip(vals, oracle):
             assert np.max(np.abs(got - want.to_array())) <= 1e-12
@@ -169,9 +171,14 @@ def test_upper_bild_scalar_point():
 
 
 def test_upper_bild_single_imaginary_sphere():
-    # true region is the point (0, 1); the outer polygon keeps the
-    # support-unreachable stem down to b = 0, so the gap equals 1
-    region = qr.upper_bild(qr.QMatrix.diag([I]), m=2000, k=90, seed=1)
+    # true region is the point (0, 1); upper_bild gives it in closed form,
+    # with only the rounding pad between the point and its outer polygon
+    exact = qr.upper_bild(qr.QMatrix.diag([I]), m=2000, k=90, seed=1)
+    assert np.array_equal(exact.inner_hull, [[0.0, 1.0]])
+    assert exact.hausdorff_gap <= 1e-12 * 2.0 * math.sqrt(2.0) * (1.0 + 1e-9)
+    # the sampled route's outer polygon keeps the support-unreachable stem
+    # down to b = 0, so its gap equals 1
+    region = numrange._sampled_bild(qr.QMatrix.diag([I]), 2000, 90, 1)
     assert np.allclose(region.inner_hull, [[0.0, 1.0]], atol=1e-9)
     assert region.outer_polygon[:, 0] == pytest.approx(0.0, abs=1e-9)
     assert region.outer_polygon[:, 1].max() == pytest.approx(1.0, abs=1e-9)
@@ -397,24 +404,29 @@ def test_upper_bild_tail_boundary_points_are_diagonal_classes():
 
 
 def test_upper_bild_inner_points_are_the_samples():
+    # the sampled route samples the whole matrix, tail included
     T = _block_plus_diagonal()
-    region = qr.upper_bild(T, m=777, k=60, seed=3)
+    region = numrange._sampled_bild(T, 777, 60, 3)
     assert len(region.inner_points) == 777
     assert np.array_equal(region.inner_points, qr.bild_points(qr.nr_sample(T, 777, 3)))
 
 
 def test_upper_bild_worked_block():
-    # inner region approaches the triangle conv{(-1,1),(1,1),(0,0)}; the
-    # support polygon is its upward-supported envelope [-1,1] x [0,1]
+    # the region is the triangle conv{(-1,1),(1,1),(0,0)}, exact for this
+    # diagonal matrix; the sampled route's inner region approaches it, and
+    # its support polygon is the upward-supported envelope [-1,1] x [0,1]
     T = qr.QMatrix.diag([Quaternion(-1, 1, 0, 0), Quaternion(1, 1, 0, 0)])
+    exact = qr.upper_bild(T, m=100000, k=3601, seed=4)
     # 3601 angles put pi/2 on the grid, so the flat top edge is cut exactly
-    region = qr.upper_bild(T, m=100000, k=3601, seed=4)
+    region = numrange._sampled_bild(T, 100000, 3601, 4)
     square = np.array([(-1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0)])
     assert hausdorff_convex(region.outer_polygon, qr.convex_hull(square)) <= 1e-6
     triangle = qr.convex_hull(np.array([(-1.0, 1.0), (1.0, 1.0), (0.0, 0.0)]))
     # sampled inner hull sits inside the triangle and fills it
     assert float(points_polygon_distance(triangle, region.inner_hull).max()) <= 1e-9
     assert hausdorff_convex(region.inner_hull, triangle) <= 0.08
+    assert np.array_equal(exact.inner_hull, triangle)
+    assert hausdorff_convex(exact.outer_polygon, triangle) <= 1e-9
 
 
 def test_upper_bild_inner_within_outer():
@@ -559,6 +571,87 @@ def test_diagonal_bild_region_is_exact():
         qr.diagonal_bild(_block_plus_diagonal())
 
 
+# -- the axis pairs, against the former O(N^2) scan ----------------------------------
+
+_PAIR_BUDGET = 1 << 18  # pair values per row chunk of the closed form
+
+
+def _reference_axis_pairs(lam: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs k < l attaining the least and the largest c_kl.
+
+    c_kl = (a_k b_l + a_l b_k) / (b_k + b_l) over the pairs with
+    b_k + b_l > 0, scanned in row chunks of about _PAIR_BUDGET values.
+    Empty when no pair qualifies.
+    """
+    a, b = lam[:, 0], lam[:, 1]
+    n = len(lam)
+    cols = np.arange(n)
+    rows = max(1, _PAIR_BUDGET // n)
+    best = {+1.0: (np.inf, None), -1.0: (np.inf, None)}  # sign -> (sign * c, pair)
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        bk = b[lo:hi, None]
+        s = bk + b[None, :]
+        live = (cols[None, :] > cols[lo:hi, None]) & (s > 0.0)
+        if not live.any():
+            continue
+        c = (a[lo:hi, None] * b[None, :] + a[None, :] * bk) / np.where(live, s, 1.0)
+        for sign in best:
+            masked = np.where(live, sign * c, np.inf)
+            r, l = divmod(int(np.argmin(masked)), n)
+            if masked[r, l] < best[sign][0]:
+                best[sign] = (masked[r, l], (lo + r, l))
+    return [pair for _, pair in best.values() if pair is not None]
+
+
+def _axis_pair_inputs():
+    """Remark sections, seeded tails, and random class sets with zero-b and tied rows."""
+    remark = [qr.bild_points(qr.truncate(qr.remark_operator(), N).diagonal())
+              for N in (50, 200, 500, 2000)]
+    seeded = []
+    for seed in range(20):
+        M = seeded_model_operator(seed)
+        for N in (50, 100, 200, 500):
+            T = qr.truncate(M, N)
+            seeded.append(qr.bild_points(T.diagonal()[T.block_split():]))
+    rng = np.random.default_rng(44)
+    random_sets = []
+    for trial in range(300):
+        lam = np.column_stack([rng.standard_normal(1 + trial % 13),
+                               np.abs(rng.standard_normal(1 + trial % 13))])
+        lam[rng.random(len(lam)) < 0.3, 1] = 0.0
+        if trial % 3 == 0:
+            lam[rng.integers(len(lam))] = lam[0]
+        if trial % 7 == 0:
+            lam[:, 0] = np.round(lam[:, 0])
+        if trial % 50 == 0:
+            lam[:, 1] = 0.0
+        random_sets.append(lam)
+    return remark, seeded + random_sets
+
+
+def _axis_values(lam, pairs):
+    return np.array([(lam[k, 0] * lam[l, 1] + lam[l, 0] * lam[k, 1]) / (lam[k, 1] + lam[l, 1])
+                     for k, l in pairs])
+
+
+def test_axis_pairs_match_the_pair_scan():
+    # the one-pass rule finds the scan's extreme values; where equal classes
+    # repeat, a tied pair may round differently, so values agree to a few ulps
+    remark, others = _axis_pair_inputs()
+    for lam in remark:
+        assert numrange._axis_pairs(lam) == _reference_axis_pairs(lam)
+    for lam in remark + others:
+        got, want = numrange._axis_pairs(lam), _reference_axis_pairs(lam)
+        assert len(got) == len(want)
+        assert all(k < l for k, l in got)
+        scale = 1.0 + np.abs(lam[:, 0]).max()
+        assert np.abs(_axis_values(lam, got) - _axis_values(lam, want)).max(
+            initial=0.0) <= 4e-16 * scale
+    assert numrange._axis_pairs(np.array([(0.5, 0.0), (-1.0, 0.0)])) == []
+    assert numrange._axis_pairs(np.array([(0.5, 2.0)])) == []
+
+
 # -- the composed region of a block-plus-diagonal section ---------------------------
 
 
@@ -585,12 +678,14 @@ def test_section_bild_crossing_is_attained_by_two_summands():
                                qr.truncate(seeded_model_operator(0), 20)],
                          ids=["block_plus_diagonal", "dense", "seeded_section"])
 def test_section_bild_offsets_are_the_section_support(T):
-    region = qr.section_bild(T, m=500, k=90, seed=2)
+    region = qr.upper_bild(T, m=500, k=90, seed=2)
     assert np.array_equal(region.offsets, qr.support_offsets(T, region.thetas))
     dirs = np.stack([np.cos(region.thetas), np.sin(region.thetas)], axis=1)
     reach = (region.inner_hull @ dirs.T).max(axis=0)
     assert np.abs(reach - region.offsets).max() <= 1e-9 * (1.0 + np.abs(region.offsets).max())
-    assert np.array_equal(region.inner_points, region.inner_hull)
+    # a composed region's inner points are its polygon; a dense T's are samples
+    has_tail = T.block_split() < T.n
+    assert np.array_equal(region.inner_points, region.inner_hull) == has_tail
     assert points_polygon_distance(region.outer_polygon, region.inner_hull).max() == 0.0
 
 
@@ -600,8 +695,8 @@ def test_section_bild_holds_every_crossing_of_its_parts(T):
     # Q holds the block's inner hull A, the tail's polygon P and the point
     # where each segment from a vertex of A to a mirrored vertex of P meets b = 0
     b = T.block_split()
-    Q = qr.section_bild(T, m=500, k=90, seed=2).inner_hull
-    A = qr.upper_bild(qr.QMatrix(T.arr[:b, :b]), m=500, k=90, seed=2).inner_hull
+    Q = qr.upper_bild(T, m=500, k=90, seed=2).inner_hull
+    A = numrange._sampled_bild(qr.QMatrix(T.arr[:b, :b]), 500, 90, 2).inner_hull
     P = qr.diagonal_bild(qr.QMatrix.diag(T.diagonal()[b:])).inner_hull
     a, p = np.repeat(A, len(P), axis=0), np.tile(P, (len(A), 1))
     live = a[:, 1] + p[:, 1] > 0.0
@@ -610,13 +705,21 @@ def test_section_bild_holds_every_crossing_of_its_parts(T):
     assert points_polygon_distance(Q, np.vstack([A, P, crossings])).max() <= 1e-12
 
 
-def test_section_bild_of_a_diagonal_section_is_diagonal_bild():
-    T = qr.truncate(qr.remark_operator(), 50)
-    region, exact = qr.section_bild(T, m=1, k=90, seed=7), qr.diagonal_bild(T, k=90)
-    for name in ("inner_hull", "outer_polygon", "offsets", "boundary_points"):
-        assert np.array_equal(getattr(region, name), getattr(exact, name))
+def test_section_bild_of_a_diagonal_section_is_diagonal_bild(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal matrix was sampled")
+
+    monkeypatch.setattr(numrange, "nr_sample", refuse)
+    for T in (qr.truncate(qr.remark_operator(), 50), qr.QMatrix.diag([I]),
+              random_qmatrix(4, 1), _seeded_diagonals()[3]):
+        assert T.block_split() == 0
+        region, exact = qr.upper_bild(T, m=1, k=90, seed=7), qr.diagonal_bild(T, k=90)
+        for name in ("inner_points", "inner_hull", "outer_polygon", "boundary_points",
+                     "thetas", "offsets"):
+            assert np.array_equal(getattr(region, name), getattr(exact, name))
 
 
+# "section_bild" composes a block-plus-diagonal section; "upper_bild" samples a dense T
 @pytest.mark.parametrize("build", ["section_bild", "upper_bild"])
 def test_region_certificates_are_computed_where_read(monkeypatch, build):
     hausdorff = numrange.hausdorff_convex
@@ -628,7 +731,7 @@ def test_region_certificates_are_computed_where_read(monkeypatch, build):
 
     monkeypatch.setattr(numrange, "hausdorff_convex", counted)
     if build == "section_bild":
-        region = qr.section_bild(_block_plus_diagonal(), m=200, k=60)
+        region = qr.upper_bild(_block_plus_diagonal(), m=200, k=60)
     else:
         region = qr.upper_bild(random_qmatrix(25, 3), m=200, k=60)
     assert not calls
@@ -647,22 +750,54 @@ def test_section_bild_rejects_a_shifted_support(monkeypatch):
     monkeypatch.setattr(numrange, "support_offsets",
                         lambda T, thetas: offsets(T, thetas) + 1e-6)
     with pytest.raises(NumericalError):
-        qr.section_bild(_block_plus_diagonal(), m=200, k=60)
+        qr.upper_bild(_block_plus_diagonal(), m=200, k=60)
 
 
 @pytest.mark.parametrize("shift", [1e-6, -1e-6])
 def test_section_bild_rejects_a_region_off_its_support_lines(monkeypatch, shift):
     # the block's offsets moved either way: Q misses h, or leaves a half-plane
-    upper_bild = numrange.upper_bild
+    sampled_bild = numrange._sampled_bild
 
-    def shifted(B, **kwargs):
-        region = upper_bild(B, **kwargs)
+    def shifted(B, *args):
+        region = sampled_bild(B, *args)
         region.offsets = region.offsets + shift
         return region
 
-    monkeypatch.setattr(numrange, "upper_bild", shifted)
+    monkeypatch.setattr(numrange, "_sampled_bild", shifted)
     with pytest.raises(NumericalError, match="composed"):
-        qr.section_bild(_block_plus_diagonal(), m=200, k=60)
+        qr.upper_bild(_block_plus_diagonal(), m=200, k=60)
+
+
+def test_upper_bild_samples_only_the_block_of_a_block_plus_tail(monkeypatch):
+    sampled = []
+    nr_sample = numrange.nr_sample
+
+    def counted(T, m, seed=0):
+        sampled.append((T.n, m, seed))
+        return nr_sample(T, m, seed)
+
+    monkeypatch.setattr(numrange, "nr_sample", counted)
+    for T in (_block_plus_diagonal(), qr.truncate(seeded_model_operator(0), 20)):
+        sampled.clear()
+        qr.upper_bild(T, m=300, k=60, seed=4)
+        assert 0 < T.block_split() < T.n
+        assert sampled == [(T.block_split(), 300, 4)]
+
+
+def test_upper_bild_of_a_dense_matrix_is_the_sampled_region():
+    for T in (random_qmatrix(30, 3), _dense_blocks_matrix(0, 4)):
+        assert T.block_split() == T.n
+        region = qr.upper_bild(T, m=400, k=90, seed=5)
+        sampled = numrange._sampled_bild(T, 400, 90, 5)
+        for name in ("inner_points", "inner_hull", "outer_polygon", "boundary_points",
+                     "thetas", "offsets"):
+            assert np.array_equal(getattr(region, name), getattr(sampled, name))
+
+
+def test_upper_bild_rejects_no_samples_on_every_route():
+    for T in (qr.QMatrix.diag([I]), _block_plus_diagonal(), random_qmatrix(30, 3)):
+        with pytest.raises(ValueError, match="m must be positive"):
+            qr.upper_bild(T, m=0)
 
 
 def test_refined_values_are_genuine():
