@@ -12,7 +12,7 @@ empirically against the generated tail, never inferred.
 from __future__ import annotations
 
 import math
-from array import array
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -625,11 +625,12 @@ class TailBasisSequence:
 
     A pick depends on the class distance alone: the bild distances of the
     tail entries to the target class are kept in one flat ``array("d")``,
-    grown 8-fold at a time up to ``MAX_SCAN`` and walked entry by entry, as
-    a pick usually lies a few entries past the cursor.  As qconjugator turns
-    only the imaginary direction, |conj(u) s u - target| equals the class
-    distance up to rounding, so only the picked entries are rotated, in one
-    qconjugator call per ``chain``; ``pick`` is its one-step case.
+    grown to twice the entry the walk needs (2048 entries at least) up to
+    ``MAX_SCAN`` and walked entry by entry, as a pick usually lies a few
+    entries past the cursor.  As qconjugator turns only the imaginary
+    direction, |conj(u) s u - target| equals the class distance up to
+    rounding, so only the picked entries are rotated, in one qconjugator
+    call per ``chain``; ``pick`` is its one-step case.
     """
 
     MAX_SCAN = 2_000_000
@@ -643,12 +644,14 @@ class TailBasisSequence:
                 f"class ({sphere.a:.6g}, {sphere.b:.6g}) is not a declared limit")
         self._sphere = sphere
         self._target = target.to_array()
+        # imported here, so that paths which never chain do not load the extension
+        from array import array
         self._dist = array("d")
 
-    def _grow(self) -> int:
-        """Extend the class distances 8-fold (to 2048 entries at first), up to MAX_SCAN."""
+    def _grow(self, n: int) -> int:
+        """Extend the class distances past entry n: to max(2048, 2(n + 1)), up to MAX_SCAN."""
         done = len(self._dist)
-        size = min(max(8 * done, 2048), self.MAX_SCAN)
+        size = min(max(2 * (n + 1), 2048), self.MAX_SCAN)
         pts = bild_points(self.M.tail.prefix(size)[done:])
         self._dist.frombytes(
             np.hypot(pts[:, 0] - self._sphere.a, pts[:, 1] - self._sphere.b).tobytes())
@@ -680,7 +683,7 @@ class TailBasisSequence:
                     if size >= self.MAX_SCAN:
                         raise MissingSequenceError(
                             f"no tail class within {e:g} of the target beyond cursor {start}")
-                    size = self._grow()
+                    size = self._grow(n)
                 if dist[n] <= e and m0 + n not in avoid:
                     break
                 n += 1
@@ -772,13 +775,30 @@ def _forms(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
     return terms.sum(axis=(-3, -2))
 
 
-def _pair_combination(M: ModelOperator, x: _Picks, y: _Picks, alpha: float, beta: float):
-    """Selection triples and z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>.
+@dataclass(frozen=True)
+class _PairPlan:
+    """The alpha-independent part of a run's array pass, one row per step.
+
+    ``triples`` (d, 3) are the selection bounds; ``index`` (d, s + t) is the
+    merged support of x_p and y_p sorted by coordinate, padding last, and
+    ``coeffs`` (d, s + t, 4) their unscaled entries in that order, with
+    ``from_x`` marking the columns that come from x_p; ``entries``
+    (d, s + t, s + t, 4) holds the operator entries on index x index.
+    """
+
+    triples: np.ndarray
+    index: np.ndarray
+    coeffs: np.ndarray
+    from_x: np.ndarray
+    entries: np.ndarray
+
+
+def _pair_plan(M: ModelOperator, x: _Picks, y: _Picks) -> _PairPlan:
+    """Selection triples, merged support order and operator entries of x_p and y_p.
 
     All steps at once, against the operator entries on the picked supports.
     The supports of x_p and y_p are disjoint (y_p avoids x_p's coordinates),
-    so z_p's support is their union.  Returns (triples (d, 3), index, coeffs,
-    values) with index and coeffs sorted by coordinate, padding last.
+    so z_p's support is their union.
     """
     rows, cols = y.index[:, :, None], x.index[:, None, :]
     # padded entries have zero coefficients, so they add nothing to any form
@@ -788,34 +808,110 @@ def _pair_combination(M: ModelOperator, x: _Picks, y: _Picks, alpha: float, beta
     # |<x, y>|, |<T x, y>| and |<T* x, y>|
     triples = qabs(_forms(y.coeffs, mids, x.coeffs)).T
     index = np.concatenate((x.index, y.index), axis=1)
-    coeffs = np.concatenate((x.coeffs * alpha, y.coeffs * beta), axis=1)
     order = np.argsort(np.where(index >= 0, index, _PAD), axis=1, kind="stable")
     index = np.take_along_axis(index, order, axis=1)
-    coeffs = np.take_along_axis(coeffs, order[:, :, None], axis=1)
+    coeffs = np.take_along_axis(np.concatenate((x.coeffs, y.coeffs), axis=1),
+                                order[:, :, None], axis=1)
+    return _PairPlan(triples=triples, index=index, coeffs=coeffs,
+                     from_x=order < x.index.shape[1],
+                     entries=M._lookup(index[:, :, None], index[:, None, :])[0])
+
+
+def _pair_step(plan: _PairPlan, alpha: float, beta: float):
+    """z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>: (coeffs, values)."""
+    coeffs = plan.coeffs * np.where(plan.from_x, alpha, beta)[:, :, None]
     norm = np.sqrt(np.einsum("psc,psc->p", coeffs, coeffs))
     coeffs = coeffs * (1.0 / norm)[:, None, None]
-    values = _forms(coeffs, M._lookup(index[:, :, None], index[:, None, :])[0], coeffs)
-    return triples, index, coeffs, values
+    return coeffs, _forms(coeffs, plan.entries, coeffs)
 
 
-def _combine(M: ModelOperator, seq1, seq2, alpha: float, depth: int) -> CombinationResult:
-    """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass."""
+def _pair_combination(M: ModelOperator, x: _Picks, y: _Picks, alpha: float, beta: float):
+    """Selection triples and z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>.
+
+    Returns (triples (d, 3), index, coeffs, values) with index and coeffs
+    sorted by coordinate, padding last: ``_pair_plan`` and then ``_pair_step``.
+    """
+    plan = _pair_plan(M, x, y)
+    return (plan.triples, plan.index) + _pair_step(plan, alpha, beta)
+
+
+class _Sweep:
+    """The alpha-independent work of runs at one depth, each part made on first use.
+
+    ``first`` is seq1's chain, which is the alpha = 1 run and the x of every
+    interior alpha; ``alone`` is seq2's chain without forbidden rows, the
+    alpha = 0 run; ``plan`` is the ``_PairPlan`` of x and of y, seq2's chain
+    avoiding x's coordinates.  The sequences are passed on every call and
+    never kept, so a sweep holds no reference to the operator.  A chain that
+    raises stores nothing.  Threads that share a sweep at worst make a part
+    twice; both copies are equal, so either may be kept.
+    """
+
+    def __init__(self, depth: int):
+        self.eps = [1.0 / p for p in range(1, depth + 1)]
+        self._first = self._alone = self._plan = None
+
+    def first(self, seq1) -> _Picks:
+        if self._first is None:
+            self._first = seq1.chain(self.eps)
+        return self._first
+
+    def alone(self, seq2) -> _Picks:
+        if self._alone is None:
+            self._alone = seq2.chain(self.eps)
+        return self._alone
+
+    def plan(self, M: ModelOperator, seq1, seq2) -> _PairPlan:
+        if self._plan is None:
+            x = self.first(seq1)
+            y = seq2.chain(self.eps, forbidden=x.index.tolist())
+            self._plan = _pair_plan(M, x, y)
+        return self._plan
+
+
+def _combine(M: ModelOperator, seq1, seq2, alpha: float, depth: int,
+             sweep: _Sweep | None = None) -> CombinationResult:
+    """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass.
+
+    The chains and the plan come from ``sweep`` (a fresh one by default);
+    only scaling, normalization and the values form depend on alpha.  The
+    returned arrays are copies, never the sweep's own.
+    """
+    if sweep is None:
+        sweep = _Sweep(depth)
     om1, om2 = seq1.target, seq2.target
     beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     target = om1 * (alpha * alpha) + om2 * (beta * beta)
-    eps = [1.0 / p for p in range(1, depth + 1)]
     if beta == 0.0 or alpha == 0.0:
-        picks = (seq1 if beta == 0.0 else seq2).chain(eps)
-        index, coeffs, values = picks.index, picks.coeffs, picks.values
+        picks = sweep.first(seq1) if beta == 0.0 else sweep.alone(seq2)
+        index, coeffs, values = picks.index.copy(), picks.coeffs.copy(), picks.values.copy()
         triples = np.zeros((0, 3))
     else:
-        x = seq1.chain(eps)
-        y = seq2.chain(eps, forbidden=x.index.tolist())
-        triples, index, coeffs, values = _pair_combination(M, x, y, alpha, beta)
+        plan = sweep.plan(M, seq1, seq2)
+        coeffs, values = _pair_step(plan, alpha, beta)
+        index, triples = plan.index.copy(), plan.triples.copy()
     return CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
                              coeffs=coeffs, values=values,
                              errors=qabs(values - target.to_array()), triples=triples,
                              error_constant=2.0 + M.opnorm_bound())
+
+
+# (weakref to M, key, _Sweep) of the last convex_combination_sequence call
+_sweep_slot = None
+
+
+def _cached_sweep(M: ModelOperator, om1: Quaternion, om2: Quaternion, depth: int) -> _Sweep:
+    """The last call's sweep if M, om1, om2 and depth are the same, else a fresh one.
+
+    A fresh sweep takes the slot.  The endpoints are compared by their bytes,
+    so -0.0 and 0.0 differ.
+    """
+    global _sweep_slot
+    key = (om1.to_array().tobytes(), om2.to_array().tobytes(), depth)
+    slot = _sweep_slot
+    if slot is None or slot[0]() is not M or slot[1] != key:
+        slot = _sweep_slot = (weakref.ref(M), key, _Sweep(depth))
+    return slot[2]
 
 
 def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaternion,
@@ -827,13 +923,22 @@ def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaterni
     the first (disjoint support, so the selection triple vanishes exactly for
     diagonal tails), and z_p = alpha x + beta y is renormalized.  The value
     error at step p is bounded by (2 + ||T||) / p.
+
+    A sweep over alpha shares its alpha-independent work: the two pick
+    chains, the selection triples, the merged support order and the
+    operator entries on it.  One slot for the whole process keeps them for
+    the last (M, om1, om2, depth), M held by a weak reference, so
+    consecutive calls with the same four reuse them and any other call
+    replaces them.  M is treated as immutable, as ``ModelOperator.validate``
+    already assumes.  The results are identical to a call without the slot,
+    each owns its arrays, and every argument check runs on every call.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     if depth < 1:
         raise ValueError("depth must be positive")
-    return _combine(M, TailBasisSequence(M, om1), TailBasisSequence(M, om2),
-                    alpha, depth)
+    seq1, seq2 = TailBasisSequence(M, om1), TailBasisSequence(M, om2)
+    return _combine(M, seq1, seq2, alpha, depth, _cached_sweep(M, om1, om2, depth))
 
 
 # -- membership in the essential numerical range ----------------------------------------

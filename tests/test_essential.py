@@ -1,5 +1,10 @@
+import copy
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,8 +810,8 @@ def _between(M, n0):
 
 
 def test_chain_from_a_cursor_several_windows_past_the_scan():
-    # a fresh sequence grows 2048 -> 16384 -> 131072 -> 1048576 entries
-    # before it reads the cursor's entry
+    # a fresh sequence grows once, to 2 (150 000 + 1) entries, before it
+    # reads the cursor's entry
     M, target = qr.remark_operator(), Quaternion(0.0, 0.25, 0.0, 0.0)
     picks = _assert_span_search_picks(M, target, [1e-3] * 3, cursor=150_000)
     assert picks.index[0, 0] - M.block_size >= 150_000
@@ -1096,3 +1101,164 @@ def test_three_vertex_membership_combination_matches_the_step_loop():
                              qr.TailBasisSequence(M, v3).pick, stage1.target, v3, alpha, 80)
     _assert_same_run(run, ref)
     assert run.index.shape == (80, 3) and np.all(run.index >= 0)
+
+
+# -- sweeps over alpha share their alpha-independent work ---------------------------------
+
+
+_RUN_ARRAYS = ("index", "coeffs", "values", "errors", "triples")
+
+
+def _assert_identical_runs(run, cold):
+    for name in _RUN_ARRAYS:
+        a, b = getattr(run, name), getattr(cold, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (run.target, run.alpha, run.beta, run.error_constant) == \
+        (cold.target, cold.alpha, cold.beta, cold.error_constant)
+
+
+def _cold_run(monkeypatch, M, om1, om2, alpha, depth):
+    """A call that finds no cached sweep."""
+    monkeypatch.setattr(essential, "_sweep_slot", None)
+    return qr.convex_combination_sequence(M, om1, om2, alpha, depth)
+
+
+def _criterion4_endpoints(M):
+    poly = qr.essential_bild(M)
+    return (Quaternion(float(poly[0][0]), float(poly[0][1]), 0.0, 0.0),
+            Quaternion(float(poly[-1][0]), float(poly[-1][1]), 0.0, 0.0))
+
+
+_ALPHAS = [math.sqrt(a2) for a2 in np.linspace(0.0, 1.0, 11)]
+
+
+def test_reused_sweep_matches_cold_calls_on_the_convexity_operators(monkeypatch):
+    for seed in range(20):
+        M = seeded_model_operator(seed)
+        om1, om2 = _criterion4_endpoints(M)
+        monkeypatch.setattr(essential, "_sweep_slot", None)
+        sweep = [qr.convex_combination_sequence(M, om1, om2, a, 200) for a in _ALPHAS]
+        for alpha, run in zip(_ALPHAS, sweep):
+            _assert_identical_runs(run, _cold_run(monkeypatch, M, om1, om2, alpha, 200))
+
+
+def test_reused_sweep_keys_on_endpoints_depth_and_operator(monkeypatch):
+    M = seeded_model_operator(0)
+    om1, om2 = _criterion4_endpoints(M)
+    # -0.0 and 0.0 are one number but two keys
+    signed = Quaternion(om1.w, om1.x, -0.0, 0.0)
+    # the same targets on another tail and block: other coordinates and picks
+    other = qr.ModelOperator(qr.QMatrix(np.ones((1, 1, 4))),
+                             qr.DecayingPeriodicTail([om2, om1], amplitude=0.2),
+                             M.limit_set, bound=M.bound + 0.1)
+    calls = [(M, om1, om2, 0.6, 200), (M, om2, om1, 0.6, 200), (M, om1, om2, 0.8, 200),
+             (M, om1, om2, 0.8, 150), (M, om1, om2, 0.6, 200), (M, om2, om1, 0.0, 200),
+             (M, om1, om2, 1.0, 150), (M, signed, om2, 0.6, 200), (M, om1, om2, 0.6, 200),
+             (other, om1, om2, 0.6, 200), (other, om1, om2, 1.0, 200),
+             (M, om1, om2, 1.0, 200), (other, om1, om2, 0.0, 200)]
+    monkeypatch.setattr(essential, "_sweep_slot", None)
+    runs = [qr.convex_combination_sequence(*call) for call in calls]
+    for call, run in zip(calls, runs):
+        _assert_identical_runs(run, _cold_run(monkeypatch, *call))
+    assert not np.array_equal(runs[0].index, runs[9].index)
+
+
+def test_reused_sweep_after_its_operator_is_gone(monkeypatch):
+    monkeypatch.setattr(essential, "_sweep_slot", None)
+    M = seeded_model_operator(3)
+    om1, om2 = _criterion4_endpoints(M)
+    qr.convex_combination_sequence(M, om1, om2, 0.6, 200)
+    del M
+    assert essential._sweep_slot[0]() is None
+    # a new operator with the same targets on another block and tail
+    other = qr.ModelOperator(qr.QMatrix.zeros(0),
+                             qr.DecayingPeriodicTail([om2, om1], amplitude=0.3),
+                             [qr.csim(om1), qr.csim(om2)], bound=2.0)
+    for alpha in (0.6, 0.0, 1.0):
+        run = qr.convex_combination_sequence(other, om1, om2, alpha, 200)
+        _assert_identical_runs(run, _cold_run(monkeypatch, other, om1, om2, alpha, 200))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+def test_writes_to_a_returned_run_do_not_reach_the_next(monkeypatch, alpha):
+    M = seeded_model_operator(0)
+    om1, om2 = _criterion4_endpoints(M)
+    cold = copy.deepcopy(_cold_run(monkeypatch, M, om1, om2, alpha, 200))
+    for _ in range(2):
+        run = qr.convex_combination_sequence(M, om1, om2, alpha, 200)
+        _assert_identical_runs(run, cold)
+        for name in _RUN_ARRAYS:
+            getattr(run, name)[...] = 7
+
+
+def test_sweep_walks_each_chain_once(monkeypatch):
+    counts = {"chain": 0, "plan": 0}
+    chain, plan = qr.TailBasisSequence.chain, essential._pair_plan
+
+    def counted_chain(self, *args, **kwargs):
+        counts["chain"] += 1
+        return chain(self, *args, **kwargs)
+
+    def counted_plan(*args):
+        counts["plan"] += 1
+        return plan(*args)
+
+    monkeypatch.setattr(qr.TailBasisSequence, "chain", counted_chain)
+    monkeypatch.setattr(essential, "_pair_plan", counted_plan)
+    monkeypatch.setattr(essential, "_sweep_slot", None)
+    M = seeded_model_operator(0)
+    om1, om2 = _criterion4_endpoints(M)
+    for alpha in _ALPHAS:
+        qr.convex_combination_sequence(M, om1, om2, alpha, 200)
+    assert counts == {"chain": 3, "plan": 1}
+    # endpoints are compared by their bytes, so a zero of the other sign
+    # starts a new sweep
+    qr.convex_combination_sequence(M, Quaternion(om1.w, om1.x, -0.0, 0.0), om2, 1.0, 200)
+    assert counts == {"chain": 4, "plan": 1}
+
+
+def test_sweep_caches_no_error(monkeypatch, remark):
+    top, bottom = Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.5, 0, 0)
+    qr.convex_combination_sequence(remark, top, bottom, 0.5, 40)
+    for _ in range(2):
+        with pytest.raises(qr.MissingSequenceError):
+            qr.convex_combination_sequence(remark, Quaternion(3.0), bottom, 0.5, 40)
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                qr.convex_combination_sequence(remark, top, bottom, bad, 40)
+        with pytest.raises(ValueError, match="depth"):
+            qr.convex_combination_sequence(remark, top, bottom, 0.5, 0)
+    # a chain that runs past the cap raises on every call of a new sweep,
+    # and the sweep recovers once the cap is lifted
+    monkeypatch.setattr(qr.TailBasisSequence, "MAX_SCAN", 30)
+    for alpha in (1.0, 0.5, 1.0, 0.0):
+        with pytest.raises(qr.MissingSequenceError):
+            qr.convex_combination_sequence(remark, top, bottom, alpha, 41)
+    monkeypatch.undo()
+    run = qr.convex_combination_sequence(remark, top, bottom, 0.5, 41)
+    _assert_identical_runs(run, _cold_run(monkeypatch, remark, top, bottom, 0.5, 41))
+
+
+def test_chain_scan_follows_the_walk(monkeypatch):
+    scanned = []
+    kernel = essential.bild_points
+
+    def counting(values):
+        scanned.append(len(values))
+        return kernel(values)
+
+    monkeypatch.setattr(essential, "bild_points", counting)
+    seq = qr.TailBasisSequence(qr.remark_operator(), Quaternion(0.0, 0.25, 0.0, 0.0))
+    picks = seq.chain([1e-3] * 1000, cursor=20000)
+    # each growth reaches twice the entry the walk needs, never more
+    assert sum(scanned) <= 2 * picks.cursor
+    assert sum(scanned) == 320_030 and len(scanned) == 4
+
+
+def test_import_loads_no_array_extension():
+    code = "import sys, quatrange; print('array' in sys.modules)"
+    src = str(Path(qr.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
