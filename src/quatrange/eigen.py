@@ -14,6 +14,10 @@ import numpy as np
 
 __all__ = ["SymSpectrum", "sym_eig", "jacobi_eig", "NumericalError"]
 
+_SYMMETRY_TOL = 1e-12  # largest |M - M^T| per unit of 1 + max |M| taken as symmetric
+_RESIDUAL_TOL = 1e-9  # largest eigh residual per unit of 1 + max |eigenvalue|
+_JACOBI_SWEEPS = 60  # Jacobi sweeps before jacobi_eig gives up
+
 
 class NumericalError(RuntimeError):
     """A numerical contract (symmetry, residual, convergence) was violated."""
@@ -27,28 +31,28 @@ class SymSpectrum:
     residual: float  # max ||M v - lambda v|| over the returned pairs
 
 
-def _check_symmetric(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
     scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
-    if float(np.max(np.abs(M - M.T), initial=0.0)) > tol * scale:
+    if float(np.max(np.abs(M - M.T), initial=0.0)) > _SYMMETRY_TOL * scale:
         raise NumericalError("matrix is not symmetric within tolerance")
     return M
 
 
-def sym_eig(M: np.ndarray, residual_tol: float = 1e-9) -> SymSpectrum:
+def sym_eig(M: np.ndarray) -> SymSpectrum:
     """Full spectrum of a real symmetric matrix, residual-certified."""
     M = _check_symmetric(M)
     vals, vecs = np.linalg.eigh(M)
     res = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0), initial=0.0))
-    bound = residual_tol * (1.0 + float(np.max(np.abs(vals), initial=0.0)))
+    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(vals), initial=0.0)))
     if res > bound:
         raise NumericalError(f"eigh residual {res:.3e} above tolerance {bound:.3e}")
     return SymSpectrum(eigenvalues=vals, residual=res)
 
 
-def jacobi_eig(M: np.ndarray, tol: float = 1e-11, max_sweeps: int = 60) -> np.ndarray:
+def jacobi_eig(M: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
     Row-cyclic sweeps with vectorized row/column updates; iterates until the
@@ -60,7 +64,7 @@ def jacobi_eig(M: np.ndarray, tol: float = 1e-11, max_sweeps: int = 60) -> np.nd
     if n == 1:
         return A.diagonal().copy()
     scale = 1.0 + float(np.linalg.norm(A))
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = np.linalg.norm(A - np.diag(np.diag(A)))
         if off <= tol * scale:
             return np.sort(np.diag(A))

@@ -12,7 +12,6 @@ empirically against the generated tail, never inferred.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +260,7 @@ class ModelOperator:
         self.limit_set = tuple(limit_set)
         self.bound = float(bound)
         self._validated_to = 0
+        self._sweep = None  # (key, _Sweep) of the last convex_combination_sequence call
 
     @property
     def block_size(self) -> int:
@@ -481,8 +481,8 @@ class SparseVec:
     ``scaled``, ``add``, ``inner``, ``op_inner`` and ``quad_value`` are the
     per-vector reference evaluator: one vector at a time, against the model
     operator's nonzero entries.  The library evaluates whole combination runs
-    as arrays (``_pair_combination``); these methods have no library caller
-    and are kept as the reference the tests compare against.
+    as arrays (``_pair_plan`` and ``_pair_step``); these methods have no
+    library caller and are kept as the reference the tests compare against.
     """
 
     __slots__ = ("index", "coeffs")
@@ -825,26 +825,17 @@ def _pair_step(plan: _PairPlan, alpha: float, beta: float):
     return coeffs, _forms(coeffs, plan.entries, coeffs)
 
 
-def _pair_combination(M: ModelOperator, x: _Picks, y: _Picks, alpha: float, beta: float):
-    """Selection triples and z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>.
-
-    Returns (triples (d, 3), index, coeffs, values) with index and coeffs
-    sorted by coordinate, padding last: ``_pair_plan`` and then ``_pair_step``.
-    """
-    plan = _pair_plan(M, x, y)
-    return (plan.triples, plan.index) + _pair_step(plan, alpha, beta)
-
-
 class _Sweep:
     """The alpha-independent work of runs at one depth, each part made on first use.
 
     ``first`` is seq1's chain, which is the alpha = 1 run and the x of every
     interior alpha; ``alone`` is seq2's chain without forbidden rows, the
     alpha = 0 run; ``plan`` is the ``_PairPlan`` of x and of y, seq2's chain
-    avoiding x's coordinates.  The sequences are passed on every call and
-    never kept, so a sweep holds no reference to the operator.  A chain that
-    raises stores nothing.  Threads that share a sweep at worst make a part
-    twice; both copies are equal, so either may be kept.
+    avoiding x's coordinates.  At depth 200 the three take about 80 KB.  The
+    sequences are passed on every call and never kept, so a sweep holds no
+    reference to the operator that keeps it.  A chain that raises stores
+    nothing.  Threads that share a sweep at worst make a part twice; both
+    copies are equal, so either may be kept.
     """
 
     def __init__(self, depth: int):
@@ -868,50 +859,27 @@ class _Sweep:
             self._plan = _pair_plan(M, x, y)
         return self._plan
 
+    def run(self, M: ModelOperator, seq1, seq2, alpha: float) -> CombinationResult:
+        """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass.
 
-def _combine(M: ModelOperator, seq1, seq2, alpha: float, depth: int,
-             sweep: _Sweep | None = None) -> CombinationResult:
-    """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass.
-
-    The chains and the plan come from ``sweep`` (a fresh one by default);
-    only scaling, normalization and the values form depend on alpha.  The
-    returned arrays are copies, never the sweep's own.
-    """
-    if sweep is None:
-        sweep = _Sweep(depth)
-    om1, om2 = seq1.target, seq2.target
-    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    target = om1 * (alpha * alpha) + om2 * (beta * beta)
-    if beta == 0.0 or alpha == 0.0:
-        picks = sweep.first(seq1) if beta == 0.0 else sweep.alone(seq2)
-        index, coeffs, values = picks.index.copy(), picks.coeffs.copy(), picks.values.copy()
-        triples = np.zeros((0, 3))
-    else:
-        plan = sweep.plan(M, seq1, seq2)
-        coeffs, values = _pair_step(plan, alpha, beta)
-        index, triples = plan.index.copy(), plan.triples.copy()
-    return CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
-                             coeffs=coeffs, values=values,
-                             errors=qabs(values - target.to_array()), triples=triples,
-                             error_constant=2.0 + M.opnorm_bound())
-
-
-# (weakref to M, key, _Sweep) of the last convex_combination_sequence call
-_sweep_slot = None
-
-
-def _cached_sweep(M: ModelOperator, om1: Quaternion, om2: Quaternion, depth: int) -> _Sweep:
-    """The last call's sweep if M, om1, om2 and depth are the same, else a fresh one.
-
-    A fresh sweep takes the slot.  The endpoints are compared by their bytes,
-    so -0.0 and 0.0 differ.
-    """
-    global _sweep_slot
-    key = (om1.to_array().tobytes(), om2.to_array().tobytes(), depth)
-    slot = _sweep_slot
-    if slot is None or slot[0]() is not M or slot[1] != key:
-        slot = _sweep_slot = (weakref.ref(M), key, _Sweep(depth))
-    return slot[2]
+        Only scaling, normalization and the values form depend on alpha.
+        The returned arrays are copies, never the sweep's own.
+        """
+        om1, om2 = seq1.target, seq2.target
+        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+        target = om1 * (alpha * alpha) + om2 * (beta * beta)
+        if beta == 0.0 or alpha == 0.0:
+            picks = self.first(seq1) if beta == 0.0 else self.alone(seq2)
+            index, coeffs, values = picks.index.copy(), picks.coeffs.copy(), picks.values.copy()
+            triples = np.zeros((0, 3))
+        else:
+            plan = self.plan(M, seq1, seq2)
+            coeffs, values = _pair_step(plan, alpha, beta)
+            index, triples = plan.index.copy(), plan.triples.copy()
+        return CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
+                                 coeffs=coeffs, values=values,
+                                 errors=qabs(values - target.to_array()), triples=triples,
+                                 error_constant=2.0 + M.opnorm_bound())
 
 
 def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaternion,
@@ -926,19 +894,23 @@ def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaterni
 
     A sweep over alpha shares its alpha-independent work: the two pick
     chains, the selection triples, the merged support order and the
-    operator entries on it.  One slot for the whole process keeps them for
-    the last (M, om1, om2, depth), M held by a weak reference, so
-    consecutive calls with the same four reuse them and any other call
-    replaces them.  M is treated as immutable, as ``ModelOperator.validate``
-    already assumes.  The results are identical to a call without the slot,
-    each owns its arrays, and every argument check runs on every call.
+    operator entries on it.  Each operator keeps its last sweep, about 80 KB
+    at depth 200, for the last (om1, om2, depth), the endpoints compared by
+    their bytes (so -0.0 and 0.0 differ).  Consecutive calls on M with the
+    same three reuse it and any other call on M replaces it; the sweep lives
+    as long as M.  M is treated as immutable, as ``ModelOperator.validate``
+    already assumes.  The results are identical to a call with a fresh
+    sweep, each owns its arrays, and every argument check runs on every call.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     if depth < 1:
         raise ValueError("depth must be positive")
     seq1, seq2 = TailBasisSequence(M, om1), TailBasisSequence(M, om2)
-    return _combine(M, seq1, seq2, alpha, depth, _cached_sweep(M, om1, om2, depth))
+    key = (om1.to_array().tobytes(), om2.to_array().tobytes(), depth)
+    if M._sweep is None or M._sweep[0] != key:
+        M._sweep = (key, _Sweep(depth))
+    return M._sweep[1].run(M, seq1, seq2, alpha)
 
 
 # -- membership in the essential numerical range ----------------------------------------
@@ -1005,7 +977,7 @@ def we_membership(M: ModelOperator, q: Quaternion, eps: float = 1e-9,
         (v1, l1), (v2, l2), (v3, l3) = parts
         stage1 = convex_combination_sequence(M, v1, v2, math.sqrt(l1 / (l1 + l2)),
                                              depth)
-        run = _combine(M, stage1, TailBasisSequence(M, v3), math.sqrt(l1 + l2), depth)
+        run = _Sweep(depth).run(M, stage1, TailBasisSequence(M, v3), math.sqrt(l1 + l2))
     final_err = float(qabs(run.values[-1] - target.to_array()))
     budget = 10.0 * (2.0 + M.opnorm_bound()) / depth
     if final_err > budget:

@@ -1,5 +1,7 @@
-"""Smoke tests: the narrative demos run end to end, and the README names real API."""
+"""Smoke tests: the narrative demos run end to end, the README names real API,
+and every private helper has a caller in the library."""
 
+import ast
 import os
 import re
 import subprocess
@@ -28,3 +30,31 @@ def test_every_readme_api_bullet_names_an_export():
     names = re.findall(r"^- `(\w+)\(", text, flags=re.MULTILINE)
     assert len(names) >= 8
     assert [name for name in names if name not in quatrange.__all__] == []
+
+
+def _private_definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name.startswith("_") and not node.name.endswith("__"):
+            yield node
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_helper_has_a_library_reference():
+    # a private name referenced only from its own body or from tests is dead code
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "quatrange").glob("*.py"))]
+    names = [name for tree in trees for name in _references(tree)]
+    unreferenced = sorted(
+        node.name for tree in trees for node in _private_definitions(tree)
+        if names.count(node.name) == list(_references(node)).count(node.name))
+    assert unreferenced == []

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -925,7 +926,9 @@ def test_pair_combination_matches_the_per_vector_evaluator(empty_block):
 
     x, y = picks(xs), picks(ys)
     alpha, beta = 0.6, 0.8
-    triples, index, coeffs, values = essential._pair_combination(M, x, y, alpha, beta)
+    plan = essential._pair_plan(M, x, y)
+    triples, index = plan.triples, plan.index
+    coeffs, values = essential._pair_step(plan, alpha, beta)
     for p in range(len(xs)):
         keep_x, keep_y = x.index[p] >= 0, y.index[p] >= 0
         xv = qr.SparseVec(x.index[p][keep_x], x.coeffs[p][keep_x])
@@ -1095,7 +1098,7 @@ def test_three_vertex_membership_combination_matches_the_step_loop():
     stage1 = qr.convex_combination_sequence(M, v1, v2, math.sqrt(l1 / (l1 + l2)), 80)
     _assert_same_run(stage1, _reference_run(M, v1, v2, math.sqrt(l1 / (l1 + l2)), 80))
     alpha = math.sqrt(l1 + l2)
-    run = essential._combine(M, stage1, qr.TailBasisSequence(M, v3), alpha, 80)
+    run = essential._Sweep(80).run(M, stage1, qr.TailBasisSequence(M, v3), alpha)
     ref = _reference_combine(M, lambda eps, c, forbidden=frozenset():
                              _reference_result_pick(stage1, eps, c, forbidden),
                              qr.TailBasisSequence(M, v3).pick, stage1.target, v3, alpha, 80)
@@ -1117,9 +1120,9 @@ def _assert_identical_runs(run, cold):
         (cold.target, cold.alpha, cold.beta, cold.error_constant)
 
 
-def _cold_run(monkeypatch, M, om1, om2, alpha, depth):
-    """A call that finds no cached sweep."""
-    monkeypatch.setattr(essential, "_sweep_slot", None)
+def _cold_run(M, om1, om2, alpha, depth):
+    """A call that finds no kept sweep."""
+    M._sweep = None
     return qr.convex_combination_sequence(M, om1, om2, alpha, depth)
 
 
@@ -1132,17 +1135,16 @@ def _criterion4_endpoints(M):
 _ALPHAS = [math.sqrt(a2) for a2 in np.linspace(0.0, 1.0, 11)]
 
 
-def test_reused_sweep_matches_cold_calls_on_the_convexity_operators(monkeypatch):
+def test_reused_sweep_matches_cold_calls_on_the_convexity_operators():
     for seed in range(20):
         M = seeded_model_operator(seed)
         om1, om2 = _criterion4_endpoints(M)
-        monkeypatch.setattr(essential, "_sweep_slot", None)
         sweep = [qr.convex_combination_sequence(M, om1, om2, a, 200) for a in _ALPHAS]
         for alpha, run in zip(_ALPHAS, sweep):
-            _assert_identical_runs(run, _cold_run(monkeypatch, M, om1, om2, alpha, 200))
+            _assert_identical_runs(run, _cold_run(M, om1, om2, alpha, 200))
 
 
-def test_reused_sweep_keys_on_endpoints_depth_and_operator(monkeypatch):
+def test_reused_sweep_keys_on_endpoints_depth_and_operator():
     M = seeded_model_operator(0)
     om1, om2 = _criterion4_endpoints(M)
     # -0.0 and 0.0 are one number but two keys
@@ -1156,34 +1158,34 @@ def test_reused_sweep_keys_on_endpoints_depth_and_operator(monkeypatch):
              (M, om1, om2, 1.0, 150), (M, signed, om2, 0.6, 200), (M, om1, om2, 0.6, 200),
              (other, om1, om2, 0.6, 200), (other, om1, om2, 1.0, 200),
              (M, om1, om2, 1.0, 200), (other, om1, om2, 0.0, 200)]
-    monkeypatch.setattr(essential, "_sweep_slot", None)
     runs = [qr.convex_combination_sequence(*call) for call in calls]
     for call, run in zip(calls, runs):
-        _assert_identical_runs(run, _cold_run(monkeypatch, *call))
+        _assert_identical_runs(run, _cold_run(*call))
     assert not np.array_equal(runs[0].index, runs[9].index)
 
 
-def test_reused_sweep_after_its_operator_is_gone(monkeypatch):
-    monkeypatch.setattr(essential, "_sweep_slot", None)
+def test_reused_sweep_after_its_operator_is_gone():
     M = seeded_model_operator(3)
     om1, om2 = _criterion4_endpoints(M)
     qr.convex_combination_sequence(M, om1, om2, 0.6, 200)
+    gone = weakref.ref(M)
     del M
-    assert essential._sweep_slot[0]() is None
+    # the sweep holds no reference back, so M goes with its last name
+    assert gone() is None
     # a new operator with the same targets on another block and tail
     other = qr.ModelOperator(qr.QMatrix.zeros(0),
                              qr.DecayingPeriodicTail([om2, om1], amplitude=0.3),
                              [qr.csim(om1), qr.csim(om2)], bound=2.0)
     for alpha in (0.6, 0.0, 1.0):
         run = qr.convex_combination_sequence(other, om1, om2, alpha, 200)
-        _assert_identical_runs(run, _cold_run(monkeypatch, other, om1, om2, alpha, 200))
+        _assert_identical_runs(run, _cold_run(other, om1, om2, alpha, 200))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
-def test_writes_to_a_returned_run_do_not_reach_the_next(monkeypatch, alpha):
+def test_writes_to_a_returned_run_do_not_reach_the_next(alpha):
     M = seeded_model_operator(0)
     om1, om2 = _criterion4_endpoints(M)
-    cold = copy.deepcopy(_cold_run(monkeypatch, M, om1, om2, alpha, 200))
+    cold = copy.deepcopy(_cold_run(M, om1, om2, alpha, 200))
     for _ in range(2):
         run = qr.convex_combination_sequence(M, om1, om2, alpha, 200)
         _assert_identical_runs(run, cold)
@@ -1205,7 +1207,6 @@ def test_sweep_walks_each_chain_once(monkeypatch):
 
     monkeypatch.setattr(qr.TailBasisSequence, "chain", counted_chain)
     monkeypatch.setattr(essential, "_pair_plan", counted_plan)
-    monkeypatch.setattr(essential, "_sweep_slot", None)
     M = seeded_model_operator(0)
     om1, om2 = _criterion4_endpoints(M)
     for alpha in _ALPHAS:
@@ -1236,7 +1237,32 @@ def test_sweep_caches_no_error(monkeypatch, remark):
             qr.convex_combination_sequence(remark, top, bottom, alpha, 41)
     monkeypatch.undo()
     run = qr.convex_combination_sequence(remark, top, bottom, 0.5, 41)
-    _assert_identical_runs(run, _cold_run(monkeypatch, remark, top, bottom, 0.5, 41))
+    _assert_identical_runs(run, _cold_run(remark, top, bottom, 0.5, 41))
+
+
+def test_alternating_sweeps_over_two_operators_keep_their_own_work(monkeypatch):
+    operators = [seeded_model_operator(0), seeded_model_operator(1)]
+    counts = {id(M): {"chain": 0, "plan": 0} for M in operators}
+    chain, plan = qr.TailBasisSequence.chain, essential._pair_plan
+
+    def counted_chain(self, *args, **kwargs):
+        counts[id(self.M)]["chain"] += 1
+        return chain(self, *args, **kwargs)
+
+    def counted_plan(M, *args):
+        counts[id(M)]["plan"] += 1
+        return plan(M, *args)
+
+    monkeypatch.setattr(qr.TailBasisSequence, "chain", counted_chain)
+    monkeypatch.setattr(essential, "_pair_plan", counted_plan)
+    endpoints = [_criterion4_endpoints(M) for M in operators]
+    runs = [[qr.convex_combination_sequence(M, *ends, alpha, 200)
+             for M, ends in zip(operators, endpoints)] for alpha in _ALPHAS]
+    assert list(counts.values()) == [{"chain": 3, "plan": 1}] * 2
+    monkeypatch.undo()
+    for alpha, pair in zip(_ALPHAS, runs):
+        for M, ends, run in zip(operators, endpoints, pair):
+            _assert_identical_runs(run, _cold_run(M, *ends, alpha, 200))
 
 
 def test_chain_scan_follows_the_walk(monkeypatch):
