@@ -146,11 +146,44 @@ class ExplicitTail(Tail):
         return {"kind": self.kind, "values": [list(q.to_array()) for q in self.values]}
 
 
+def _primes_below(n: int) -> np.ndarray:
+    """The primes less than n, ascending (sieve of Eratosthenes)."""
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for r in range(2, math.isqrt(n) + 1):
+        if sieve[r]:
+            sieve[r * r::r] = False
+    return np.flatnonzero(sieve)
+
+
+def _reduced_fractions(half: float, q0: int, q1: int) -> np.ndarray:
+    """The reduced p/q with |p| <= floor(half q - 1e-12) for q0 <= q < q1, by q then p.
+
+    A (denominator x numerator) table of the block starts with the cells
+    inside each row's numerator range; every prime r dividing some q of the
+    block strikes the cells where r divides both q and p (p = 0 included, so
+    0 stays only in the row q = 1).  Reading the table in row-major order
+    keeps q ascending and p ascending within a row.
+    """
+    qs = np.arange(q0, q1)
+    pmax = np.floor(half * qs - 1e-12).astype(np.int64)
+    width = max(int(pmax[-1]), 0)  # pmax grows with q
+    keep = np.abs(np.arange(-width, width + 1)) <= pmax[:, None]
+    primes = _primes_below(q1)
+    for r in primes[(q1 - 1) // primes * primes >= q0].tolist():
+        # column c holds p = c - width, so r | p exactly when c = width (mod r)
+        keep[-q0 % r::r, width % r::r] = False
+    p = np.broadcast_to(np.arange(-width, width + 1), keep.shape)[keep]
+    return p / np.repeat(qs, keep.sum(axis=1))
+
+
 class RationalsITail(Tail):
     """Enumeration of (-half, half) * i over the rationals, by denominator.
 
     For q = 1, 2, ... the reduced fractions p/q with |p/q| < half are emitted
     with p ascending; the closure of the emitted set is [-half, half] * i.
+    Each growth sieves one block of denominators (``_reduced_fractions``),
+    sized to the entries still missing, so no gcd is ever taken.
     """
 
     kind = "rationals_i"
@@ -171,12 +204,13 @@ class RationalsITail(Tail):
         have = done + len(self._pending)
         q = self._next_q
         while have < count:
-            pmax = int(math.floor(self.half * q - 1e-12))
-            p = np.arange(-pmax, pmax + 1)
-            # reduced only: gcd(0, q) = q also drops 0 after q = 1
-            parts.append(p[np.gcd(p, q) == 1] / q)
+            # rows q .. q_end - 1 hold about half (q_end^2 - q^2) cells, of
+            # which a share 6 / pi^2 is reduced: size the block to what is missing
+            cells = math.ceil((count - have) * math.pi ** 2 / (6.0 * self.half))
+            q_end = max(q + 1, math.isqrt(q * q + cells) + 1)
+            parts.append(_reduced_fractions(self.half, q, q_end))
             have += len(parts[-1])
-            q += 1
+            q = q_end
         fresh = np.concatenate(parts)
         self._next_q = q
         self._pending = fresh[count - done:]
@@ -322,40 +356,49 @@ class ModelOperator:
         return values, block | diag
 
     def validate(self, n_check: int = 200000) -> None:
-        """Check the declared limit parts against the generated tail prefix.
+        """Check the declared limit parts against the first n_check tail values.
 
-        Scans geometrically growing prefixes; every declared sphere (and a
-        probe grid on every declared segment) must be approached within
-        _VALIDATE_TOL, and no generated value may exceed the declared bound.
+        Every declared sphere (and a probe grid on every declared segment)
+        must be approached within _VALIDATE_TOL, and no tail value may exceed
+        the declared bound.  The prefix is read in windows of 1024, 8192, ...
+        entries (8-fold, the last one cut at n_check); each window reads only
+        the entries past the previous one, so every entry is read once, and
+        the scan stops early once every target is met.  The targets not yet
+        met are scanned one at a time, so memory grows with the window alone,
+        never with the number of declared targets.  A bool, a non-integer or
+        an n_check below 1 raises ValueError before any work.
         """
+        if isinstance(n_check, bool) or not isinstance(n_check, (int, np.integer)) \
+                or n_check < 1:
+            raise ValueError(f"n_check must be a positive integer, got {n_check!r}")
         if self._validated_to >= n_check:
             return
-        targets = []
+        unmet = []  # (a, b) targets not yet approached, in declared order
         for part in self.limit_set:
             if isinstance(part, SimilaritySphere):
-                targets.append(part.point())
+                unmet.append(part.point())
             else:
-                targets.extend(map(tuple, part.probes()))
-        targets = np.array(targets)
-        unmet = np.ones(len(targets), dtype=bool)
+                unmet.extend(map(tuple, part.probes()))
         window, done = 1024, 0
         while True:
             window = min(window, n_check)
             # the earlier windows checked prefix(done), so only the new entries
             fresh = self.tail.prefix(window)[done:]
             done = window
-            mags = np.sqrt(np.sum(fresh ** 2, axis=1))
-            if float(mags.max(initial=0.0)) > self.bound + 1e-12:
+            # sqrt is monotone, so one root of the largest |s|^2 decides
+            sq = fresh[:, 0] ** 2 + fresh[:, 1] ** 2 + fresh[:, 2] ** 2 + fresh[:, 3] ** 2
+            if math.sqrt(sq.max()) > self.bound + 1e-12:
                 raise ValidationError("tail value exceeds the declared bound")
             pts = bild_points(fresh)
-            if unmet.any():
-                d = np.linalg.norm(pts[None, :, :] - targets[unmet][:, None, :], axis=2)
-                unmet[np.flatnonzero(unmet)[d.min(axis=1) <= _VALIDATE_TOL]] = False
-            if not unmet.any():
+            a, b = pts[:, 0], pts[:, 1]
+            # the root of the least squared distance is the least distance
+            unmet = [(ta, tb) for ta, tb in unmet
+                     if math.sqrt(((a - ta) ** 2 + (b - tb) ** 2).min()) > _VALIDATE_TOL]
+            if not unmet:
                 self._validated_to = n_check
                 return
             if window == n_check:
-                bad = targets[unmet][0]
+                bad = unmet[0]
                 raise ValidationError(
                     f"declared limit point ({bad[0]:.6g}, {bad[1]:.6g}) not approached "
                     f"within {_VALIDATE_TOL:g} by the first {n_check} tail values")

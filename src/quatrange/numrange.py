@@ -133,9 +133,9 @@ def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
 
 def bild_points(values: np.ndarray) -> np.ndarray:
     """Map quaternion values (m, 4) to bild coordinates (a, b), b >= 0."""
-    a = values[:, 0]
-    b = np.sqrt(np.sum(values[:, 1:] ** 2, axis=1))
-    return np.stack([a, b], axis=1)
+    # the left-to-right sum np.sum takes over a row, without its slow short-axis reduction
+    b = values[:, 1] ** 2 + values[:, 2] ** 2 + values[:, 3] ** 2
+    return np.stack([values[:, 0], np.sqrt(b, out=b)], axis=1)
 
 
 # -- support function of the upper bild -----------------------------------------

@@ -27,17 +27,26 @@ class QMatrix:
         self._arr = a
         self._block_size = None
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "QMatrix":
+        """Hold a fresh (n, n, 4) float array built in this module, read-only and uncopied."""
+        arr.setflags(write=False)
+        out = cls.__new__(cls)
+        out._arr = arr
+        out._block_size = None
+        return out
+
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zeros(n: int) -> "QMatrix":
-        return QMatrix(np.zeros((n, n, 4)))
+        return QMatrix._adopt(np.zeros((n, n, 4)))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
         arr = np.zeros((n, n, 4))
         arr[np.arange(n), np.arange(n), 0] = 1.0
-        return QMatrix(arr)
+        return QMatrix._adopt(arr)
 
     @staticmethod
     def diag(entries) -> "QMatrix":
@@ -46,7 +55,7 @@ class QMatrix:
         n = vals.shape[0]
         arr = np.zeros((n, n, 4))
         arr[np.arange(n), np.arange(n), :] = vals
-        return QMatrix(arr)
+        return QMatrix._adopt(arr)
 
     @staticmethod
     def from_quaternions(rows) -> "QMatrix":
@@ -63,7 +72,7 @@ class QMatrix:
         arr[:b, :b, :] = block.arr
         idx = np.arange(b, b + k)
         arr[idx, idx, :] = tail
-        out = QMatrix(arr)
+        out = QMatrix._adopt(arr)
         # every off-diagonal entry lies in the block, so its split is T's
         out._block_size = block.block_split()
         return out

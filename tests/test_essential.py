@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +92,34 @@ def test_rationals_tail_resumes_its_enumeration():
     for count in (10, 5000, 70000):
         grown.prefix(count)
     assert np.array_equal(grown.prefix(70000), qr.RationalsITail(0.5).prefix(70000))
+
+
+def _reference_rationals(half, count):
+    """The former generator: one gcd pass per denominator q = 1, 2, ..."""
+    parts, have, q = [], 0, 1
+    while have < count:
+        pmax = int(math.floor(half * q - 1e-12))
+        p = np.arange(-pmax, pmax + 1)
+        # reduced only: gcd(0, q) = q also drops 0 after q = 1
+        parts.append(p[np.gcd(p, q) == 1] / q)
+        have += len(parts[-1])
+        q += 1
+    return np.concatenate(parts)[:count]
+
+
+@pytest.mark.parametrize("half", [0.5, 0.37, 1.7, 0.01, 2.0])
+def test_rationals_tail_sieve_matches_the_gcd_loop(half):
+    want = _reference_rationals(half, 200000)
+    one_shot = qr.RationalsITail(half).prefix(200000)
+    assert one_shot[:, 1].tobytes() == want.tobytes()
+    assert not one_shot[:, [0, 2, 3]].any()
+    # a phantom target keeps validate growing the tail through all its
+    # windows: 1024, 8192, 65536 and 200000 entries
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.RationalsITail(half),
+                         [qr.SimilaritySphere(5.0, 0.0)], bound=half)
+    with pytest.raises(qr.ValidationError, match="first 200000 tail values"):
+        M.validate()
+    assert M.tail.prefix(200000).tobytes() == one_shot.tobytes()
 
 
 def test_decaying_periodic_rate():
@@ -254,6 +283,39 @@ def test_validate_reads_each_tail_entry_once(monkeypatch):
     with pytest.raises(qr.ValidationError, match="first 200000 tail values"):
         M.validate()
     assert scanned == [1024, 7168, 57344, 134464]
+
+
+@pytest.mark.parametrize("n_check", [0, -5, 1.5, 4096.0, True, False, "4096", None])
+def test_bad_n_check_is_rejected_before_any_work(n_check):
+    for check in (lambda M: M.validate(n_check),
+                  lambda M: qr.essential_bild(M, n_check=n_check)):
+        M = qr.remark_operator()
+        with pytest.raises(ValueError, match="n_check must be a positive integer"):
+            check(M)
+        assert M.tail._cache.shape[0] == 0  # no tail value was generated
+    # an operator validated before gets no pass either
+    M = qr.remark_operator()
+    M.validate(np.int64(200000))
+    with pytest.raises(ValueError, match="n_check must be a positive integer"):
+        M.validate(n_check)
+
+
+def test_validate_memory_does_not_grow_with_the_targets():
+    # six segments give 54 probe targets, 46 of them still unmet in the last
+    # window; a (targets x window x 2) distance array over its 134 464 entries
+    # alone would take about 100 MB
+    segments = [qr.LimitSegment(a, 0.0, 0.5) for a in (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)]
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.RationalsITail(0.5), segments, bound=0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(qr.ValidationError) as err:
+            M.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("declared limit point (0.01, 0) not approached within 0.001 "
+                              "by the first 200000 tail values")
+    assert peak < 16e6
 
 
 # -- essential bild -------------------------------------------------------------------

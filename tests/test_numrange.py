@@ -43,6 +43,14 @@ def reconstruct_sample_vectors(n, m, seed):
     return np.vstack(out)
 
 
+def test_bild_points_sums_like_np_sum():
+    # magnitudes 1e-12 .. 1e11 make any other summation order round differently
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((4000, 4)) * 10.0 ** rng.integers(-12, 12, (4000, 4))
+    want = np.stack([values[:, 0], np.sqrt(np.sum(values[:, 1:] ** 2, axis=1))], axis=1)
+    assert qr.bild_points(values).tobytes() == want.tobytes()
+
+
 def test_nr_sample_identity():
     vals = qr.nr_sample(qr.QMatrix.identity(3), 500, seed=1)
     assert np.allclose(vals[:, 0], 1.0, atol=1e-12)

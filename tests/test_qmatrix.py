@@ -107,6 +107,23 @@ def test_block_diag_layout():
     assert T.entry(0, 2).isclose(Quaternion())
 
 
+def test_built_matrices_hold_their_own_read_only_array():
+    tail = np.ones((3, 4))
+    T = qr.QMatrix.block_diag(random_qmatrix(14, 2), tail)
+    before = T.arr.copy()
+    tail[:] = 7.0
+    assert np.array_equal(T.arr, before)
+    for M in (T, qr.QMatrix.zeros(3), qr.QMatrix.identity(3), qr.QMatrix.diag([I, J])):
+        assert not M.arr.flags.writeable
+        with pytest.raises(ValueError):
+            M.arr[0, 0, 0] = 1.0
+    # the public constructor still copies what it is given
+    arr = np.zeros((2, 2, 4))
+    A = qr.QMatrix(arr)
+    arr[0, 0, 0] = 1.0
+    assert not A.arr.any() and not A.arr.flags.writeable
+
+
 # -- the quadratic pencil --------------------------------------------------------------
 
 
