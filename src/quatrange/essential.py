@@ -79,6 +79,8 @@ class Tail:
 
     def prefix(self, count: int) -> np.ndarray:
         """First ``count`` tail values s_1 .. s_count as a (count, 4) array."""
+        if count < 0:
+            raise ValueError(f"prefix count must be >= 0, got {count}")
         if count > self._cache.shape[0]:
             self._cache = self._generate(count)
             self._cache.setflags(write=False)
@@ -86,6 +88,8 @@ class Tail:
 
     def value(self, n: int) -> Quaternion:
         """s_n with 1-based n."""
+        if n < 1:
+            raise ValueError(f"tail index must be >= 1, got {n}")
         return Quaternion.from_array(self.prefix(n)[n - 1])
 
     def spec(self) -> dict:
@@ -190,8 +194,8 @@ class RationalsITail(Tail):
 
     def __init__(self, half: float = 0.5):
         super().__init__()
-        if half <= 0:
-            raise ValueError("half-width must be positive")
+        if not (math.isfinite(half) and half > 0):
+            raise ValueError("half-width must be finite and positive")
         self.half = float(half)
         # the enumeration resumes at denominator _next_q; _pending holds the
         # fractions already enumerated that the cache does not hold yet
@@ -239,6 +243,8 @@ class DecayingPeriodicTail(Tail):
         self.targets = tuple(targets)
         if not self.targets:
             raise ValueError("need at least one target")
+        if not math.isfinite(amplitude):
+            raise ValueError("amplitude must be finite")
         self.amplitude = float(amplitude)
 
     def _generate(self, count: int) -> np.ndarray:
@@ -261,6 +267,7 @@ class DecayingPeriodicTail(Tail):
 
 _SEGMENT_PROBES = 9  # evenly spaced points standing for a declared segment
 _VALIDATE_TOL = 1e-3  # how near the tail must come to each declared limit point
+_N_CHECK = 200000  # tail values validate reads before a declared limit counts as unmet
 
 
 @dataclass(frozen=True)
@@ -289,11 +296,13 @@ class ModelOperator:
     def __init__(self, block: QMatrix, tail: Tail, limit_set, bound: float):
         if not limit_set:
             raise ValidationError("limit set must be non-empty")
+        if not (math.isfinite(bound) and bound >= 0.0):
+            raise ValidationError(f"bound must be finite and >= 0, got {bound!r}")
         self.block = block
         self.tail = tail
         self.limit_set = tuple(limit_set)
         self.bound = float(bound)
-        self._validated_to = 0
+        self._validated = False
         self._sweep = None  # (key, _Sweep) of the last convex_combination_sequence call
 
     @property
@@ -355,23 +364,20 @@ class ModelOperator:
             values[diag] = self.tail.prefix(int(k.max()) + 1)[k]
         return values, block | diag
 
-    def validate(self, n_check: int = 200000) -> None:
-        """Check the declared limit parts against the first n_check tail values.
+    def validate(self) -> None:
+        """Check the declared limit parts against the first _N_CHECK tail values.
 
         Every declared sphere (and a probe grid on every declared segment)
-        must be approached within _VALIDATE_TOL, and no tail value may exceed
-        the declared bound.  The prefix is read in windows of 1024, 8192, ...
-        entries (8-fold, the last one cut at n_check); each window reads only
-        the entries past the previous one, so every entry is read once, and
-        the scan stops early once every target is met.  The targets not yet
-        met are scanned one at a time, so memory grows with the window alone,
-        never with the number of declared targets.  A bool, a non-integer or
-        an n_check below 1 raises ValueError before any work.
+        must be approached within _VALIDATE_TOL, and every tail value must be
+        finite and no larger than the declared bound.  The prefix is read in
+        windows of 1024, 8192, ... entries (8-fold, the last one cut at
+        _N_CHECK); each window reads only the entries past the previous one,
+        so every entry is read once, and the scan stops early once every
+        target is met.  The targets not yet met are scanned one at a time, so
+        memory grows with the window alone, never with the number of
+        declared targets.
         """
-        if isinstance(n_check, bool) or not isinstance(n_check, (int, np.integer)) \
-                or n_check < 1:
-            raise ValueError(f"n_check must be a positive integer, got {n_check!r}")
-        if self._validated_to >= n_check:
+        if self._validated:
             return
         unmet = []  # (a, b) targets not yet approached, in declared order
         for part in self.limit_set:
@@ -381,13 +387,16 @@ class ModelOperator:
                 unmet.extend(map(tuple, part.probes()))
         window, done = 1024, 0
         while True:
-            window = min(window, n_check)
+            window = min(window, _N_CHECK)
             # the earlier windows checked prefix(done), so only the new entries
             fresh = self.tail.prefix(window)[done:]
             done = window
-            # sqrt is monotone, so one root of the largest |s|^2 decides
+            # sqrt is monotone, so one root of the largest |s|^2 decides; a NaN
+            # propagates through max and fails the "<=", as does an infinity
             sq = fresh[:, 0] ** 2 + fresh[:, 1] ** 2 + fresh[:, 2] ** 2 + fresh[:, 3] ** 2
-            if math.sqrt(sq.max()) > self.bound + 1e-12:
+            if not math.sqrt(sq.max()) <= self.bound + 1e-12:
+                if not np.isfinite(fresh).all():
+                    raise ValidationError("tail holds a non-finite value")
                 raise ValidationError("tail value exceeds the declared bound")
             pts = bild_points(fresh)
             a, b = pts[:, 0], pts[:, 1]
@@ -395,13 +404,13 @@ class ModelOperator:
             unmet = [(ta, tb) for ta, tb in unmet
                      if math.sqrt(((a - ta) ** 2 + (b - tb) ** 2).min()) > _VALIDATE_TOL]
             if not unmet:
-                self._validated_to = n_check
+                self._validated = True
                 return
-            if window == n_check:
+            if window == _N_CHECK:
                 bad = unmet[0]
                 raise ValidationError(
                     f"declared limit point ({bad[0]:.6g}, {bad[1]:.6g}) not approached "
-                    f"within {_VALIDATE_TOL:g} by the first {n_check} tail values")
+                    f"within {_VALIDATE_TOL:g} by the first {_N_CHECK} tail values")
             window *= 8
 
     def __repr__(self) -> str:
@@ -445,7 +454,7 @@ def truncate(M: ModelOperator, N: int) -> QMatrix:
 
 # -- the essential bild -------------------------------------------------------------
 
-def essential_bild(M: ModelOperator, n_check: int = 200000) -> np.ndarray:
+def essential_bild(M: ModelOperator) -> np.ndarray:
     """Essential bild polygon in (a, b) coordinates, b of both signs.
 
     The polygon is the convex hull of the declared limit classes together
@@ -456,7 +465,7 @@ def essential_bild(M: ModelOperator, n_check: int = 200000) -> np.ndarray:
     A segment enters through its two endpoints, which span its hull.
     Degenerate hulls are returned with one or two vertices.
     """
-    M.validate(n_check=n_check)
+    M.validate()
     pts = []
     for part in M.limit_set:
         if isinstance(part, SimilaritySphere):
@@ -988,24 +997,26 @@ def _decompose(poly: np.ndarray, pt: np.ndarray):
     raise NumericalError("interior point escaped the fan triangulation")
 
 
-def we_membership(M: ModelOperator, q: Quaternion, eps: float = 1e-9,
-                  depth: int = 60) -> bool:
+_MEMBERSHIP_EPS = 1e-9  # boundary slack of the geometric membership test
+_MEMBERSHIP_DEPTH = 60  # steps of the essential sequence that cross-checks an interior point
+
+
+def we_membership(M: ModelOperator, q: Quaternion) -> bool:
     """Whether the class of q lies in the essential numerical range.
 
-    Geometric test against the essential bild with boundary slack eps;
-    strictly interior points are cross-validated by building a constructive
-    essential sequence from the polygon vertices and checking its value
-    converges to the canonical representative of q.  An eps that is not
-    finite and >= 0 raises ValueError.
+    Geometric test against the essential bild with boundary slack
+    _MEMBERSHIP_EPS outside and 1e-6 inside; points deeper inside are
+    cross-validated by building a constructive essential sequence of
+    _MEMBERSHIP_DEPTH steps from the polygon vertices and checking its value
+    converges to the canonical representative of q.
     """
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError("eps must be finite and >= 0")
+    depth = _MEMBERSHIP_DEPTH
     poly = essential_bild(M)
     pt = np.array(csim(q).point())
     sd = signed_inner_distance(poly, pt)
-    if sd < -eps:
+    if sd < -_MEMBERSHIP_EPS:
         return False
-    if sd <= max(eps, 1e-6):
+    if sd <= 1e-6:
         return True
 
     parts = [(Quaternion(float(v[0]), float(v[1]), 0.0, 0.0), lam)

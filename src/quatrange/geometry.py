@@ -14,14 +14,11 @@ __all__ = [
     "halfplane_intersection",
     "upper_support_polygon",
     "clip_polygon",
-    "polygon_contains",
     "signed_inner_distance",
-    "point_polygon_distance",
     "points_polygon_distance",
     "points_in_polygon",
     "hausdorff_convex",
     "minkowski_sum",
-    "polygon_support",
     "DegenerateRegionError",
 ]
 
@@ -226,25 +223,17 @@ def signed_inner_distance(poly: np.ndarray, point) -> float:
     return -float(_segment_distances(p, a, b).min())
 
 
-def polygon_contains(poly: np.ndarray, point, tol: float = 0.0) -> bool:
-    return signed_inner_distance(poly, point) >= -tol
-
-
-def point_polygon_distance(poly: np.ndarray, point) -> float:
-    return max(0.0, -signed_inner_distance(poly, point))
-
-
-def points_in_polygon(poly: np.ndarray, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Vectorized membership mask for a convex CCW polygon."""
+def points_in_polygon(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Vectorized membership mask for a convex CCW polygon, boundary included."""
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(poly) < 3:
         a, b = _edges(poly)
-        return _segment_distances(p, a, b).min(axis=1) <= tol
+        return _segment_distances(p, a, b).min(axis=1) <= 0.0
     d = np.roll(poly, -1, axis=0) - poly
     lengths = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
     cross = (d[None, :, 0] * (p[:, 1:2] - poly[None, :, 1])
              - d[None, :, 1] * (p[:, 0:1] - poly[None, :, 0])) / lengths[None, :]
-    return np.all(cross >= -tol, axis=1)
+    return np.all(cross >= 0.0, axis=1)
 
 
 def points_polygon_distance(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -275,8 +264,3 @@ def minkowski_sum(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Minkowski sum of convex polygons via the hull of pairwise vertex sums."""
     sums = (P[:, None, :] + Q[None, :, :]).reshape(-1, 2)
     return convex_hull(sums)
-
-
-def polygon_support(poly: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Support values max_v <v, d> for each row direction d."""
-    return (np.asarray(poly) @ np.asarray(directions).T).max(axis=0)

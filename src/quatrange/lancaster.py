@@ -302,10 +302,12 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     A diagonal section's polygon is its exact upper bild, so m and seed do
     not matter there; any other section samples its dense block m times,
     and its residual can only overstate the exact one.  An empty sections
-    raises ValueError.
+    or an edge with a non-finite endpoint raises ValueError.
     """
     sections = _section_list(sections)
     edge = np.asarray(edge, dtype=float).reshape(2, 2)
+    if not np.isfinite(edge).all():
+        raise ValueError("edge endpoints must be finite")
     direction = edge[1] - edge[0]
     length = float(np.linalg.norm(direction))
     if length <= 0:

@@ -9,11 +9,17 @@ from .quaternion import HAMILTON, QVector, Quaternion, qconj
 __all__ = ["QMatrix", "delta"]
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("QMatrix entries must be finite")
+
+
 class QMatrix:
     """An n x n matrix over the quaternions, stored as an (n, n, 4) real array.
 
     Matrices act on column vectors on the left; right H-linearity
     T(x q) = (T x) q holds entrywise because scalars multiply from the right.
+    Every entry is finite: a NaN or infinite one raises ValueError.
     """
 
     __slots__ = ("_arr", "_block_size")
@@ -22,6 +28,7 @@ class QMatrix:
         a = np.asarray(arr, dtype=float)
         if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 4:
             raise ValueError("QMatrix expects an (n, n, 4) array")
+        _check_finite(a)
         a = a.copy()
         a.setflags(write=False)
         self._arr = a
@@ -52,6 +59,7 @@ class QMatrix:
     def diag(entries) -> "QMatrix":
         vals = np.array([q.to_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
                          for q in entries])
+        _check_finite(vals)
         n = vals.shape[0]
         arr = np.zeros((n, n, 4))
         arr[np.arange(n), np.arange(n), :] = vals
@@ -67,6 +75,7 @@ class QMatrix:
         """Direct sum of a dense block and a diagonal with entries (k, 4)."""
         b = block.n
         tail = np.asarray(tail_entries, dtype=float).reshape(-1, 4)
+        _check_finite(tail)
         k = tail.shape[0]
         arr = np.zeros((b + k, b + k, 4))
         arr[:b, :b, :] = block.arr

@@ -227,9 +227,9 @@ class QVector:
         return QVector(np.array([q.to_array() for q in entries]))
 
     @staticmethod
-    def basis(n: int, k: int, phase: Quaternion = ONE) -> "QVector":
+    def basis(n: int, k: int) -> "QVector":
         arr = np.zeros((n, 4))
-        arr[k] = phase.to_array()
+        arr[k, 0] = 1.0
         return QVector(arr)
 
     @property

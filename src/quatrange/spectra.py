@@ -19,6 +19,9 @@ from .quaternion import SimilaritySphere
 
 __all__ = ["SphereSet", "s_spectrum"]
 
+_MERGE_TOL = 1e-6  # certified classes chained within this distance share a sphere
+_SINGULAR_TOL = 1e-8  # pencil singularity threshold per unit of 1 + ||T||_F^2
+
 
 class SphereSet:
     """A finite union of similarity spheres, canonically sorted by (a, b)."""
@@ -92,8 +95,7 @@ def _merge(points: np.ndarray, tol: float) -> list[tuple[float, float]]:
     return [(a, b) for a, b in out]
 
 
-def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
-               singular_tol: float | None = None) -> SphereSet:
+def s_spectrum(T: QMatrix) -> SphereSet:
     """Similarity spheres on which the pencil T^2 - 2 Re(q) T + |q|^2 I is singular.
 
     T is read as B + D, the leading b x b block B = T[:b, :b] with
@@ -111,8 +113,8 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
 
     Certificate.  Every candidate (a, b) is checked at its own class, before
     any merge: the pencil P(a, b) = chi(T)^2 - 2a chi(T) + (a^2 + b^2) I
-    must be singular up to singular_tol (default 1e-8 (1 + ||T||_F^2),
-    since the pencil is quadratic in T), else NumericalError is raised.  chi
+    must be singular up to singular_tol = _SINGULAR_TOL (1 + ||T||_F^2),
+    since the pencil is quadratic in T, else NumericalError is raised.  chi
     is a unital ring homomorphism, so P is permutation-similar to
 
         (C^2 - 2aC + (a^2 + b^2) I)  +  chi(p_1) + ... + chi(p_k),
@@ -135,23 +137,15 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
 
     Spheres.  The certified points are lexsorted and merged (_merge): each
     sphere is the running mean of certified classes chained within
-    merge_tol, and is not checked again.
+    _MERGE_TOL, and is not checked again.
 
-    ValueError is raised, before any solve, unless merge_tol and (when
-    given) singular_tol are finite and >= 0 and every entry of T is finite;
-    NumericalError is raised when the default singular_tol overflows.
+    A QMatrix holds finite entries by construction; NumericalError is
+    raised when singular_tol overflows.
     """
-    if not (math.isfinite(merge_tol) and merge_tol >= 0.0):
-        raise ValueError("merge_tol must be finite and >= 0")
-    if singular_tol is not None and not (math.isfinite(singular_tol) and singular_tol >= 0.0):
-        raise ValueError("singular_tol must be finite and >= 0")
-    if not np.isfinite(T.arr).all():
-        raise ValueError("s_spectrum needs a matrix with finite entries")
-    if singular_tol is None:
-        nf = T.frobenius()
-        singular_tol = 1e-8 * (1.0 + nf * nf)
-        if not math.isfinite(singular_tol):
-            raise NumericalError("the pencil cross-check overflows: ||T||_F^2 is not finite")
+    nf = T.frobenius()
+    singular_tol = _SINGULAR_TOL * (1.0 + nf * nf)
+    if not math.isfinite(singular_tol):
+        raise NumericalError("the pencil cross-check overflows: ||T||_F^2 is not finite")
 
     nb = T.block_split()
     tail = T.diagonal()[nb:]
@@ -180,4 +174,4 @@ def s_spectrum(T: QMatrix, merge_tol: float = 1e-6,
         pts = np.vstack([block, pts])
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     return SphereSet(SimilaritySphere(float(a), float(b))
-                     for a, b in _merge(pts[order], merge_tol))
+                     for a, b in _merge(pts[order], _MERGE_TOL))

@@ -1,5 +1,6 @@
 """Smoke tests: the narrative demos run end to end, the README names real API,
-and every private helper has a caller in the library."""
+every private helper has a caller in the library, and every settable option
+is listed."""
 
 import ast
 import os
@@ -58,3 +59,68 @@ def test_every_private_helper_has_a_library_reference():
         node.name for tree in trees for node in _private_definitions(tree)
         if names.count(node.name) == list(_references(node)).count(node.name))
     assert unreferenced == []
+
+
+# every parameter with a default in the library, as module.qualname(param);
+# a new one is a new configuration to test and document, so it is listed on purpose
+SETTABLE_OPTIONS = {
+    "cli.main(argv)",
+    "eigen.jacobi_eig(tol)",
+    "essential.RationalsITail.__init__(half)",
+    "essential.DecayingPeriodicTail.__init__(amplitude)",
+    "essential._MappedTail.__init__(a)",
+    "essential._MappedTail.__init__(b)",
+    "essential.SparseVec.op_inner(adjoint)",
+    "essential.SparseVec.to_qvector(dim)",
+    "essential.TailBasisSequence.chain(cursor)",
+    "essential.TailBasisSequence.chain(forbidden)",
+    "essential.TailBasisSequence.pick(forbidden)",
+    "essential.CombinationResult.chain(cursor)",
+    "essential.CombinationResult.chain(forbidden)",
+    "lancaster.IconvRegion.contains(tol)",
+    "lancaster.hausdorff_union_convex(res)",
+    "lancaster.lancaster_check(m)",
+    "lancaster.lancaster_check(k)",
+    "lancaster.lancaster_check(seed)",
+    "lancaster.lancaster_check(target)",
+    "lancaster.nonclosedness_probe(m)",
+    "lancaster.nonclosedness_probe(seed)",
+    "numrange.nr_sample(seed)",
+    "numrange.diagonal_bild(k)",
+    "numrange.upper_bild(m)",
+    "numrange.upper_bild(k)",
+    "numrange.upper_bild(seed)",
+    "numrange.refined_values(gammas)",
+    "numrange.refined_values(psis)",
+    "numrange.real_section(m)",
+    "numrange.real_section(seed)",
+    "numrange.real_section(tol)",
+    "qmatrix.QMatrix.isclose(tol)",
+    "quaternion.Quaternion.isclose(tol)",
+}
+
+
+def _defaulted_parameters(node, qualname):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, qualname + [child.name])
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            for arg in defaulted:
+                yield f"{'.'.join(qualname + [child.name])}({arg.arg})"
+            yield from _defaulted_parameters(child, qualname + [child.name])
+        else:
+            yield from _defaulted_parameters(child, qualname)
+
+
+def test_settable_options_are_the_listed_ones():
+    found = [option
+             for path in sorted((ROOT / "src" / "quatrange").glob("*.py"))
+             for option in _defaulted_parameters(ast.parse(path.read_text()), [path.stem])]
+    assert len(found) == len(set(found))
+    assert set(found) == SETTABLE_OPTIONS
+    assert len(SETTABLE_OPTIONS) == 33

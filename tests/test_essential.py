@@ -134,6 +134,31 @@ def test_decaying_periodic_rate():
         assert np.all(errs <= 0.1 / (idx + 1) + 1e-12)
 
 
+@pytest.mark.parametrize("half", [float("inf"), float("nan"), -0.5, 0.0])
+def test_rationals_tail_rejects_a_bad_half_width_at_construction(half):
+    # an infinite half-width would make the first prefix enumerate forever
+    with pytest.raises(ValueError, match="half-width must be finite and positive"):
+        qr.RationalsITail(half)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+def test_decaying_tail_rejects_a_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        qr.DecayingPeriodicTail([I], amplitude=amplitude)
+
+
+def test_tail_rejects_a_negative_count_and_an_index_below_one():
+    t = qr.RationalsITail(0.5)
+    t.prefix(10)
+    with pytest.raises(ValueError, match="prefix count must be >= 0"):
+        t.prefix(-3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="tail index must be >= 1"):
+            t.value(n)
+    assert t.prefix(0).shape == (0, 4)
+    assert t.value(10).to_array().tolist() == t.prefix(10)[9].tolist()
+
+
 # -- model operators and truncation --------------------------------------------------
 
 
@@ -176,11 +201,33 @@ def test_empty_limit_set_rejected():
         qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I), [], bound=1.0)
 
 
-def test_validation_rejects_phantom_limit():
+def test_validation_rejects_phantom_limit(monkeypatch):
+    monkeypatch.setattr(essential, "_N_CHECK", 4096)
     M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I),
                          [qr.SimilaritySphere(5.0, 0.0)], bound=1.5)
     with pytest.raises(qr.ValidationError):
-        qr.essential_bild(M, n_check=4096)
+        qr.essential_bild(M)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validation_rejects_a_non_finite_tail_value(bad):
+    # one bad value in a window would also make every target's least distance NaN
+    values = [Quaternion(0.9)] * 50 + [Quaternion(bad)] + [Quaternion(0.9)]
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ExplicitTail(values),
+                         [qr.SimilaritySphere(-0.5, 0.4)], bound=1.0)
+    with pytest.raises(qr.ValidationError, match="non-finite"):
+        qr.essential_bild(M)
+    # the same tail without the bad value misses the declared class
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ExplicitTail(values[:50] + values[51:]),
+                         [qr.SimilaritySphere(-0.5, 0.4)], bound=1.0)
+    with pytest.raises(qr.ValidationError, match="not approached"):
+        qr.essential_bild(M)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
+def test_model_operator_rejects_a_bad_bound(bound):
+    with pytest.raises(qr.ValidationError, match="bound must be finite and >= 0"):
+        qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I), [qr.csim(I)], bound=bound)
 
 
 def test_validation_rejects_bound_violation():
@@ -253,11 +300,12 @@ def _validation_cases():
     ]
 
 
-def test_validate_matches_the_full_rescan():
+def test_validate_matches_the_full_rescan(monkeypatch):
     outcomes = []
     for M, n_check in _validation_cases():
         expected = _validation_outcome(lambda: _reference_validate(M, n_check))
-        assert _validation_outcome(lambda: M.validate(n_check)) == expected
+        monkeypatch.setattr(essential, "_N_CHECK", n_check)
+        assert _validation_outcome(M.validate) == expected
         outcomes.append(expected)
     assert outcomes[:2] == [None, None]
     assert outcomes[2] is None
@@ -268,7 +316,7 @@ def test_validate_matches_the_full_rescan():
 
 
 def test_validate_reads_each_tail_entry_once(monkeypatch):
-    # a phantom target is never met, so every window up to n_check runs:
+    # a phantom target is never met, so every window up to _N_CHECK runs:
     # 1024, 8192, 65536 and 200000 entries, each scanned from the last one's end
     scanned = []
     real = essential.bild_points
@@ -283,21 +331,6 @@ def test_validate_reads_each_tail_entry_once(monkeypatch):
     with pytest.raises(qr.ValidationError, match="first 200000 tail values"):
         M.validate()
     assert scanned == [1024, 7168, 57344, 134464]
-
-
-@pytest.mark.parametrize("n_check", [0, -5, 1.5, 4096.0, True, False, "4096", None])
-def test_bad_n_check_is_rejected_before_any_work(n_check):
-    for check in (lambda M: M.validate(n_check),
-                  lambda M: qr.essential_bild(M, n_check=n_check)):
-        M = qr.remark_operator()
-        with pytest.raises(ValueError, match="n_check must be a positive integer"):
-            check(M)
-        assert M.tail._cache.shape[0] == 0  # no tail value was generated
-    # an operator validated before gets no pass either
-    M = qr.remark_operator()
-    M.validate(np.int64(200000))
-    with pytest.raises(ValueError, match="n_check must be a positive integer"):
-        M.validate(n_check)
 
 
 def test_validate_memory_does_not_grow_with_the_targets():
@@ -558,19 +591,14 @@ def test_membership_uses_sphere_classes(remark):
         assert qr.we_membership(remark, u.conj() * base * u)
 
 
-def test_membership_interior_triangle_decomposition():
+def test_membership_interior_triangle_decomposition(monkeypatch):
+    monkeypatch.setattr(essential, "_MEMBERSHIP_DEPTH", 80)
     targets = [Quaternion(0.0, 1.0, 0, 0), Quaternion(-1.0, 0.0, 0, 0),
                Quaternion(1.0, 0.0, 0, 0)]
     M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.DecayingPeriodicTail(targets, 0.1),
                          [qr.csim(t) for t in targets], bound=1.3)
-    assert qr.we_membership(M, Quaternion(0.1, 0.2, 0.0, 0.0), depth=80)
+    assert qr.we_membership(M, Quaternion(0.1, 0.2, 0.0, 0.0))
     assert not qr.we_membership(M, Quaternion(0.9, 0.9, 0.0, 0.0))
-
-
-@pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
-def test_membership_rejects_a_bad_tolerance(remark, bad):
-    with pytest.raises(ValueError, match="eps"):
-        qr.we_membership(remark, Quaternion(0.0, 0.1, 0.0, 0.0), eps=bad)
 
 
 # -- the essential-sequence engine against scalar references -------------------------------

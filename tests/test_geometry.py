@@ -9,11 +9,8 @@ from quatrange.geometry import (
     halfplane_intersection,
     hausdorff_convex,
     minkowski_sum,
-    point_polygon_distance,
     points_in_polygon,
     points_polygon_distance,
-    polygon_contains,
-    polygon_support,
     signed_inner_distance,
 )
 
@@ -52,14 +49,14 @@ def test_hull_vertices_are_extreme():
     hull = convex_hull(pts)
     for i in range(len(hull)):
         others = np.delete(hull, i, axis=0)
-        assert point_polygon_distance(convex_hull(others), hull[i]) > 1e-9
+        assert points_polygon_distance(convex_hull(others), hull[i])[0] > 1e-9
 
 
 def test_clip_polygon():
     square = np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float)
     cut = clip_polygon(square, (1.0, 0.0), 1.0)  # a <= 1
-    assert polygon_contains(convex_hull(cut), (0.5, 1.0))
-    assert not polygon_contains(convex_hull(cut), (1.5, 1.0))
+    assert signed_inner_distance(convex_hull(cut), (0.5, 1.0)) >= 0.0
+    assert not signed_inner_distance(convex_hull(cut), (1.5, 1.0)) >= 0.0
 
 
 def _reference_clip(poly, normal, offset):
@@ -130,7 +127,7 @@ def test_halfplane_intersection_matches_grid_oracle():
     for x in xs:
         for y in xs:
             feasible = all(nx * x + ny * y <= c + 1e-12 for nx, ny, c in constraints)
-            inside = polygon_contains(poly, (x, y), tol=1e-9)
+            inside = signed_inner_distance(poly, (x, y)) >= -1e-9
             if feasible:
                 assert inside
             elif not inside:
@@ -163,7 +160,7 @@ def test_signed_inner_distance():
 def test_points_in_polygon_vectorized():
     tri = np.array([(0, 0), (2, 0), (0, 2)], dtype=float)
     pts = np.array([(0.5, 0.5), (2, 2), (0, 0), (-0.1, 0.0)])
-    mask = points_in_polygon(tri, pts, tol=1e-12)
+    mask = points_in_polygon(tri, pts)
     assert list(mask) == [True, False, True, False]
 
 
@@ -199,6 +196,6 @@ def test_minkowski_sum():
     sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
     seg = np.array([(0.0, 0.0), (2.0, 0.0)])
     out = minkowski_sum(sq, seg)
-    assert polygon_contains(out, (2.5, 0.5))
-    assert not polygon_contains(out, (3.2, 0.5))
-    assert polygon_support(out, np.array([[1.0, 0.0]]))[0] == pytest.approx(3.0)
+    assert signed_inner_distance(out, (2.5, 0.5)) >= 0.0
+    assert not signed_inner_distance(out, (3.2, 0.5)) >= 0.0
+    assert (out @ np.array([1.0, 0.0])).max() == pytest.approx(3.0)

@@ -389,6 +389,13 @@ def test_probe_requires_real_edge(remark):
         qr.nonclosedness_probe(remark, [(0.0, 0.0), (0.0, 0.0)], [10])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_probe_rejects_a_non_finite_edge(remark, bad):
+    # a NaN endpoint passes "length <= 0" and would give inf at every N
+    with pytest.raises(ValueError, match="edge endpoints must be finite"):
+        qr.nonclosedness_probe(remark, [(0.0, 0.0), (bad, 1.0)], [10])
+
+
 def test_empty_sections_are_rejected(remark):
     with pytest.raises(ValueError, match="sections"):
         qr.lancaster_check(remark, [])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quatrange as qr
-from quatrange import Quaternion
+from quatrange import Quaternion, qmatrix
 
 from conftest import random_qmatrix, random_unit_qvector
 
@@ -125,6 +125,33 @@ def test_built_matrices_hold_their_own_read_only_array():
 
 
 # -- the quadratic pencil --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_matrix_holds_finite_entries_by_construction(bad):
+    arr = random_qmatrix(1, 3).arr.copy()
+    arr[2, 0, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        qr.QMatrix(arr)
+    # before this check, these reached upper_bild as a KeyError, an empty hull
+    # or a LinAlgError
+    with pytest.raises(ValueError, match="finite"):
+        qr.QMatrix.diag([Quaternion(bad), Quaternion(1, 1)])
+    tail = np.ones((3, 4))
+    tail[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        qr.QMatrix.block_diag(random_qmatrix(2, 2), tail)
+
+
+def test_sections_check_only_the_entries_they_are_given(monkeypatch):
+    # block_diag's block is a QMatrix already, so a section's check is O(N)
+    checked = []
+    real = qmatrix._check_finite
+    monkeypatch.setattr(qmatrix, "_check_finite",
+                        lambda values: (checked.append(values.shape), real(values)))
+    T = qr.truncate(qr.remark_operator(), 40)
+    assert T.n == 42
+    assert checked == [(2, 4), (40, 4)]
 
 
 def test_delta_kills_matching_diagonal():
