@@ -281,17 +281,17 @@ class LimitSegment:
     def __post_init__(self):
         if not (0.0 <= self.b0 <= self.b1):
             raise ValueError("segment needs 0 <= b0 <= b1")
-
-    def probes(self) -> np.ndarray:
-        bs = np.linspace(self.b0, self.b1, _SEGMENT_PROBES)
-        return np.stack([np.full_like(bs, self.a), bs], axis=1)
-
-
-LimitPart = SimilaritySphere | LimitSegment
+        if not (math.isfinite(self.a) and math.isfinite(self.b1)):
+            raise ValueError("segment needs a finite a and b1")
 
 
 class ModelOperator:
-    """Finite block direct-summed with a declared-limit diagonal tail."""
+    """Finite block direct-summed with a declared-limit diagonal tail.
+
+    The limit set is read once into ``_segments``, one (a, b0, b1) float
+    triple per part, a sphere (a, b) being the one-point segment (a, b, b);
+    a part with a non-finite number raises ValidationError.
+    """
 
     def __init__(self, block: QMatrix, tail: Tail, limit_set, bound: float):
         if not limit_set:
@@ -301,6 +301,11 @@ class ModelOperator:
         self.block = block
         self.tail = tail
         self.limit_set = tuple(limit_set)
+        self._segments = tuple(
+            (float(p.a), float(p.b), float(p.b)) if isinstance(p, SimilaritySphere)
+            else (float(p.a), float(p.b0), float(p.b1)) for p in self.limit_set)
+        if not all(math.isfinite(x) for seg in self._segments for x in seg):
+            raise ValidationError("limit parts must be finite")
         self.bound = float(bound)
         self._validated = False
         self._sweep = None  # (key, _Sweep) of the last convex_combination_sequence call
@@ -322,13 +327,9 @@ class ModelOperator:
         new_block = a * self.block + b * QMatrix.identity(self.block_size) \
             if self.block_size else self.block
         new_tail = _MappedTail(self.tail, "affine", a, b)
-        parts = []
-        for part in self.limit_set:
-            if isinstance(part, SimilaritySphere):
-                parts.append(SimilaritySphere(a * part.a + b, abs(a) * part.b))
-            else:
-                lo, hi = sorted((abs(a) * part.b0, abs(a) * part.b1))
-                parts.append(LimitSegment(a * part.a + b, lo, hi))
+        parts = [SimilaritySphere(a * p.a + b, abs(a) * p.b) if isinstance(p, SimilaritySphere)
+                 else LimitSegment(a * p.a + b, abs(a) * p.b0, abs(a) * p.b1)
+                 for p in self.limit_set]
         return ModelOperator(new_block, new_tail, parts, abs(a) * self.bound + abs(b))
 
     def entries(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -367,9 +368,10 @@ class ModelOperator:
     def validate(self) -> None:
         """Check the declared limit parts against the first _N_CHECK tail values.
 
-        Every declared sphere (and a probe grid on every declared segment)
-        must be approached within _VALIDATE_TOL, and every tail value must be
-        finite and no larger than the declared bound.  The prefix is read in
+        Every one-point segment (a declared sphere) and _SEGMENT_PROBES evenly
+        spaced points of every other segment must be approached within
+        _VALIDATE_TOL, and every tail value must be finite and no larger than
+        the declared bound.  The prefix is read in
         windows of 1024, 8192, ... entries (8-fold, the last one cut at
         _N_CHECK); each window reads only the entries past the previous one,
         so every entry is read once, and the scan stops early once every
@@ -380,11 +382,9 @@ class ModelOperator:
         if self._validated:
             return
         unmet = []  # (a, b) targets not yet approached, in declared order
-        for part in self.limit_set:
-            if isinstance(part, SimilaritySphere):
-                unmet.append(part.point())
-            else:
-                unmet.extend(map(tuple, part.probes()))
+        for a, b0, b1 in self._segments:
+            bs = [b0] if b0 == b1 else np.linspace(b0, b1, _SEGMENT_PROBES).tolist()
+            unmet.extend((a, b) for b in bs)
         window, done = 1024, 0
         while True:
             window = min(window, _N_CHECK)
@@ -466,13 +466,7 @@ def essential_bild(M: ModelOperator) -> np.ndarray:
     Degenerate hulls are returned with one or two vertices.
     """
     M.validate()
-    pts = []
-    for part in M.limit_set:
-        if isinstance(part, SimilaritySphere):
-            pts.append(part.point())
-        else:
-            pts.extend([(part.a, part.b0), (part.a, part.b1)])
-    upper = np.array(pts, dtype=float)
+    upper = np.array([(a, b) for a, b0, b1 in M._segments for b in (b0, b1)])
     lower = upper * np.array([1.0, -1.0])
     return convex_hull(np.vstack([upper, lower]))
 
@@ -630,14 +624,6 @@ class SparseVec:
         return QVector(arr)
 
 
-def _part_distance(part: LimitPart, sphere: SimilaritySphere) -> float:
-    if isinstance(part, SimilaritySphere):
-        return part.distance(sphere)
-    db = 0.0 if part.b0 <= sphere.b <= part.b1 else min(abs(sphere.b - part.b0),
-                                                        abs(sphere.b - part.b1))
-    return math.hypot(sphere.a - part.a, db)
-
-
 @dataclass(frozen=True)
 class _Picks:
     """Consecutive picks of an essential sequence, one row per step.
@@ -691,7 +677,11 @@ class TailBasisSequence:
         self.M = M
         self.target = target
         sphere = csim(target)
-        if min(_part_distance(part, sphere) for part in M.limit_set) > 1e-9:
+        # the distance from the class to each segment; a NaN fails the "<="
+        distance = min(math.hypot(sphere.a - a, 0.0 if b0 <= sphere.b <= b1
+                                  else min(abs(sphere.b - b0), abs(sphere.b - b1)))
+                       for a, b0, b1 in M._segments)
+        if not (distance <= 1e-9):
             raise MissingSequenceError(
                 f"class ({sphere.a:.6g}, {sphere.b:.6g}) is not a declared limit")
         self._sphere = sphere
@@ -1008,8 +998,11 @@ def we_membership(M: ModelOperator, q: Quaternion) -> bool:
     _MEMBERSHIP_EPS outside and 1e-6 inside; points deeper inside are
     cross-validated by building a constructive essential sequence of
     _MEMBERSHIP_DEPTH steps from the polygon vertices and checking its value
-    converges to the canonical representative of q.
+    converges to the canonical representative of q.  A q with a NaN or
+    infinite component raises ValueError.
     """
+    if not np.isfinite(q.to_array()).all():
+        raise ValueError(f"membership needs a finite quaternion, got {q}")
     depth = _MEMBERSHIP_DEPTH
     poly = essential_bild(M)
     pt = np.array(csim(q).point())

@@ -242,12 +242,15 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     outer support polygon, and to an optional analytic target polygon.  All
     three are convex polygons, so both distances are exact
     (geometry.hausdorff_convex), attained at a vertex.  An empty sections
-    raises ValueError.
+    or a target with a non-finite vertex raises ValueError.
     """
     sections = _section_list(sections)
-    base = essential_bild(M)
     if target is not None:
-        target = convex_hull(np.asarray(target, dtype=float))
+        target = np.asarray(target, dtype=float)
+        if not np.isfinite(target).all():
+            raise ValueError("target vertices must be finite")
+        target = convex_hull(target)
+    base = essential_bild(M)
     rows: list[LancasterRow] = []
     regions: list[IconvRegion] = []
     bilds: list[BildRegion] = []

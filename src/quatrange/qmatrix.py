@@ -63,7 +63,9 @@ class QMatrix:
         n = vals.shape[0]
         arr = np.zeros((n, n, 4))
         arr[np.arange(n), np.arange(n), :] = vals
-        return QMatrix._adopt(arr)
+        out = QMatrix._adopt(arr)
+        out._block_size = 0  # diagonal
+        return out
 
     @staticmethod
     def from_quaternions(rows) -> "QMatrix":

@@ -237,15 +237,44 @@ def test_validation_rejects_bound_violation():
         qr.essential_bild(M)
 
 
-def _reference_validate(M, n_check=200000, tol=1e-3):
-    """The former check, which rescanned every window from entry 0."""
+# The per-kind readers of the limit set that the library replaced by its
+# canonical (a, b0, b1) segments: the references of the parity tests below.
+
+def _reference_targets(limit_set):
+    """validate's targets: each sphere's point, nine evenly spaced points of each segment."""
     targets = []
-    for part in M.limit_set:
+    for part in limit_set:
         if isinstance(part, qr.SimilaritySphere):
             targets.append(part.point())
         else:
-            targets.extend(map(tuple, part.probes()))
-    targets = np.array(targets)
+            bs = np.linspace(part.b0, part.b1, 9)
+            targets.extend(map(tuple, np.stack([np.full_like(bs, part.a), bs], axis=1)))
+    return targets
+
+
+def _reference_part_distance(part, sphere):
+    """Distance from a class to a declared part, as TailBasisSequence reads it."""
+    if isinstance(part, qr.SimilaritySphere):
+        return part.distance(sphere)
+    db = 0.0 if part.b0 <= sphere.b <= part.b1 else min(abs(sphere.b - part.b0),
+                                                        abs(sphere.b - part.b1))
+    return math.hypot(sphere.a - part.a, db)
+
+
+def _reference_bild_points(M):
+    """essential_bild's hull points in the upper half-plane: sphere points, segment ends."""
+    pts = []
+    for part in M.limit_set:
+        if isinstance(part, qr.SimilaritySphere):
+            pts.append(part.point())
+        else:
+            pts.extend([(part.a, part.b0), (part.a, part.b1)])
+    return np.array(pts, dtype=float)
+
+
+def _reference_validate(M, n_check=200000, tol=1e-3):
+    """The former check, which rescanned every window from entry 0."""
+    targets = np.array(_reference_targets(M.limit_set))
     unmet = np.ones(len(targets), dtype=bool)
     window = 1024
     while True:
@@ -349,6 +378,116 @@ def test_validate_memory_does_not_grow_with_the_targets():
     assert str(err.value) == ("declared limit point (0.01, 0) not approached within 0.001 "
                               "by the first 200000 tail values")
     assert peak < 16e6
+
+
+def _mixed_limit_sets(count):
+    """Random limit sets of one to eight parts: spheres, segments, point segments, b0 = 0."""
+    rng = np.random.default_rng(np.random.SeedSequence(26, spawn_key=(3,)))
+    sets = []
+    for _ in range(count):
+        parts = []
+        for _ in range(int(rng.integers(1, 9))):
+            a = rng.standard_normal() * 0.8
+            b0, b1 = np.sort(np.abs(rng.standard_normal(2)) * 0.8)
+            parts.append([qr.SimilaritySphere(a, b0), qr.LimitSegment(a, b0, b1),
+                          qr.LimitSegment(a, b1, b1), qr.LimitSegment(a, 0.0, b1)]
+                         [int(rng.integers(0, 4))])
+        sets.append(parts)
+    return sets
+
+
+def _parity_operators():
+    """Seeded operators 0-199, then mixed limit sets whose tail meets every target or some."""
+    rng = np.random.default_rng(np.random.SeedSequence(26, spawn_key=(5,)))
+    out = [(seeded_model_operator(seed), 200000) for seed in range(200)]
+    for parts in _mixed_limit_sets(200):
+        targets = _reference_targets(parts)
+        # every other set meets only a random part of its targets
+        kept = targets if len(out) % 2 else [t for t in targets if rng.random() < 0.7]
+        values = [Quaternion(a, b, 0.0, 0.0) for a, b in kept or targets[:1]]
+        bound = max(abs(q) for q in values) + 0.1
+        out.append((qr.ModelOperator(qr.QMatrix.zeros(0), qr.ExplicitTail(values), parts,
+                                     bound), 2048))
+    return out
+
+
+def _class_queries(M):
+    """Quaternions at, near and off the declared parts, as (a, b) rotated into j or k."""
+    queries = []
+    for a, b in _reference_bild_points(M).tolist():
+        for da, db in ((0.0, 0.0), (0.0, 5e-10), (0.0, -2e-9), (1e-9, 0.0), (-3e-10, 0.0),
+                       (0.0, 0.01), (0.3, 0.0)):
+            queries += [Quaternion(a + da, b + db, 0.0, 0.0), Quaternion(a + da, 0.0, 0.0, b + db)]
+    return queries
+
+
+def test_canonical_segments_match_the_per_kind_readers(monkeypatch):
+    # validation, the hull and the declared-class test on 400 operators, each
+    # against the per-kind readers above
+    for M, n_check in _parity_operators():
+        monkeypatch.setattr(essential, "_N_CHECK", n_check)
+        expected = _validation_outcome(lambda: _reference_validate(M, n_check))
+        assert _validation_outcome(M.validate) == expected
+        if expected is None:
+            upper = _reference_bild_points(M)
+            hull = qr.convex_hull(np.vstack([upper, upper * np.array([1.0, -1.0])]))
+            got = qr.essential_bild(M)
+            assert got.shape == hull.shape and got.tobytes() == hull.tobytes()
+        for q in _class_queries(M):
+            sphere = qr.csim(q)
+            declared = min(_reference_part_distance(p, sphere) for p in M.limit_set) <= 1e-9
+            try:
+                qr.TailBasisSequence(M, q)
+                found = True
+            except qr.MissingSequenceError:
+                found = False
+            assert found == declared, (M, q)
+
+
+def _bare_segment(a, b0, b1):
+    """A LimitSegment that skips its own check, so that ModelOperator's is reached."""
+    seg = object.__new__(qr.LimitSegment)
+    for name, value in (("a", a), ("b0", b0), ("b1", b1)):
+        object.__setattr__(seg, name, value)
+    return seg
+
+
+def _with_part(part):
+    return qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I), [qr.csim(I), part],
+                            bound=1.0)
+
+
+_NON_FINITE_ENTRIES = {
+    "sphere a": (qr.ValidationError, lambda x, M: _with_part(qr.SimilaritySphere(x, 0.5))),
+    "sphere b": (qr.ValidationError, lambda x, M: _with_part(qr.SimilaritySphere(0.0, x))),
+    "segment part": (qr.ValidationError, lambda x, M: _with_part(_bare_segment(0.0, 0.0, x))),
+    "segment a": (ValueError, lambda x, M: qr.LimitSegment(x, 0.0, 0.5)),
+    "segment b1": (ValueError, lambda x, M: qr.LimitSegment(0.5, 0.0, x)),
+    "sequence": (qr.MissingSequenceError,
+                 lambda x, M: qr.TailBasisSequence(M, Quaternion(x, 0.25, 0.0, 0.0))),
+    "combination": (qr.MissingSequenceError,
+                    lambda x, M: qr.convex_combination_sequence(
+                        M, Quaternion(0.0, 0.25, 0.0, 0.0), Quaternion(0.0, 0.0, x, 0.0),
+                        0.5, 10)),
+    "membership real": (ValueError, lambda x, M: qr.we_membership(M, Quaternion(x))),
+    "membership i": (ValueError,
+                     lambda x, M: qr.we_membership(M, Quaternion(0.0, x, 0.0, 0.0))),
+    "membership four-vertex bild": (
+        ValueError, lambda x, M: qr.we_membership(seeded_model_operator(0), Quaternion(x))),
+    "lancaster target": (ValueError, lambda x, M: qr.lancaster_check(
+        M, [50], target=[[x, 0.0], [1.0, 1.0], [0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", list(_NON_FINITE_ENTRIES))
+def test_every_entry_point_rejects_a_non_finite_input(entry, bad):
+    error, call = _NON_FINITE_ENTRIES[entry]
+    M = qr.remark_operator()
+    with pytest.raises(error):
+        call(bad, M)
+    # rejected before any tail is read or any geometry is built
+    assert M.tail._cache.shape[0] == 0 and not M._validated
 
 
 # -- essential bild -------------------------------------------------------------------

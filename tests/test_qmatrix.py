@@ -98,6 +98,20 @@ def test_block_diag_split_is_the_scanned_split():
         == [3, 0, 2, 0]
 
 
+def test_diag_split_needs_no_scan(monkeypatch):
+    # diag sets its split when it builds the matrix, so block_split never
+    # scans the N x N array; a fresh QMatrix on the same array does
+    T = qr.QMatrix.diag([Quaternion(float(k), 1.0, 0.0, 0.0) for k in range(300)]
+                        + [Quaternion(0.0)])
+    assert qr.QMatrix(T.arr).block_split() == 0
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("block_split scanned the matrix")
+
+    monkeypatch.setattr(np, "argwhere", no_scan)
+    assert T.block_split() == 0
+
+
 def test_block_diag_layout():
     block = qr.QMatrix.diag([Quaternion(-1, 1, 0, 0), Quaternion(1, 1, 0, 0)])
     tail = np.array([[0.0, 0.5, 0.0, 0.0]])
