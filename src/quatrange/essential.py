@@ -67,24 +67,52 @@ class MissingSequenceError(ValueError):
 # -- tails -----------------------------------------------------------------------
 
 class Tail:
-    """A bounded diagonal symbol n -> s_n, generated lazily and cached."""
+    """A bounded diagonal symbol n -> s_n, generated lazily and cached.
+
+    The cache is component-major: ``_data[c, n - 1]`` holds component c of
+    s_n for n <= ``_size``, in a (4, capacity) array of zeros.  A growth
+    writes only the entries past ``_size``, through ``_fill``; one past the
+    capacity first moves them into a larger array (see ``prefix``).
+    A subclass defines ``_fill``, or only ``_generate(count)``, the first
+    ``count`` values as a (count, 4) array, whose new rows the default
+    ``_fill`` copies in.  ``prefix`` returns a read-only (count, 4) view.
+    """
 
     kind = "abstract"
 
     def __init__(self):
-        self._cache = np.zeros((0, 4))
+        self._data = np.zeros((4, 0))
+        self._size = 0
 
     def _generate(self, count: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _fill(self, start: int, out: np.ndarray) -> None:
+        """Write s_(start + 1) .. s_(start + k) into out, a (4, k) block of the cache."""
+        out[...] = self._generate(start + out.shape[1])[start:].T
+
     def prefix(self, count: int) -> np.ndarray:
-        """First ``count`` tail values s_1 .. s_count as a (count, 4) array."""
+        """First ``count`` tail values s_1 .. s_count as a read-only (count, 4) view."""
         if count < 0:
             raise ValueError(f"prefix count must be >= 0, got {count}")
-        if count > self._cache.shape[0]:
-            self._cache = self._generate(count)
-            self._cache.setflags(write=False)
-        return self._cache[:count]
+        size = self._size
+        if count > size:
+            if count > self._data.shape[1]:
+                # double the capacity; past an eighth of _N_CHECK reserve all
+                # of it, so that validate's last window, 8-fold past the one
+                # before, grows in place: a full validation moves 1024 and
+                # then 8192 entries
+                capacity = max(count, 2 * self._data.shape[1])
+                if 8 * capacity > _N_CHECK:
+                    capacity = max(capacity, _N_CHECK)
+                data = np.zeros((4, capacity))
+                data[:, :size] = self._data[:, :size]
+                self._data = data
+            self._fill(size, self._data[:, size:count])
+            self._size = count
+        view = self._data[:, :count].T
+        view.flags.writeable = False
+        return view
 
     def value(self, n: int) -> Quaternion:
         """s_n with 1-based n."""
@@ -163,22 +191,30 @@ def _primes_below(n: int) -> np.ndarray:
 def _reduced_fractions(half: float, q0: int, q1: int) -> np.ndarray:
     """The reduced p/q with |p| <= floor(half q - 1e-12) for q0 <= q < q1, by q then p.
 
-    A (denominator x numerator) table of the block starts with the cells
-    inside each row's numerator range; every prime r dividing some q of the
-    block strikes the cells where r divides both q and p (p = 0 included, so
-    0 stays only in the row q = 1).  Reading the table in row-major order
-    keeps q ascending and p ascending within a row.
+    A (denominator x numerator) table of the block holds the numerators
+    p = 0 .. width and starts with the cells inside each row's range; every
+    prime r dividing some q of the block strikes the cells where r divides
+    both q and p (p = 0 included, so 0 stays only in the row q = 1).  Only
+    this half is sieved and divided: each row is mirrored, since
+    (-p)/q = -(p/q) exactly in IEEE arithmetic, and the mirrored table read
+    in row-major order keeps q ascending and p ascending within a row.
     """
     qs = np.arange(q0, q1)
     pmax = np.floor(half * qs - 1e-12).astype(np.int64)
     width = max(int(pmax[-1]), 0)  # pmax grows with q
-    keep = np.abs(np.arange(-width, width + 1)) <= pmax[:, None]
+    keep = np.arange(width + 1) <= pmax[:, None]
     primes = _primes_below(q1)
     for r in primes[(q1 - 1) // primes * primes >= q0].tolist():
-        # column c holds p = c - width, so r | p exactly when c = width (mod r)
-        keep[-q0 % r::r, width % r::r] = False
-    p = np.broadcast_to(np.arange(-width, width + 1), keep.shape)[keep]
-    return p / np.repeat(qs, keep.sum(axis=1))
+        keep[-q0 % r::r, ::r] = False
+    # column width + p holds p / q, for p = -width .. width
+    values = np.empty((q1 - q0, 2 * width + 1))
+    np.divide(np.arange(width + 1), qs[:, None], out=values[:, width:])
+    np.negative(values[:, :width:-1], out=values[:, :width])
+    # np.compress reads an irregular mask several times faster than indexing
+    return np.compress(np.concatenate((keep[:, :0:-1], keep), axis=1).ravel(), values.ravel())
+
+
+_SIEVE_ROWS = 32  # denominators one sieve block holds at most
 
 
 class RationalsITail(Tail):
@@ -186,8 +222,10 @@ class RationalsITail(Tail):
 
     For q = 1, 2, ... the reduced fractions p/q with |p/q| < half are emitted
     with p ascending; the closure of the emitted set is [-half, half] * i.
-    Each growth sieves one block of denominators (``_reduced_fractions``),
-    sized to the entries still missing, so no gcd is ever taken.
+    Each growth sieves blocks of at most _SIEVE_ROWS denominators
+    (``_reduced_fractions``), sized to the entries still missing, so no gcd
+    is ever taken and no denominator is sieved twice.  A growth writes only
+    the cache's imaginary row; the other three keep the zeros it starts with.
     """
 
     kind = "rationals_i"
@@ -202,26 +240,24 @@ class RationalsITail(Tail):
         self._next_q = 1
         self._pending = np.zeros(0)
 
-    def _generate(self, count: int) -> np.ndarray:
-        done = self._cache.shape[0]
-        parts = [self._pending]
-        have = done + len(self._pending)
+    def _fill(self, start: int, out: np.ndarray) -> None:
+        row = out[1]
+        done = min(self._pending.size, row.size)
+        row[:done] = self._pending[:done]
+        self._pending = self._pending[done:]
         q = self._next_q
-        while have < count:
+        while done < row.size:
             # rows q .. q_end - 1 hold about half (q_end^2 - q^2) cells, of
             # which a share 6 / pi^2 is reduced: size the block to what is missing
-            cells = math.ceil((count - have) * math.pi ** 2 / (6.0 * self.half))
-            q_end = max(q + 1, math.isqrt(q * q + cells) + 1)
-            parts.append(_reduced_fractions(self.half, q, q_end))
-            have += len(parts[-1])
+            cells = math.ceil((row.size - done) * math.pi ** 2 / (6.0 * self.half))
+            q_end = min(max(q + 1, math.isqrt(q * q + cells) + 1), q + _SIEVE_ROWS)
+            fresh = _reduced_fractions(self.half, q, q_end)
+            k = min(fresh.size, row.size - done)
+            row[done:done + k] = fresh[:k]
+            self._pending = fresh[k:].copy()
+            done += k
             q = q_end
-        fresh = np.concatenate(parts)
         self._next_q = q
-        self._pending = fresh[count - done:]
-        out = np.zeros((count, 4))
-        out[:done] = self._cache
-        out[done:, 1] = fresh[:count - done]
-        return out
 
     def spec(self) -> dict:
         return {"kind": self.kind, "half": self.half}
@@ -268,6 +304,15 @@ class DecayingPeriodicTail(Tail):
 _SEGMENT_PROBES = 9  # evenly spaced points standing for a declared segment
 _VALIDATE_TOL = 1e-3  # how near the tail must come to each declared limit point
 _N_CHECK = 200000  # tail values validate reads before a declared limit counts as unmet
+_BLOCK = 16384  # tail values validate scans at a time
+
+
+def _squares(rows: np.ndarray) -> np.ndarray:
+    """The sum of squares down the rows of a component block, added top to bottom."""
+    total = rows[0] ** 2
+    for row in rows[1:]:
+        total += row ** 2
+    return total
 
 
 @dataclass(frozen=True)
@@ -371,13 +416,14 @@ class ModelOperator:
         Every one-point segment (a declared sphere) and _SEGMENT_PROBES evenly
         spaced points of every other segment must be approached within
         _VALIDATE_TOL, and every tail value must be finite and no larger than
-        the declared bound.  The prefix is read in
-        windows of 1024, 8192, ... entries (8-fold, the last one cut at
-        _N_CHECK); each window reads only the entries past the previous one,
-        so every entry is read once, and the scan stops early once every
-        target is met.  The targets not yet met are scanned one at a time, so
-        memory grows with the window alone, never with the number of
-        declared targets.
+        the declared bound.  The prefix is read in windows of 1024, 8192, ...
+        entries (8-fold, the last one cut at _N_CHECK); each window reads only
+        the entries past the previous one, so every entry is read once, and
+        the scan stops early once every target is met.  A window is scanned
+        in blocks of _BLOCK entries, first for the bound over the whole
+        window, then for each target not yet met, whose least squared
+        distance is the least over the blocks; so memory grows with the
+        block alone, never with the window or the number of declared targets.
         """
         if self._validated:
             return
@@ -389,20 +435,8 @@ class ModelOperator:
         while True:
             window = min(window, _N_CHECK)
             # the earlier windows checked prefix(done), so only the new entries
-            fresh = self.tail.prefix(window)[done:]
+            unmet = self._unmet_in(self.tail.prefix(window)[done:].T, unmet)
             done = window
-            # sqrt is monotone, so one root of the largest |s|^2 decides; a NaN
-            # propagates through max and fails the "<=", as does an infinity
-            sq = fresh[:, 0] ** 2 + fresh[:, 1] ** 2 + fresh[:, 2] ** 2 + fresh[:, 3] ** 2
-            if not math.sqrt(sq.max()) <= self.bound + 1e-12:
-                if not np.isfinite(fresh).all():
-                    raise ValidationError("tail holds a non-finite value")
-                raise ValidationError("tail value exceeds the declared bound")
-            pts = bild_points(fresh)
-            a, b = pts[:, 0], pts[:, 1]
-            # the root of the least squared distance is the least distance
-            unmet = [(ta, tb) for ta, tb in unmet
-                     if math.sqrt(((a - ta) ** 2 + (b - tb) ** 2).min()) > _VALIDATE_TOL]
             if not unmet:
                 self._validated = True
                 return
@@ -412,6 +446,27 @@ class ModelOperator:
                     f"declared limit point ({bad[0]:.6g}, {bad[1]:.6g}) not approached "
                     f"within {_VALIDATE_TOL:g} by the first {_N_CHECK} tail values")
             window *= 8
+
+    def _unmet_in(self, fresh: np.ndarray, unmet: list) -> list:
+        """The targets of unmet that the (4, k) component block fresh does not approach.
+
+        Raises ValidationError when an entry is not finite or exceeds the bound.
+        """
+        blocks = [fresh[:, lo:lo + _BLOCK] for lo in range(0, fresh.shape[1], _BLOCK)]
+        # sqrt is monotone, so one root of the largest |s|^2 decides; a NaN
+        # propagates through np.max and fails the "<=", as does an infinity
+        if not math.sqrt(np.max([_squares(blk).max() for blk in blocks])) <= self.bound + 1e-12:
+            if not np.isfinite(fresh).all():
+                raise ValidationError("tail holds a non-finite value")
+            raise ValidationError("tail value exceeds the declared bound")
+        least = [math.inf] * len(unmet)
+        for blk in blocks:
+            # the bild point (a, b) of each entry, as bild_points gives it
+            a, b = blk[0], np.sqrt(_squares(blk[1:]))
+            least = [min(d, ((a - ta) ** 2 + (b - tb) ** 2).min())
+                     for d, (ta, tb) in zip(least, unmet)]
+        # the root of the least squared distance is the least distance
+        return [t for t, d in zip(unmet, least) if math.sqrt(d) > _VALIDATE_TOL]
 
     def __repr__(self) -> str:
         return (f"ModelOperator(block={self.block_size}, tail={self.tail.kind}, "
@@ -429,14 +484,14 @@ class _MappedTail(Tail):
         self.b = float(b)
         self.kind = f"{label}({base.kind})"
 
-    def _generate(self, count: int) -> np.ndarray:
-        out = self.base.prefix(count).copy()
+    def _fill(self, start: int, out: np.ndarray) -> None:
+        base = self.base.prefix(start + out.shape[1])[start:].T
         if self.label == "adjoint":
-            out[:, 1:] = -out[:, 1:]
+            out[0] = base[0]
+            np.negative(base[1:], out=out[1:])
         else:
-            out *= self.a
-            out[:, 0] += self.b
-        return out
+            np.multiply(base, self.a, out=out)
+            out[0] += self.b
 
     def spec(self) -> dict:
         spec = {"kind": self.label, "base": self.base.spec()}

@@ -426,10 +426,15 @@ def _diagonal_vertices(T: QMatrix) -> tuple[np.ndarray, list, list]:
             for k, l in pairs]
     cands = np.vstack([lam, np.array(axis).reshape(-1, 2)])
     poly = convex_hull(cands)
-    where = {tuple(p): i for i, p in enumerate(cands)}
+    # each vertex's candidate, the last of equal ones: a complex number sorts
+    # by its real part, then its imaginary part, and a stable sort keeps
+    # equal candidates in index order
+    keys = cands.view(complex).ravel()
+    order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys[order], np.ascontiguousarray(poly).view(complex).ravel(),
+                         side="right") - 1
     coords, xs = [], []
-    for p in poly:
-        i = where[tuple(p)]
+    for i in order[at].tolist():
         if i < len(lam):
             coords.append((i,))
             xs.append(np.array([[1.0, 0.0, 0.0, 0.0]]))

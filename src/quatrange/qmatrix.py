@@ -14,6 +14,23 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("QMatrix entries must be finite")
 
 
+_SQUARES_PIECE = 1 << 16  # entries whose squares _sum_of_squares forms at once
+
+
+def _sum_of_squares(flat: np.ndarray) -> float:
+    """np.sum(flat * flat) bit for bit, squaring at most _SQUARES_PIECE entries at once.
+
+    np.sum adds a contiguous array pairwise: above 128 entries the sum of n
+    is the sum of its first n2 = n // 2 - (n // 2) % 8 entries plus the sum
+    of the rest, so the two parts are summed apart in the same way.
+    """
+    n = flat.size
+    if n <= _SQUARES_PIECE:
+        return np.sum(flat * flat)
+    n2 = n // 2 - n // 2 % 8
+    return _sum_of_squares(flat[:n2]) + _sum_of_squares(flat[n2:])
+
+
 class QMatrix:
     """An n x n matrix over the quaternions, stored as an (n, n, 4) real array.
 
@@ -139,7 +156,7 @@ class QMatrix:
         return QMatrix(qconj(self._arr).transpose(1, 0, 2))
 
     def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(self._arr * self._arr)))
+        return float(np.sqrt(_sum_of_squares(self._arr.reshape(-1))))
 
     def isclose(self, other: "QMatrix", tol: float = 1e-12) -> bool:
         return self.n == other.n and float(np.max(np.abs(self._arr - other._arr))) <= tol

@@ -87,13 +87,6 @@ def test_rationals_tail_matches_fraction_reference(half):
     assert len(set(got)) == len(got)
 
 
-def test_rationals_tail_resumes_its_enumeration():
-    grown = qr.RationalsITail(0.5)
-    for count in (10, 5000, 70000):
-        grown.prefix(count)
-    assert np.array_equal(grown.prefix(70000), qr.RationalsITail(0.5).prefix(70000))
-
-
 def _reference_rationals(half, count):
     """The former generator: one gcd pass per denominator q = 1, 2, ..."""
     parts, have, q = [], 0, 1
@@ -120,6 +113,97 @@ def test_rationals_tail_sieve_matches_the_gcd_loop(half):
     with pytest.raises(qr.ValidationError, match="first 200000 tail values"):
         M.validate()
     assert M.tail.prefix(200000).tobytes() == one_shot.tobytes()
+
+
+def _full_table_fractions(half, q0, q1):
+    """The former block sieve: a table of all numerators -width .. width, struck and divided."""
+    qs = np.arange(q0, q1)
+    pmax = np.floor(half * qs - 1e-12).astype(np.int64)
+    width = max(int(pmax[-1]), 0)
+    keep = np.abs(np.arange(-width, width + 1)) <= pmax[:, None]
+    primes = essential._primes_below(q1)
+    for r in primes[(q1 - 1) // primes * primes >= q0].tolist():
+        keep[-q0 % r::r, width % r::r] = False
+    p = np.broadcast_to(np.arange(-width, width + 1), keep.shape)[keep]
+    return p / np.repeat(qs, keep.sum(axis=1))
+
+
+def test_mirrored_sieve_matches_the_full_table():
+    rng = np.random.default_rng(np.random.SeedSequence(27, spawn_key=(1,)))
+    cases = [(0.5, 1, 59), (0.5, 464, 812), (1e-13, 1, 40), (7.3, 1, 2)]
+    for _ in range(300):
+        half = float(rng.choice([0.5, 0.37, 1.0, 2.0])) if rng.random() < 0.3 \
+            else float(10 ** rng.uniform(-3, 1))
+        q0 = int(rng.integers(1, 1000))
+        cases.append((half, q0, q0 + int(rng.integers(1, 100))))
+    for half, q0, q1 in cases:
+        got, want = essential._reduced_fractions(half, q0, q1), _full_table_fractions(half, q0, q1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (half, q0, q1)
+
+
+_GROWTH = (10, 1024, 8192, 65536, 200000, 3, 200001)
+
+
+def test_grown_rationals_tail_sieves_each_denominator_once(monkeypatch):
+    blocks = []
+    real = essential._reduced_fractions
+
+    def sieved(half, q0, q1):
+        blocks.append((q0, q1))
+        return real(half, q0, q1)
+
+    monkeypatch.setattr(essential, "_reduced_fractions", sieved)
+    t = qr.RationalsITail(0.5)
+    for count in _GROWTH:
+        t.prefix(count)
+    assert [q0 for q0, _ in blocks] == [1] + [q1 for _, q1 in blocks[:-1]]
+    assert all(0 < q1 - q0 <= essential._SIEVE_ROWS for q0, q1 in blocks)
+    # rows 1 .. 811 hold the first 200 001 fractions of (-1/2, 1/2)
+    assert blocks[-1][1] == 812
+
+
+@pytest.mark.parametrize("half", [0.5, 0.37, 0.3, 1.7, 0.01, 2.0, 0.001, 7.3, 1.0])
+def test_rationals_tail_resumes_its_enumeration(half):
+    one_shot = qr.RationalsITail(half).prefix(200001)
+    assert not one_shot[:, [0, 2, 3]].any()
+    grown = qr.RationalsITail(half)
+    for count in _GROWTH:
+        got = grown.prefix(count)
+        assert got.shape == (count, 4) and not got.flags.writeable
+        assert got.tobytes() == one_shot[:count].tobytes()
+
+
+class _SeededTail(Tail):
+    """Seeded normal values; it defines _generate alone, and counts the values it made."""
+
+    kind = "seeded"
+
+    def __init__(self):
+        super().__init__()
+        self.made = 0
+
+    def _generate(self, count):
+        self.made += count
+        return np.random.default_rng(3).standard_normal((count, 4))
+
+
+def test_generate_only_and_mapped_tails_grow_to_the_same_prefixes():
+    whole = _SeededTail()._generate(70000)
+    grown = _SeededTail()
+    adjoint = essential._MappedTail(_SeededTail(), "adjoint")
+    affine = essential._MappedTail(_SeededTail(), "affine", -0.7, 0.3)
+    for count in (5, 3, 1024, 9000, 70000, 10):
+        assert grown.prefix(count).tobytes() == whole[:count].tobytes()
+        # the maps: negate the imaginary part, or scale all and shift the real one
+        want = whole[:count].copy()
+        want[:, 1:] = -want[:, 1:]
+        assert adjoint.prefix(count).tobytes() == want.tobytes()
+        want = whole[:count] * -0.7
+        want[:, 0] += 0.3
+        assert affine.prefix(count).tobytes() == want.tobytes()
+    # one _generate call per growth: 5, 1024, 9000 and 70000 values
+    assert grown.made == 5 + 1024 + 9000 + 70000
+    assert adjoint.base.made == affine.base.made == grown.made
 
 
 def test_decaying_periodic_rate():
@@ -346,20 +430,35 @@ def test_validate_matches_the_full_rescan(monkeypatch):
 
 def test_validate_reads_each_tail_entry_once(monkeypatch):
     # a phantom target is never met, so every window up to _N_CHECK runs:
-    # 1024, 8192, 65536 and 200000 entries, each scanned from the last one's end
-    scanned = []
-    real = essential.bild_points
-
-    def counted(values):
-        scanned.append(len(values))
-        return real(values)
-
-    monkeypatch.setattr(essential, "bild_points", counted)
-    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.ConstantTail(I),
+    # 1024, 8192, 65536 and 200000 entries.  Each window's new entries are
+    # read in consecutive blocks of at most _BLOCK entries, all of them for
+    # the bound (four rows) before any for the targets (the imaginary rows)
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), InverseTail(),
                          [qr.SimilaritySphere(5.0, 0.0)], bound=1.5)
+    ends, reads = [], []
+    real_prefix, real_squares = M.tail.prefix, essential._squares
+
+    def prefix(count):
+        ends.append(count)
+        return real_prefix(count)
+
+    def squares(rows):
+        # s_n = i / n, so a block's first imaginary entry names its index
+        reads.append((len(rows), round(1.0 / rows[-3][0]) - 1, rows.shape[1]))
+        return real_squares(rows)
+
+    monkeypatch.setattr(M.tail, "prefix", prefix)
+    monkeypatch.setattr(essential, "_squares", squares)
     with pytest.raises(qr.ValidationError, match="first 200000 tail values"):
         M.validate()
-    assert scanned == [1024, 7168, 57344, 134464]
+    assert ends == [1024, 8192, 65536, 200000]
+    expected = []
+    for lo, hi in zip([0] + ends[:-1], ends):
+        blocks = [(start, min(start + essential._BLOCK, hi) - start)
+                  for start in range(lo, hi, essential._BLOCK)]
+        expected += [(4, *b) for b in blocks] + [(3, *b) for b in blocks]
+    assert reads == expected
+    assert max(k for _, _, k in reads) == essential._BLOCK
 
 
 def test_validate_memory_does_not_grow_with_the_targets():
@@ -378,6 +477,23 @@ def test_validate_memory_does_not_grow_with_the_targets():
     assert str(err.value) == ("declared limit point (0.01, 0) not approached within 0.001 "
                               "by the first 200000 tail values")
     assert peak < 16e6
+
+
+def test_validate_peaks_at_its_tail_cache_and_one_block():
+    # the remark operator's validation reads all 200 000 tail values.  Their
+    # (4, 200000) float64 cache is 6.4 MB, which tracemalloc counts in full
+    # although three of its rows are never written; beyond it validate holds
+    # block-sized temporaries only, where the former cache, rebuilt on every
+    # growth, and its window-sized temporaries peaked at 12.9 MB
+    M = qr.remark_operator()
+    tracemalloc.start()
+    try:
+        M.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.tail._data.nbytes == 6.4e6
+    assert peak < M.tail._data.nbytes + 1e6
 
 
 def _mixed_limit_sets(count):
@@ -487,7 +603,7 @@ def test_every_entry_point_rejects_a_non_finite_input(entry, bad):
     with pytest.raises(error):
         call(bad, M)
     # rejected before any tail is read or any geometry is built
-    assert M.tail._cache.shape[0] == 0 and not M._validated
+    assert M.tail._size == 0 and not M._validated
 
 
 # -- essential bild -------------------------------------------------------------------

@@ -500,6 +500,53 @@ def test_diagonal_bild_pairs_distinct_indices():
     assert np.array_equal(poly, [[1.0, 0.0], [1.0, 1.0]])
 
 
+def _reference_diagonal_vertices(T):
+    """The former _diagonal_vertices, which looked each vertex up in a dict of every candidate."""
+    d = T.diagonal()
+    lam = qr.bild_points(d)
+    pairs = numrange._axis_pairs(lam)
+    axis = [((lam[k, 0] * lam[l, 1] + lam[l, 0] * lam[k, 1]) / (lam[k, 1] + lam[l, 1]), 0.0)
+            for k, l in pairs]
+    cands = np.vstack([lam, np.array(axis).reshape(-1, 2)])
+    poly = qr.convex_hull(cands)
+    where = {tuple(p): i for i, p in enumerate(cands)}
+    coords, xs = [], []
+    for p in poly:
+        i = where[tuple(p)]
+        if i < len(lam):
+            coords.append((i,))
+            xs.append(np.array([[1.0, 0.0, 0.0, 0.0]]))
+            continue
+        k, l = pairs[i - len(lam)]
+        w = lam[l, 1] / (lam[k, 1] + lam[l, 1])
+        u = qconjugator(d[l], qconj(d[k]))
+        coords.append((k, l))
+        xs.append(np.array([[math.sqrt(w), 0.0, 0.0, 0.0], math.sqrt(1.0 - w) * u]))
+    return poly, coords, xs
+
+
+def test_diagonal_vertices_match_the_candidate_dict():
+    # repeated entries, signed zeros and rounded values give equal candidates,
+    # of which the dict kept the last
+    rng = np.random.default_rng(np.random.SeedSequence(27, spawn_key=(2,)))
+    for trial in range(400):
+        n = int(rng.integers(1, 80))
+        vals = rng.standard_normal((n, 4))
+        if trial % 4 == 1:
+            vals = vals[rng.integers(0, max(1, n // 3), n)]
+        elif trial % 4 == 2:
+            vals[:, 2:] = 0.0
+            vals[rng.random(n) < 0.5, 1] = -0.0
+            vals[rng.random(n) < 0.5, 0] = -0.0
+        elif trial % 4 == 3:
+            vals = np.round(vals, 1)
+        T = qr.QMatrix.diag(vals)
+        poly, coords, xs = numrange._diagonal_vertices(T)
+        want_poly, want_coords, want_xs = _reference_diagonal_vertices(T)
+        assert poly.tobytes() == want_poly.tobytes() and coords == want_coords
+        assert [x.tobytes() for x in xs] == [x.tobytes() for x in want_xs]
+
+
 def test_diagonal_bild_contains_fixed_weight_intervals():
     # at weights w_k = |x_k|^2 the values fill a = sum w_k a_k and
     # b in [max(0, 2 max_k w_k b_k - sum w_k b_k), sum w_k b_k]

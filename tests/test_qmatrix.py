@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,22 @@ def test_complex_rep_multiplicative_and_adjoint():
 def test_frobenius():
     T = qr.QMatrix.diag([Quaternion(3.0), Quaternion(0.0, 4.0, 0.0, 0.0)])
     assert T.frobenius() == pytest.approx(5.0)
+
+
+def test_frobenius_matches_the_full_square_sum_without_its_copy():
+    rng = np.random.default_rng(np.random.SeedSequence(27, spawn_key=(4,)))
+    for n in [1, 2, 3, 7, 64, 127, 128, 129, 200, 300] + rng.integers(1, 260, 40).tolist():
+        arr = rng.standard_normal((n, n, 4)) * 10 ** rng.uniform(-8, 8)
+        assert qr.QMatrix(arr).frobenius() == float(np.sqrt(np.sum(arr * arr)))
+    # a 300 x 300 matrix holds 2.9 MB; no second copy of it is formed
+    T = qr.QMatrix(rng.standard_normal((300, 300, 4)))
+    tracemalloc.start()
+    try:
+        T.frobenius()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * qmatrix._SQUARES_PIECE + 4096
 
 
 def test_block_split():
