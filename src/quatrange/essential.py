@@ -11,6 +11,7 @@ empirically against the generated tail, never inferred.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,14 +179,27 @@ class ExplicitTail(Tail):
         return {"kind": self.kind, "values": [list(q.to_array()) for q in self.values]}
 
 
-def _primes_below(n: int) -> np.ndarray:
-    """The primes less than n, ascending (sieve of Eratosthenes)."""
-    sieve = np.ones(n, dtype=bool)
+@functools.lru_cache(maxsize=None)
+def _prime_table(limit: int) -> np.ndarray:
+    """The primes less than limit, ascending (sieve of Eratosthenes), read-only."""
+    sieve = np.ones(limit, dtype=bool)
     sieve[:2] = False
-    for r in range(2, math.isqrt(n) + 1):
+    for r in range(2, math.isqrt(limit) + 1):
         if sieve[r]:
             sieve[r * r::r] = False
-    return np.flatnonzero(sieve)
+    primes = np.flatnonzero(sieve)
+    primes.setflags(write=False)
+    return primes
+
+
+def _primes_below(n: int) -> np.ndarray:
+    """The primes less than n, ascending, sliced from the sieve up to the next power of two.
+
+    Each power of two is sieved once in a process, so the blocks of a
+    growth up to denominator q share about log2(q) sieves.
+    """
+    table = _prime_table(1 << max(n - 1, 1).bit_length())
+    return table[:np.searchsorted(table, n)]
 
 
 def _reduced_fractions(half: float, q0: int, q1: int) -> np.ndarray:
@@ -501,7 +515,13 @@ class _MappedTail(Tail):
 
 
 def truncate(M: ModelOperator, N: int) -> QMatrix:
-    """Finite section diag(block, s_1, ..., s_N) of a model operator."""
+    """Finite section diag(block, s_1, ..., s_N) of a model operator.
+
+    The section is held as its factors (QMatrix.block_diag): the block's
+    leading block_split() rows and the diagonal past them, the block's then
+    s_1 .. s_N, O(N) in all.  Its (n, n, 4) array is built only when arr is
+    read.
+    """
     if N < 1:
         raise ValueError("section size must be at least 1")
     return QMatrix.block_diag(M.block, M.tail.prefix(N))

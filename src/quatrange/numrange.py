@@ -214,7 +214,9 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A diagonal tail entry d has the similarity sphere of d as its values, so
     the tail's support is the closed form max_k a_k cos(theta) + b_k sin(theta)
-    over its bild points (a_k, b_k), attained at its best diagonal class.
+    over its bild points (a_k, b_k).  A linear functional peaks at a vertex
+    of their convex hull, so only the hull's vertices are evaluated, a
+    (len(thetas), vertices) array, and the best one is the angle's point.
     Any 1-D angle array in [0, pi] is accepted, unsorted, with duplicates or
     empty; anything else, NaN included, raises ValueError.
     """
@@ -226,7 +228,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     h = np.full(thetas.shape, -np.inf)
     points = np.zeros((len(thetas), 2))
     if b > 0 and len(thetas):
-        chi = QMatrix(T.arr[:b, :b, :]).complex_rep()
+        chi = T.leading_block(b).complex_rep()
         herm_re = 0.5 * (chi + chi.conj().T)
         herm_im = 0.5j * (chi.conj().T - chi)
         mirror = thetas > 0.5 * math.pi  # served by the bottom end of pi - t
@@ -253,7 +255,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
         h = np.where(mirror, -ends[group, 0], ends[group, 1])
         points = end_points[group, np.where(mirror, 0, 1)]
     if b < n:
-        tail = bild_points(T.diagonal()[b:, :])
+        tail = convex_hull(bild_points(T.diagonal()[b:, :]))
         reach = np.outer(np.cos(thetas), tail[:, 0]) + np.outer(np.sin(thetas), tail[:, 1])
         best = np.argmax(reach, axis=1)
         tail_h = reach[np.arange(len(thetas)), best]
@@ -453,7 +455,7 @@ def _subspace_values(T: QMatrix, coords, x: np.ndarray) -> np.ndarray:
 
     Taken on chi of the principal submatrix on coords.
     """
-    chi = QMatrix(T.arr[np.ix_(coords, coords)]).complex_rep()
+    chi = T.principal(coords).complex_rep()
     u = _to_u(x)
     return _chi_values(u, u @ chi.T)
 
@@ -582,7 +584,7 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
         return diagonal_bild(T, k=k)
     if b == T.n:
         return _sampled_bild(T, m, k, seed)
-    B = QMatrix(T.arr[:b, :b])
+    B = T.leading_block(b)
     block = _sampled_bild(B, m, k, seed)
     try:
         ends = _real_ends(B, seed, 1e-6)

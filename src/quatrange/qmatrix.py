@@ -31,15 +31,97 @@ def _sum_of_squares(flat: np.ndarray) -> float:
     return _sum_of_squares(flat[:n2]) + _sum_of_squares(flat[n2:])
 
 
-class QMatrix:
-    """An n x n matrix over the quaternions, stored as an (n, n, 4) real array.
+_LANE_PIECE = 128  # pieces np.sum adds in eight lanes instead of splitting
+_LEAF_ROWS = 4096  # pieces _leaf_sums lays out at once, 4 MB
 
+
+def _leaf_sums(lo, n, a, b, pos, squares) -> np.ndarray:
+    """np.sum of each piece [lo, lo + n), 8 <= n <= _LANE_PIECE, holding pos[a:b]."""
+    out = np.empty(len(lo))
+    for c0 in range(0, len(lo), _LEAF_ROWS):
+        rows = slice(c0, c0 + _LEAF_ROWS)
+        count = b[rows] - a[rows]
+        row = np.repeat(np.arange(len(count)), count)
+        entry = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - a[rows], count)
+        X = np.zeros((len(count), _LANE_PIECE))
+        X[row, pos[entry] - lo[rows][row]] = squares[entry]
+        # lanes cover the first n - n % 8 entries; at most seven follow them
+        body = n[rows] - n[rows] % 8
+        after = body[:, None] + np.arange(7)
+        rest = np.where(after < n[rows][:, None],
+                        np.take_along_axis(X, np.minimum(after, _LANE_PIECE - 1), axis=1), 0.0)
+        X[np.arange(_LANE_PIECE) >= body[:, None]] = 0.0
+        r = X[:, :8].copy()
+        for i in range(8, _LANE_PIECE, 8):
+            r += X[:, i:i + 8]
+        total = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+                 + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+        for t in range(7):
+            total += rest[:, t]
+        out[rows] = total
+    return out
+
+
+def _sparse_sum(length: int, pos: np.ndarray, squares: np.ndarray) -> float:
+    """np.sum of a length-``length`` array, zero but for squares >= 0 at ascending pos, bit for bit.
+
+    An array of at most _SQUARES_PIECE entries is laid out and summed whole.
+    A longer one np.sum splits as _sum_of_squares says, down to pieces of
+    64 to _LANE_PIECE = 128 entries.  It adds such a piece in eight lanes,
+    lane j taking entries j, j + 8, ... left to right up to n - n % 8, joins
+    them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds
+    the last n % 8 entries left to right.  Adding 0 to a sum of squares
+    leaves it as it is, so only the pieces holding a position are walked,
+    one level of the split tree at a time, and a piece holding none adds 0.
+    """
+    if length <= _SQUARES_PIECE:
+        flat = np.zeros(length)
+        flat[pos] = squares
+        return float(np.sum(flat))
+    lo, n = np.zeros(1, dtype=np.int64), np.array([length], dtype=np.int64)
+    a, b = np.zeros(1, dtype=np.intp), np.array([len(pos)], dtype=np.intp)
+    levels = []
+    while len(lo):
+        leaf = n <= _LANE_PIECE
+        value = np.zeros(len(lo))
+        if leaf.any():
+            value[leaf] = _leaf_sums(lo[leaf], n[leaf], a[leaf], b[leaf], pos, squares)
+        inner = np.flatnonzero(~leaf)
+        n2 = n[inner] // 2 - n[inner] // 2 % 8
+        mid = np.searchsorted(pos, lo[inner] + n2)
+        # the children of split piece i are pieces 2i (left) and 2i + 1 (right)
+        lo, n, a, b = [np.repeat(x[inner], 2) for x in (lo, n, a, b)]
+        lo[1::2] += n2
+        n[0::2] = n2
+        n[1::2] -= n2
+        b[0::2] = a[1::2] = mid
+        held = b > a
+        child = np.where(held, np.cumsum(held) - 1, -1).reshape(-1, 2)
+        levels.append((value, inner, child))
+        lo, n, a, b = lo[held], n[held], a[held], b[held]
+    below = np.zeros(1)
+    for value, inner, child in reversed(levels):
+        halves = np.where(child >= 0, below[np.maximum(child, 0)], 0.0)
+        value[inner] = halves[:, 0] + halves[:, 1]
+        below = value
+    return float(below[0])
+
+
+class QMatrix:
+    """An n x n matrix over the quaternions, read as an (n, n, 4) real array.
+
+    QMatrix(arr) and the dense constructors hold that array.  diag and
+    block_diag, and so every finite section, hold only their factors: the
+    leading b x b block with b = block_split(), (b, b, 4), and the diagonal
+    tail past it, (n - b, 4).  Those build the array on the first read of
+    arr and keep it; diagonal, entry, leading_block, principal, block_split
+    and frobenius read the factors and never build it.
     Matrices act on column vectors on the left; right H-linearity
     T(x q) = (T x) q holds entrywise because scalars multiply from the right.
     Every entry is finite: a NaN or infinite one raises ValueError.
     """
 
-    __slots__ = ("_arr", "_block_size")
+    __slots__ = ("_arr", "_block", "_tail", "_block_size")
 
     def __init__(self, arr):
         a = np.asarray(arr, dtype=float)
@@ -49,6 +131,7 @@ class QMatrix:
         a = a.copy()
         a.setflags(write=False)
         self._arr = a
+        self._block = self._tail = None
         self._block_size = None
 
     @classmethod
@@ -57,7 +140,19 @@ class QMatrix:
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out._arr = arr
+        out._block = out._tail = None
         out._block_size = None
+        return out
+
+    @classmethod
+    def _factored(cls, block: np.ndarray, tail: np.ndarray) -> "QMatrix":
+        """Hold a read-only dense block (b, b, 4), b its block split, and tail (k, 4)."""
+        block.setflags(write=False)
+        tail.setflags(write=False)
+        out = cls.__new__(cls)
+        out._arr = None
+        out._block, out._tail = block, tail
+        out._block_size = block.shape[0]
         return out
 
     # -- constructors ----------------------------------------------------------
@@ -75,14 +170,13 @@ class QMatrix:
     @staticmethod
     def diag(entries) -> "QMatrix":
         vals = np.array([q.to_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-                         for q in entries])
+                         for q in entries], dtype=float)
+        if not vals.size:
+            vals = vals.reshape(0, 4)
+        if vals.ndim != 2 or vals.shape[1] != 4:
+            raise ValueError("diag expects quaternion entries")
         _check_finite(vals)
-        n = vals.shape[0]
-        arr = np.zeros((n, n, 4))
-        arr[np.arange(n), np.arange(n), :] = vals
-        out = QMatrix._adopt(arr)
-        out._block_size = 0  # diagonal
-        return out
+        return QMatrix._factored(np.zeros((0, 0, 4)), vals)
 
     @staticmethod
     def from_quaternions(rows) -> "QMatrix":
@@ -91,75 +185,127 @@ class QMatrix:
 
     @staticmethod
     def block_diag(block: "QMatrix", tail_entries: np.ndarray) -> "QMatrix":
-        """Direct sum of a dense block and a diagonal with entries (k, 4)."""
-        b = block.n
-        tail = np.asarray(tail_entries, dtype=float).reshape(-1, 4)
+        """Direct sum of a dense block and a diagonal with entries (k, 4), held as factors.
+
+        Every off-diagonal entry lies in the block, so T's split b is the
+        block's: the factors are the block's leading b x b block and its
+        diagonal past b followed by the tail.
+        """
+        tail = np.array(tail_entries, dtype=float).reshape(-1, 4)
         _check_finite(tail)
-        k = tail.shape[0]
-        arr = np.zeros((b + k, b + k, 4))
-        arr[:b, :b, :] = block.arr
-        idx = np.arange(b, b + k)
-        arr[idx, idx, :] = tail
-        out = QMatrix._adopt(arr)
-        # every off-diagonal entry lies in the block, so its split is T's
-        out._block_size = block.block_split()
-        return out
+        b = block.block_split()
+        return QMatrix._factored(block.leading_block(b)._arr,
+                                 np.concatenate([block.diagonal()[b:], tail]))
 
     # -- basic accessors ---------------------------------------------------------
 
     @property
     def arr(self) -> np.ndarray:
+        if self._arr is None:
+            b, n = self._block_size, self.n
+            arr = np.zeros((n, n, 4))
+            arr[:b, :b] = self._block
+            idx = np.arange(b, n)
+            arr[idx, idx] = self._tail
+            arr.setflags(write=False)
+            self._arr = arr
         return self._arr
 
     @property
     def n(self) -> int:
-        return self._arr.shape[0]
+        if self._tail is None:
+            return self._arr.shape[0]
+        return self._block_size + self._tail.shape[0]
+
+    def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """T[rows, cols] (..., 4) for broadcastable index arrays, from the factors."""
+        rows, cols = np.broadcast_arrays(rows, cols)
+        if rows.size and not (min(rows.min(), cols.min()) >= 0
+                              and max(rows.max(), cols.max()) < self.n):
+            raise IndexError(f"matrix index out of range for n = {self.n}")
+        b = self._block_size
+        out = np.zeros(rows.shape + (4,))
+        block = (rows < b) & (cols < b)
+        out[block] = self._block[rows[block], cols[block]]
+        tail = (rows == cols) & (rows >= b)
+        out[tail] = self._tail[rows[tail] - b]
+        return out
 
     def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_array(self._arr[i, j])
+        if self._tail is None:
+            return Quaternion.from_array(self._arr[i, j])
+        return Quaternion.from_array(self._entries(np.array([i]), np.array([j]))[0])
 
     def diagonal(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        return self._arr[idx, idx, :]
+        if self._tail is None:
+            idx = np.arange(self.n)
+            return self._arr[idx, idx, :]
+        idx = np.arange(self._block_size)
+        return np.concatenate([self._block[idx, idx, :], self._tail])
+
+    def leading_block(self, b: int) -> "QMatrix":
+        """T[:b, :b], a QMatrix holding its own array."""
+        if not 0 <= b <= self.n:
+            raise IndexError(f"leading block size {b} out of range for n = {self.n}")
+        if self._tail is None:
+            return QMatrix._adopt(self._arr[:b, :b].copy())
+        return self.principal(np.arange(b))
+
+    def principal(self, coords) -> "QMatrix":
+        """The principal submatrix T[coords][:, coords], a QMatrix holding its own array."""
+        c = np.asarray(coords, dtype=np.intp).reshape(-1)
+        if self._tail is None:
+            return QMatrix._adopt(self._arr[np.ix_(c, c)])
+        return QMatrix._adopt(self._entries(c[:, None], c[None, :]))
 
     # -- algebra -----------------------------------------------------------------
 
     def apply(self, x: QVector) -> QVector:
         if len(x) != self.n:
             raise ValueError("dimension mismatch in matrix application")
-        y = np.einsum("abc,ija,jb->ic", HAMILTON, self._arr, x.arr)
+        y = np.einsum("abc,ija,jb->ic", HAMILTON, self.arr, x.arr)
         return QVector(y)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch in matrix product")
-        prod = np.einsum("abc,ika,kjb->ijc", HAMILTON, self._arr, other._arr)
+        prod = np.einsum("abc,ika,kjb->ijc", HAMILTON, self.arr, other.arr)
         return QMatrix(prod)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self._arr + other._arr)
+        return QMatrix(self.arr + other.arr)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self._arr - other._arr)
+        return QMatrix(self.arr - other.arr)
 
     def __mul__(self, t):
         if isinstance(t, (int, float)):
-            return QMatrix(self._arr * float(t))
+            return QMatrix(self.arr * float(t))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self._arr)
+        return QMatrix(-self.arr)
 
     def adjoint(self) -> "QMatrix":
-        return QMatrix(qconj(self._arr).transpose(1, 0, 2))
+        return QMatrix(qconj(self.arr).transpose(1, 0, 2))
 
     def frobenius(self) -> float:
-        return float(np.sqrt(_sum_of_squares(self._arr.reshape(-1))))
+        """sqrt(np.sum(arr * arr)) bit for bit, without forming arr * arr or, when factored, arr."""
+        if self._tail is None:
+            return float(np.sqrt(_sum_of_squares(self._arr.reshape(-1))))
+        b, n = self._block_size, self.n
+        # flat positions of the block's and the tail's entries in arr, ascending
+        rows = np.arange(b)
+        block = (4 * (rows[:, None] * n + rows))[..., None] + np.arange(4)
+        tail = (4 * (n + 1) * np.arange(b, n))[:, None] + np.arange(4)
+        values = np.concatenate([self._block.reshape(-1), self._tail.reshape(-1)])
+        return float(np.sqrt(_sparse_sum(4 * n * n, np.concatenate([block.ravel(), tail.ravel()]),
+                                         values * values)))
 
     def isclose(self, other: "QMatrix", tol: float = 1e-12) -> bool:
-        return self.n == other.n and float(np.max(np.abs(self._arr - other._arr))) <= tol
+        return self.n == other.n and float(np.max(np.abs(self.arr - other.arr))) <= tol
 
     # -- representations over R and C ---------------------------------------------
 
@@ -170,7 +316,7 @@ class QMatrix:
         representation is multiplicative: real_rep(AB) = real_rep(A) real_rep(B).
         """
         n = self.n
-        rep = np.einsum("abc,ija->icjb", HAMILTON, self._arr)
+        rep = np.einsum("abc,ija->icjb", HAMILTON, self.arr)
         return rep.reshape(4 * n, 4 * n)
 
     def complex_rep(self) -> np.ndarray:
@@ -180,8 +326,9 @@ class QMatrix:
         [[A, B], [-conj(B), conj(A)]]; it is multiplicative and sends the
         quaternionic adjoint to the conjugate transpose.
         """
-        a = self._arr[..., 0] + 1j * self._arr[..., 1]
-        b = self._arr[..., 2] + 1j * self._arr[..., 3]
+        arr = self.arr
+        a = arr[..., 0] + 1j * arr[..., 1]
+        b = arr[..., 2] + 1j * arr[..., 3]
         top = np.hstack([a, b])
         bottom = np.hstack([-np.conj(b), np.conj(a)])
         return np.vstack([top, bottom])

@@ -153,7 +153,7 @@ def s_spectrum(T: QMatrix) -> SphereSet:
     beta = np.sqrt(np.sum(tail[:, 1:] ** 2, axis=1))
     pts = np.repeat(np.stack([alpha, beta], axis=1), 2, axis=0)
     if nb:
-        rep = QMatrix(T.arr[:nb, :nb]).complex_rep()
+        rep = T.leading_block(nb).complex_rep()
         eigs, vecs = np.linalg.eig(rep)
         block = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
         rep_v = rep @ vecs

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import os
 import subprocess
@@ -160,6 +161,26 @@ def test_grown_rationals_tail_sieves_each_denominator_once(monkeypatch):
     assert all(0 < q1 - q0 <= essential._SIEVE_ROWS for q0, q1 in blocks)
     # rows 1 .. 811 hold the first 200 001 fractions of (-1/2, 1/2)
     assert blocks[-1][1] == 812
+
+
+def test_each_power_of_two_is_sieved_once(monkeypatch):
+    # the blocks of a growth slice one sieve per power of two instead of
+    # sieving up to each block's last denominator
+    limits = []
+    sieve = essential._prime_table.__wrapped__
+    monkeypatch.setattr(essential, "_prime_table",
+                        functools.lru_cache(lambda limit: limits.append(limit) or sieve(limit)))
+    t = qr.RationalsITail(0.5)
+    for count in _GROWTH:
+        t.prefix(count)
+    # the 32-row blocks up to denominator 811 share six sieves, and a second
+    # tail sieves nothing
+    assert limits == [8, 64, 128, 256, 512, 1024]
+    qr.RationalsITail(0.5).prefix(200001)
+    assert limits == [8, 64, 128, 256, 512, 1024]
+    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in range(3000):
+        assert essential._primes_below(n).tolist() == [p for p in primes if p < n]
 
 
 @pytest.mark.parametrize("half", [0.5, 0.37, 0.3, 1.7, 0.01, 2.0, 0.001, 7.3, 1.0])

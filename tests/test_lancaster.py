@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from quatrange.geometry import (
     points_polygon_distance,
 )
 from quatrange import lancaster, numrange
+from quatrange.cli import main
 from quatrange.lancaster import hausdorff_union_convex, iconv, iconv_polygon
 
 from conftest import seeded_model_operator
@@ -401,3 +405,46 @@ def test_empty_sections_are_rejected(remark):
         qr.lancaster_check(remark, [])
     with pytest.raises(ValueError, match="sections"):
         qr.nonclosedness_probe(remark, [(0.0, 0.0), (0.0, 0.5)], iter(()))
+
+
+def _arr_builds(monkeypatch):
+    """Sizes of the (n, n, 4) arrays that factored matrices build, in order."""
+    built = []
+    read = qr.QMatrix.arr.fget
+
+    def arr(self):
+        if self._arr is None:
+            built.append(self.n)
+        return read(self)
+
+    monkeypatch.setattr(qr.QMatrix, "arr", property(arr))
+    return built
+
+
+def test_no_section_path_builds_the_section_array(monkeypatch, remark, tmp_path):
+    # the section at N = 2000 would hold 128 MB as an (N, N, 4) array; the
+    # lancaster check, the probe and verify read its block and diagonal only
+    built = _arr_builds(monkeypatch)
+    data = Path(__file__).resolve().parent.parent / "demos" / "data" / "remark_operator.json"
+    runs = [lambda: qr.lancaster_check(remark, [2000], k=360),
+            lambda: qr.nonclosedness_probe(remark, [(-1 / 3, 0.0), (-1.0, 1.0)], [2000]),
+            lambda: main(["verify", str(data), "--section", "2000", "--out", str(tmp_path)])]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+    assert result == 0
+    assert all(n <= remark.block_size for n in built)
+
+
+def test_lancaster_reaches_a_section_of_fifty_thousand(remark):
+    report = qr.lancaster_check(remark, [500, 5000, 50000])
+    assert [row.N for row in report.rows] == [500, 5000, 50000]
+    assert all(row.n_satellites == 4 and 0.0 < row.gap <= 1e-11 for row in report.rows)
+    # the section regions close in on the essential bild
+    distances = [row.hausdorff_outer for row in report.rows]
+    assert distances[0] > distances[1] > distances[2] > 0.0

@@ -6,7 +6,7 @@ import pytest
 import quatrange as qr
 from quatrange import Quaternion, qmatrix
 
-from conftest import random_qmatrix, random_unit_qvector
+from conftest import random_qmatrix, random_unit_qvector, seeded_model_operator
 
 I = Quaternion.i
 J = Quaternion.j
@@ -154,6 +154,92 @@ def test_built_matrices_hold_their_own_read_only_array():
     A = qr.QMatrix(arr)
     arr[0, 0, 0] = 1.0
     assert not A.arr.any() and not A.arr.flags.writeable
+
+
+def _sections():
+    """Seeded block-plus-tail sections and remark sections, by name."""
+    rng = np.random.default_rng(np.random.SeedSequence(28, spawn_key=(1,)))
+    lower = rng.standard_normal((3, 3, 4))
+    lower[:, 2] = lower[2, :] = 0.0
+    lower[2, 2] = (0.5, 0.0, 0.3, 0.0)  # the split is 2 in a 3-row block
+    tail = qr.DecayingPeriodicTail([Quaternion(0.2, 0.7), Quaternion(-0.5, 0.1)], amplitude=0.1)
+    out = {}
+    for name, block in [("dense_3", qr.QMatrix(rng.standard_normal((3, 3, 4)))),
+                        ("split_2_of_3", qr.QMatrix(lower)),
+                        ("seeded_0", seeded_model_operator(0).block)]:
+        M = qr.ModelOperator(block, tail, [qr.csim(Quaternion(0.2, 0.7)),
+                                           qr.csim(Quaternion(-0.5, 0.1))], bound=1.0)
+        for N in (1, 7, 40):
+            out[f"{name}_N{N}"] = (M, N)
+    for N in (1, 6, 50, 300):
+        out[f"remark_N{N}"] = (qr.remark_operator(), N)
+    return out
+
+
+_SECTIONS = _sections()
+
+
+def _region_bytes(region):
+    return [np.ascontiguousarray(x).tobytes() for x in
+            (region.offsets, region.outer_polygon, region.inner_hull, region.boundary_points)]
+
+
+@pytest.mark.parametrize("name", sorted(_SECTIONS))
+def test_factored_section_equals_its_dense_form(name):
+    M, N = _SECTIONS[name]
+    T = qr.truncate(M, N)
+    D = qr.QMatrix(qr.truncate(M, N).arr)
+    b = T.block_split()
+    assert (T.n, b) == (D.n, D.block_split())
+    assert T.diagonal().tobytes() == D.diagonal().tobytes()
+    for size in sorted({0, b, min(b + 3, T.n), T.n}):
+        assert T.leading_block(size).arr.tobytes() == D.leading_block(size).arr.tobytes()
+    rng = np.random.default_rng(N)
+    for coords in ([0], [T.n - 1, 0], rng.integers(0, T.n, 5), np.arange(min(T.n, 4))):
+        assert T.principal(coords).arr.tobytes() == D.principal(coords).arr.tobytes()
+        assert T.entry(coords[0], coords[-1]).to_array().tobytes() \
+            == D.entry(coords[0], coords[-1]).to_array().tobytes()
+    assert T.frobenius() == D.frobenius()
+    for k in (180, 360):
+        assert _region_bytes(qr.upper_bild(T, m=2000, k=k, seed=3)) \
+            == _region_bytes(qr.upper_bild(D, m=2000, k=k, seed=3))
+    assert qr.s_spectrum(T).points().tobytes() == qr.s_spectrum(D).points().tobytes()
+    # none of the above built T's (n, n, 4) array
+    assert T._arr is None
+    sections = []
+    for S in (T, D):
+        try:
+            section = qr.real_section(S, seed=3)
+            sections.append((section.lo, section.hi))
+        except qr.RealSectionError as exc:
+            sections.append(exc.best_im)
+    assert sections[0] == sections[1]
+
+
+def test_factored_accessors_reject_indices_past_the_matrix():
+    T = qr.truncate(qr.remark_operator(), 5)
+    for bad in ([7], [-1], [0, 7]):
+        with pytest.raises(IndexError):
+            T.principal(bad)
+    with pytest.raises(IndexError):
+        T.entry(0, 7)
+    for S in (T, qr.QMatrix(T.arr)):
+        with pytest.raises(IndexError):
+            S.leading_block(8)
+
+
+def test_sparse_sum_matches_np_sum_bit_for_bit():
+    # frobenius of a factored matrix follows np.sum's pairwise summation over
+    # the positions that hold an entry; lengths past _SQUARES_PIECE walk the tree
+    rng = np.random.default_rng(np.random.SeedSequence(28, spawn_key=(2,)))
+    lengths = [1, 7, 8, 9, 127, 128, 129, 136, qmatrix._SQUARES_PIECE,
+               qmatrix._SQUARES_PIECE + 1] + rng.integers(1, 400000, 60).tolist()
+    for length in lengths:
+        held = rng.random(length) < rng.choice([0.0005, 0.01, 0.2, 1.0])
+        flat = np.zeros(length)
+        flat[held] = rng.random(held.sum()) * 10.0 ** rng.uniform(-8, 8, held.sum())
+        pos = np.flatnonzero(held)
+        assert qmatrix._sparse_sum(length, pos, flat[pos]) == np.sum(flat), length
 
 
 # -- the quadratic pencil --------------------------------------------------------------
