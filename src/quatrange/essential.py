@@ -368,6 +368,7 @@ class ModelOperator:
         self.bound = float(bound)
         self._validated = False
         self._sweep = None  # (key, _Sweep) of the last convex_combination_sequence call
+        self._regions = {}  # key -> BildRegion of the last lancaster_check or probe call
 
     @property
     def block_size(self) -> int:

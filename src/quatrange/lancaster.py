@@ -20,7 +20,7 @@ finite satellite cloud, whose union is not convex in general.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
 
 _DEDUPE_STEP = 2e-3  # satellite grid snap; far below every reported tolerance
 _PROBE_MARGIN = 0.05  # the probe window is [margin, 1 - margin] along the edge
+_PROBE_ANGLES = 180  # the probe's support grid, upper_bild's default k
 
 
 @dataclass
@@ -219,6 +220,34 @@ def _section_list(sections) -> list:
     return sections
 
 
+def _section_regions(M: ModelOperator, sections, m: int, k: int, seed: int) -> list[BildRegion]:
+    """upper_bild(truncate(M, N), m, k, seed + index) per section, reused from M's last call.
+
+    A region is deterministic in its key: (N, k) for a diagonal section,
+    whose bild ignores m and seed (a section's block split is its block's),
+    and (N, m, k, seed + index) for any other.  M keeps the regions of its
+    last call only; a region is taken from them where its key matches, and
+    built and marked read-only otherwise.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    diagonal = M.block.block_split() == 0
+    kept: dict = {}
+    out = []
+    for idx, N in enumerate(sections):
+        N = int(N)
+        key = (N, k) if diagonal else (N, m, k, seed + idx)
+        region = kept.get(key, M._regions.get(key))
+        if region is None:
+            region = upper_bild(truncate(M, N), m=m, k=k, seed=seed + idx)
+            for f in fields(region):
+                getattr(region, f.name).setflags(write=False)
+        kept[key] = region
+        out.append(region)
+    M._regions = kept
+    return out
+
+
 def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                     seed: int = 0, target: np.ndarray | None = None) -> LancasterReport:
     """Compare iconv(essential bild, section bild) with reference regions.
@@ -243,6 +272,11 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     three are convex polygons, so both distances are exact
     (geometry.hausdorff_convex), attained at a vertex.  An empty sections
     or a target with a non-finite vertex raises ValueError.
+
+    The section regions (report.bilds) are reused from M's last
+    lancaster_check or nonclosedness_probe call where their key matches,
+    (N, k) on a diagonal section and (N, m, k, seed + index) otherwise, and
+    their arrays are read-only: two reports may share one region.
     """
     sections = _section_list(sections)
     if target is not None:
@@ -251,11 +285,10 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
             raise ValueError("target vertices must be finite")
         target = convex_hull(target)
     base = essential_bild(M)
+    bilds = _section_regions(M, sections, m, k, seed)
     rows: list[LancasterRow] = []
     regions: list[IconvRegion] = []
-    bilds: list[BildRegion] = []
-    for idx, N in enumerate(sections):
-        region_bild = upper_bild(truncate(M, int(N)), m=m, k=k, seed=seed + idx)
+    for N, region_bild in zip(sections, bilds):
         Q = region_bild.inner_hull
         Lup = iconv_polygon(base, Q).upper()
         L = Lup.pieces[0]
@@ -266,7 +299,6 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
                                  n_satellites=len(Q),
                                  gap=region_bild.hausdorff_gap))
         regions.append(Lup)
-        bilds.append(region_bild)
     return LancasterReport(rows=rows, essential_polygon=base, regions=regions,
                            bilds=bilds)
 
@@ -300,12 +332,16 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
     positive at every N.
 
     Each section's polygon of attained values,
-    numrange.upper_bild(T, m, seed=seed + index).inner_hull, is clipped to
+    numrange.upper_bild(T, m, 180, seed + index).inner_hull, is clipped to
     the window strip and the best point is a vertex of the clipped polygon.
     A diagonal section's polygon is its exact upper bild, so m and seed do
     not matter there; any other section samples its dense block m times,
     and its residual can only overstate the exact one.  An empty sections
     or an edge with a non-finite endpoint raises ValueError.
+
+    The probe always uses upper_bild's default grid, k = 180.  Its regions
+    are reused from M's last lancaster_check or nonclosedness_probe call
+    where their key matches, as in lancaster_check, and are read-only.
     """
     sections = _section_list(sections)
     edge = np.asarray(edge, dtype=float).reshape(2, 2)
@@ -324,8 +360,8 @@ def nonclosedness_probe(M: ModelOperator, edge, sections, m: int = 20000,
         level = -level
     start = float(direction @ edge[0])
     rows: list[ProbeRow] = []
-    for idx, N in enumerate(sections):
-        Q = upper_bild(truncate(M, int(N)), m=m, seed=seed + idx).inner_hull
+    for N, region in zip(sections, _section_regions(M, sections, m, _PROBE_ANGLES, seed)):
+        Q = region.inner_hull
         strip = clip_polygon(Q, -direction, -(start + _PROBE_MARGIN * length))
         pts = clip_polygon(strip, direction, start + (1.0 - _PROBE_MARGIN) * length)
         if len(pts) == 0:

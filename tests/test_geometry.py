@@ -3,6 +3,8 @@ import pytest
 
 from quatrange.geometry import (
     DegenerateRegionError,
+    _canonical,
+    _prune_interior,
     _segment_distances,
     clip_polygon,
     convex_hull,
@@ -27,6 +29,62 @@ def test_hull_collinear_collapses_to_segment():
     hull = convex_hull(pts)
     assert hull.shape == (2, 2)
     assert np.array_equal(hull, np.array([(0.0, -0.5), (0.0, 0.5)]))
+
+
+def _chain_hull(points):
+    """convex_hull without its axis-parallel shortcut: every set walks the monotone chain."""
+    pts = np.unique(_prune_interior(np.asarray(points, dtype=float).reshape(-1, 2)), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+                if cross <= 0.0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    hull = np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
+    if hull.shape[0] == 0:
+        return pts[:1]
+    if hull.shape[0] <= 2:
+        return np.unique(hull, axis=0)
+    return _canonical(hull)
+
+
+def test_axis_parallel_hull_matches_the_chain_byte_for_byte():
+    # a set on one vertical or horizontal line keeps its lexicographic first
+    # and last points without the sort and the chain; duplicates, one or two
+    # distinct points and mixed 0.0 / -0.0 coordinates included
+    rng = np.random.default_rng(31)
+    cases = [np.zeros((7, 2)), np.array([(1.0, 3.0), (1.0, 2.0), (1.0, 3.0)]),
+             np.array([(2.0, 0.5), (-1.0, 0.5), (0.0, 0.5), (2.0, 0.5)]),
+             np.array([(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)]),
+             np.array([(0.0, 2.0), (-0.0, -1.0), (0.0, 2.0), (-0.0, -1.0)]),
+             np.array([(0.0, 0.0), (-0.0, 0.5), (0.0, -0.0), (-0.0, -0.5), (0.0, 0.5)]),
+             np.array([(1.0, -0.0), (-2.0, 0.0), (0.5, -0.0), (-0.0, 0.0), (0.0, -0.0)])]
+    for trial in range(300):
+        count = int(rng.integers(1, 40))
+        line = rng.choice([0.0, -0.0], count) if trial % 5 == 0 \
+            else rng.choice([0.0, -0.0, 0.5, -1.25])
+        free = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.25]), count) \
+            if trial % 2 else rng.standard_normal(count)
+        pts = np.column_stack([np.full(count, line), free])
+        if trial % 3 == 0:
+            pts = pts[:, ::-1]
+        cases.append(np.vstack([pts, pts[rng.integers(0, count, count // 2)]]))
+    # collinear but not axis-parallel: rounding decides, so the chain stays
+    t = rng.standard_normal(50)
+    cases.append(np.column_stack([t, 0.3 * t + 0.1]))
+    for pts in cases:
+        got, want = convex_hull(pts), _chain_hull(pts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_hull_single_point():

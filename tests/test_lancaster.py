@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from pathlib import Path
 
@@ -448,3 +449,119 @@ def test_lancaster_reaches_a_section_of_fifty_thousand(remark):
     # the section regions close in on the essential bild
     distances = [row.hausdorff_outer for row in report.rows]
     assert distances[0] > distances[1] > distances[2] > 0.0
+
+
+# -- the operator's section-region slot ------------------------------------------------
+
+_OPEN_EDGE = [(-1 / 3, 0.0), (-1.0, 1.0)]
+_TOP_EDGE = [(-1.0, 1.0), (1.0, 1.0)]
+_PROBE_SECTIONS = [50, 100, 200, 500]
+
+
+def _count_builds(monkeypatch):
+    """Keys (N, m, k, seed) of the section regions that lancaster builds, in order."""
+    built = []
+    build = lancaster.upper_bild
+
+    def counted(T, m, k, seed):
+        built.append((T.n, m, k, seed))
+        return build(T, m=m, k=k, seed=seed)
+
+    monkeypatch.setattr(lancaster, "upper_bild", counted)
+    return built
+
+
+def test_remark_calls_build_each_section_region_once(monkeypatch, remark):
+    # the check at N = 500 and two probes over four sections name five
+    # distinct diagonal regions, keyed on (N, k): k = 360 for the check,
+    # the probe's k = 180 for the rest
+    built = _count_builds(monkeypatch)
+    qr.lancaster_check(remark, [500], k=360)
+    qr.nonclosedness_probe(remark, _OPEN_EDGE, _PROBE_SECTIONS)
+    qr.nonclosedness_probe(remark, _TOP_EDGE, _PROBE_SECTIONS)
+    assert [(n - remark.block_size, k) for n, m, k, seed in built] == \
+        [(500, 360), (50, 180), (100, 180), (200, 180), (500, 180)]
+
+
+def _bytes(report):
+    """Every row number and every region array of a report, as bytes."""
+    rows = [np.array([np.nan if v is None else v for v in vars(row).values()]).tobytes()
+            for row in report.rows]
+    regions = [getattr(bild, name).tobytes() for bild in getattr(report, "bilds", [])
+               for name in ("inner_points", "inner_hull", "outer_polygon",
+                            "boundary_points", "thetas", "offsets")]
+    return rows, regions
+
+
+def _slot_calls(M):
+    """A check and three probes; the last probe's seed differs, so a dense block is re-sampled."""
+    edge = qr.lancaster_check(M, [1, 2, 20], m=500, k=180, seed=1).bilds[0].inner_hull[:2]
+    return [lambda M: qr.lancaster_check(M, [1, 2, 20], m=500, k=180, seed=1),
+            lambda M: qr.nonclosedness_probe(M, edge, [1, 2, 20], m=500, seed=1),
+            lambda M: qr.nonclosedness_probe(M, edge, [2, 20], m=500, seed=1),
+            lambda M: qr.nonclosedness_probe(M, edge, [1, 2, 20], m=500, seed=2)]
+
+
+@pytest.mark.parametrize("operator", ["remark", "block_plus_tail", 1, 5])
+def test_reused_regions_match_fresh_operators_byte_for_byte(monkeypatch, operator):
+    make = {"remark": qr.remark_operator, "block_plus_tail": _block_plus_tail}.get(
+        operator, lambda: seeded_model_operator(operator))
+    calls = _slot_calls(make())
+    if operator == "remark":
+        calls += [lambda M: qr.lancaster_check(M, [500], k=360),
+                  lambda M: qr.nonclosedness_probe(M, _OPEN_EDGE, _PROBE_SECTIONS),
+                  lambda M: qr.nonclosedness_probe(M, _TOP_EDGE, _PROBE_SECTIONS)]
+    fresh = [_bytes(call(make())) for call in calls]
+    built = _count_builds(monkeypatch)
+    M = make()
+    assert [_bytes(call(M)) for call in calls] == fresh
+    if operator == "remark":
+        # keys (N, k): the probes reuse the check's sections whatever their
+        # seed, except N = 1, which the [2, 20] probe dropped from the slot
+        assert len(built) == 3 + 0 + 0 + 1 + 1 + 4 + 0
+    else:
+        assert M.block.block_split() > 0
+        # keys (N, m, k, seed + index): the same-seed probe reuses all three
+        # sections, [2, 20] shifts the seeds, and seed 2 rebuilds 2 and 20
+        assert len(built) == 3 + 0 + 2 + 3
+        assert built[-3:] == [(M.block_size + 1, 500, 180, 2), (M.block_size + 2, 500, 180, 3),
+                              (M.block_size + 20, 500, 180, 4)]
+
+
+def test_slot_holds_only_the_last_calls_keys():
+    remark = qr.remark_operator()
+    assert remark._regions == {}
+    qr.lancaster_check(remark, [50, 500], k=90)
+    assert set(remark._regions) == {(50, 90), (500, 90)}
+    qr.nonclosedness_probe(remark, _OPEN_EDGE, [50, 200])
+    assert set(remark._regions) == {(50, 180), (200, 180)}
+    M = _block_plus_tail()
+    qr.lancaster_check(M, [1, 2], m=400, k=90, seed=1)
+    assert set(M._regions) == {(1, 400, 90, 1), (2, 400, 90, 2)}
+    qr.nonclosedness_probe(M, _OPEN_EDGE, [2], m=300, seed=4)
+    assert set(M._regions) == {(2, 300, 180, 4)}
+
+
+def test_cached_regions_are_shared_and_read_only(remark):
+    first = qr.lancaster_check(remark, [50], k=90)
+    second = qr.lancaster_check(remark, [50], k=90)
+    assert second.bilds[0] is first.bilds[0]
+    for name in ("inner_points", "inner_hull", "outer_polygon",
+                 "boundary_points", "thetas", "offsets"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first.bilds[0], name)[0] = 0.0
+
+
+def test_slot_keeps_every_argument_check(remark):
+    # a diagonal region's key holds no m, yet m < 1 is rejected on a hit
+    qr.lancaster_check(remark, [50], k=90)
+    with pytest.raises(ValueError, match="m must be positive"):
+        qr.lancaster_check(remark, [50], m=0, k=90)
+    qr.nonclosedness_probe(remark, _OPEN_EDGE, [50])
+    with pytest.raises(ValueError, match="m must be positive"):
+        qr.nonclosedness_probe(remark, _OPEN_EDGE, [50], m=0)
+
+
+def test_probe_grid_is_upper_bilds_default():
+    default = inspect.signature(qr.upper_bild).parameters["k"].default
+    assert lancaster._PROBE_ANGLES == default
