@@ -68,43 +68,8 @@ def _ring_area(ring: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _axis_line_ends(pts: np.ndarray) -> np.ndarray | None:
-    """The lexicographic first and last points of a set on one vertical or horizontal line.
-
-    On such a line every cross product of the monotone chain is exactly 0,
-    so convex_hull returns these two points, or one when they are equal.
-    None for any other set, for a non-finite one, and for a set with a
-    -0.0 coordinate: np.unique keeps one of 0.0 and -0.0 by the order of
-    its unstable sort, which only running it reproduces.
-    """
-    if not np.isfinite(pts).all() or np.signbit(pts[pts == 0.0]).any():
-        return None
-    for axis in (0, 1):
-        if np.all(pts[:, axis] == pts[0, axis]):
-            free = pts[:, 1 - axis]
-            lo, hi = int(np.argmin(free)), int(np.argmax(free))
-            return pts[[lo]] if free[lo] == free[hi] else pts[[lo, hi]]
-    return None
-
-
-def convex_hull(points) -> np.ndarray:
-    """Convex hull via the monotone chain, collinear points dropped.
-
-    A set on one vertical or horizontal line skips the sort and the chain
-    (_axis_line_ends).
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        raise ValueError("convex hull of an empty point set")
-    pts = _prune_interior(pts)
-    ends = _axis_line_ends(pts)
-    if ends is not None:
-        return ends
-    pts = np.unique(pts, axis=0)  # lexicographic sort + dedupe
-    if pts.shape[0] == 1:
-        return pts
-    if pts.shape[0] == 2:
-        return pts
+def _monotone_chain(pts: np.ndarray) -> np.ndarray:
+    """Hull of lexicographically sorted distinct points (np.unique order), at least three."""
 
     def chain(seq):
         out = []
@@ -128,6 +93,23 @@ def convex_hull(points) -> np.ndarray:
         uniq = np.unique(hull, axis=0)
         return uniq
     return _canonical(hull)
+
+
+def convex_hull(points) -> np.ndarray:
+    """Convex hull via the monotone chain, collinear points dropped."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        raise ValueError("convex hull of an empty point set")
+    pts = _prune_interior(pts)
+    pts = np.unique(pts, axis=0)  # lexicographic sort + dedupe
+    if pts.shape[0] <= 2:
+        return pts
+    # on one vertical or horizontal line with finite differences every
+    # cross product of the chain is 0, so it keeps the first and last point
+    if np.isfinite(pts[-1] - pts[0]).all() and (
+            np.all(pts[:, 0] == pts[0, 0]) or np.all(pts[:, 1] == pts[0, 1])):
+        return pts[[0, -1]]
+    return _monotone_chain(pts)
 
 
 def clip_polygon(poly: np.ndarray, normal, offset: float) -> np.ndarray:

@@ -223,23 +223,17 @@ def _section_list(sections) -> list:
 def _section_regions(M: ModelOperator, sections, m: int, k: int, seed: int) -> list[BildRegion]:
     """upper_bild(truncate(M, N), m, k, seed + index) per section, reused from M's last call.
 
-    A region is deterministic in its key: (N, k) for a diagonal section,
-    whose bild ignores m and seed (a section's block split is its block's),
-    and (N, m, k, seed + index) for any other.  M keeps the regions of its
-    last call only; a region is taken from them where its key matches, and
-    built and marked read-only otherwise.
+    A region is deterministic in its key (N, m, k, seed + index).  M keeps
+    the regions of its last call only; a region is taken from them where
+    its key matches, and built and marked read-only otherwise.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    diagonal = M.block.block_split() == 0
     kept: dict = {}
     out = []
     for idx, N in enumerate(sections):
-        N = int(N)
-        key = (N, k) if diagonal else (N, m, k, seed + idx)
+        key = (int(N), m, k, seed + idx)
         region = kept.get(key, M._regions.get(key))
         if region is None:
-            region = upper_bild(truncate(M, N), m=m, k=k, seed=seed + idx)
+            region = upper_bild(truncate(M, key[0]), m=m, k=k, seed=seed + idx)
             for f in fields(region):
                 getattr(region, f.name).setflags(write=False)
         kept[key] = region
@@ -274,9 +268,9 @@ def lancaster_check(M: ModelOperator, sections, m: int = 200000, k: int = 360,
     or a target with a non-finite vertex raises ValueError.
 
     The section regions (report.bilds) are reused from M's last
-    lancaster_check or nonclosedness_probe call where their key matches,
-    (N, k) on a diagonal section and (N, m, k, seed + index) otherwise, and
-    their arrays are read-only: two reports may share one region.
+    lancaster_check or nonclosedness_probe call where their key
+    (N, m, k, seed + index) matches, and their arrays are read-only: two
+    reports may share one region.
     """
     sections = _section_list(sections)
     if target is not None:

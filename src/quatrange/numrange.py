@@ -38,7 +38,7 @@ from .geometry import (
     minkowski_sum,
     upper_support_polygon,
 )
-from .qmatrix import QMatrix, complex_adjoint
+from .qmatrix import QMatrix
 from .quaternion import CONJ_SIGNS, TRIPLE, qconj, qconjugator, rotation_aligning
 
 __all__ = [
@@ -460,24 +460,6 @@ def _subspace_values(T: QMatrix, coords, x: np.ndarray) -> np.ndarray:
     return _chi_values(u, u @ chi.T)
 
 
-def _vertex_values(T: QMatrix, coords, xs) -> np.ndarray:
-    """Values <Tx, x> (V, 4) of a diagonal T at _diagonal_vertices' vectors, in one chi product.
-
-    Each vertex's vector is taken on chi of the 2 x 2 diagonal matrix of its
-    coordinates' entries.  A one-coordinate vertex repeats its coordinate
-    with a zero second entry of x, which adds only zero products.
-    """
-    d = T.diagonal()
-    x = np.zeros((len(coords), 2, 4))
-    sub = np.zeros((len(coords), 2, 2, 4))
-    for v, (c, xv) in enumerate(zip(coords, xs)):
-        x[v, :len(xv)] = xv
-        sub[v, 0, 0], sub[v, 1, 1] = d[c[0]], d[c[-1]]
-    u = _to_u(x)
-    cu = u[:, None, :] @ np.swapaxes(complex_adjoint(sub), -1, -2)
-    return _chi_values(u, cu[:, 0, :])
-
-
 def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
     """Upper bild of a diagonal matrix D in closed form, checked exact.
 
@@ -515,13 +497,13 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
     w = b_l / (b_k + b_l) and u from quaternion.qconjugator, so that the
     two imaginary parts, of equal length, are antiparallel.
 
-    The region is exact by a check, not by the argument alone: every
-    vertex's vector is evaluated in one batched chi product
-    (_vertex_values), and the polygon's support is compared with
-    support_offsets on k equispaced angles in [0, pi].  NumericalError is
-    raised unless both agree within 1e-12 (1 + max |h|).  inner_points and
-    the inner hull are then the polygon itself; boundary_points holds the
-    vertex attaining each angle's support.  The outer polygon is the polygon widened by that tolerance
+    The region is exact by a check, not by the argument alone: each
+    vertex's vector is evaluated on chi of its principal submatrix, and the
+    polygon's support is compared with support_offsets on k equispaced
+    angles in [0, pi].  NumericalError is raised unless both agree within
+    1e-12 (1 + max |h|).  inner_points and the inner hull are then the
+    polygon itself; boundary_points holds the vertex attaining each angle's
+    support.  The outer polygon is the polygon widened by that tolerance
     (the Minkowski sum with a square of half-width 1e-12 (1 + max |h|), cut
     at b = 0), so it stays a superset when a vertex is rounded inward, as
     _sampled_bild pads its offsets; hausdorff_gap is that pad times sqrt(2) at
@@ -535,7 +517,7 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
     thetas = np.linspace(0.0, math.pi, k)
     offsets = support_offsets(T, thetas)
     scale = 1.0 + float(np.max(np.abs(offsets)))
-    values = _vertex_values(T, coords, xs)
+    values = np.array([_subspace_values(T, c, x) for c, x in zip(coords, xs)])
     missed = float(np.abs(bild_points(values) - poly).max())
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     reach = poly @ dirs.T

@@ -326,7 +326,12 @@ class QMatrix:
         [[A, B], [-conj(B), conj(A)]]; it is multiplicative and sends the
         quaternionic adjoint to the conjugate transpose.
         """
-        return complex_adjoint(self.arr)
+        arr = self.arr
+        a = arr[..., 0] + 1j * arr[..., 1]
+        b = arr[..., 2] + 1j * arr[..., 3]
+        top = np.hstack([a, b])
+        bottom = np.hstack([-np.conj(b), np.conj(a)])
+        return np.vstack([top, bottom])
 
     # -- structure ----------------------------------------------------------------
 
@@ -346,15 +351,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix(n={self.n})"
-
-
-def complex_adjoint(arr: np.ndarray) -> np.ndarray:
-    """chi of each (n, n, 4) quaternion matrix in a stack (..., n, n, 4), shape (..., 2n, 2n)."""
-    a = arr[..., 0] + 1j * arr[..., 1]
-    b = arr[..., 2] + 1j * arr[..., 3]
-    top = np.concatenate([a, b], axis=-1)
-    bottom = np.concatenate([-np.conj(b), np.conj(a)], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
 
 
 def delta(T: QMatrix, q: Quaternion) -> QMatrix:

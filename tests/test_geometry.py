@@ -3,7 +3,7 @@ import pytest
 
 from quatrange.geometry import (
     DegenerateRegionError,
-    _canonical,
+    _monotone_chain,
     _prune_interior,
     _segment_distances,
     clip_polygon,
@@ -31,37 +31,10 @@ def test_hull_collinear_collapses_to_segment():
     assert np.array_equal(hull, np.array([(0.0, -0.5), (0.0, 0.5)]))
 
 
-def _chain_hull(points):
-    """convex_hull without its axis-parallel shortcut: every set walks the monotone chain."""
-    pts = np.unique(_prune_interior(np.asarray(points, dtype=float).reshape(-1, 2)), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if cross <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    hull = np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
-    if hull.shape[0] == 0:
-        return pts[:1]
-    if hull.shape[0] <= 2:
-        return np.unique(hull, axis=0)
-    return _canonical(hull)
-
-
 def test_axis_parallel_hull_matches_the_chain_byte_for_byte():
     # a set on one vertical or horizontal line keeps its lexicographic first
-    # and last points without the sort and the chain; duplicates, one or two
-    # distinct points and mixed 0.0 / -0.0 coordinates included
+    # and last points without the chain; duplicates, one or two distinct
+    # points, mixed 0.0 / -0.0 coordinates and non-finite ones included
     rng = np.random.default_rng(31)
     cases = [np.zeros((7, 2)), np.array([(1.0, 3.0), (1.0, 2.0), (1.0, 3.0)]),
              np.array([(2.0, 0.5), (-1.0, 0.5), (0.0, 0.5), (2.0, 0.5)]),
@@ -79,11 +52,22 @@ def test_axis_parallel_hull_matches_the_chain_byte_for_byte():
         if trial % 3 == 0:
             pts = pts[:, ::-1]
         cases.append(np.vstack([pts, pts[rng.integers(0, count, count // 2)]]))
+    big, inf, nan = 1.5e308, np.inf, np.nan
+    cases += [np.array([(0.0, -big), (0.0, 0.0), (0.0, big)]),
+              np.array([(-big, 1.0), (0.0, 1.0), (big, 1.0)]),
+              np.array([(0.0, -inf), (0.0, 0.0), (0.0, 1.0)]),
+              np.array([(inf, 0.0), (inf, 1.0), (inf, 2.0)]),
+              np.array([(0.0, 1.0), (nan, 1.0), (1.0, 1.0), (2.0, 1.0)]),
+              np.array([(0.0, nan), (0.0, 1.0), (0.0, 2.0)])]
     # collinear but not axis-parallel: rounding decides, so the chain stays
     t = rng.standard_normal(50)
     cases.append(np.column_stack([t, 0.3 * t + 0.1]))
     for pts in cases:
-        got, want = convex_hull(pts), _chain_hull(pts)
+        with np.errstate(over="ignore", invalid="ignore"):  # the non-finite cases
+            want = np.unique(_prune_interior(pts), axis=0)
+            if len(want) > 2:
+                want = _monotone_chain(want)
+            got = convex_hull(pts)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -473,14 +473,14 @@ def _count_builds(monkeypatch):
 
 def test_remark_calls_build_each_section_region_once(monkeypatch, remark):
     # the check at N = 500 and two probes over four sections name five
-    # distinct diagonal regions, keyed on (N, k): k = 360 for the check,
-    # the probe's k = 180 for the rest
+    # distinct regions: the second probe's keys are the first's
     built = _count_builds(monkeypatch)
     qr.lancaster_check(remark, [500], k=360)
     qr.nonclosedness_probe(remark, _OPEN_EDGE, _PROBE_SECTIONS)
     qr.nonclosedness_probe(remark, _TOP_EDGE, _PROBE_SECTIONS)
-    assert [(n - remark.block_size, k) for n, m, k, seed in built] == \
-        [(500, 360), (50, 180), (100, 180), (200, 180), (500, 180)]
+    assert [(n - remark.block_size, m, k, seed) for n, m, k, seed in built] == \
+        [(500, 200000, 360, 0), (50, 20000, 180, 0), (100, 20000, 180, 1),
+         (200, 20000, 180, 2), (500, 20000, 180, 3)]
 
 
 def _bytes(report):
@@ -515,26 +515,20 @@ def test_reused_regions_match_fresh_operators_byte_for_byte(monkeypatch, operato
     built = _count_builds(monkeypatch)
     M = make()
     assert [_bytes(call(M)) for call in calls] == fresh
-    if operator == "remark":
-        # keys (N, k): the probes reuse the check's sections whatever their
-        # seed, except N = 1, which the [2, 20] probe dropped from the slot
-        assert len(built) == 3 + 0 + 0 + 1 + 1 + 4 + 0
-    else:
-        assert M.block.block_split() > 0
-        # keys (N, m, k, seed + index): the same-seed probe reuses all three
-        # sections, [2, 20] shifts the seeds, and seed 2 rebuilds 2 and 20
-        assert len(built) == 3 + 0 + 2 + 3
-        assert built[-3:] == [(M.block_size + 1, 500, 180, 2), (M.block_size + 2, 500, 180, 3),
-                              (M.block_size + 20, 500, 180, 4)]
+    # the same-seed probe reuses all three sections, [2, 20] shifts the
+    # seeds, and seed 2 rebuilds every section; the remark calls add five
+    assert len(built) == 3 + 0 + 2 + 3 + (5 if operator == "remark" else 0)
+    assert built[5:8] == [(M.block_size + 1, 500, 180, 2), (M.block_size + 2, 500, 180, 3),
+                          (M.block_size + 20, 500, 180, 4)]
 
 
 def test_slot_holds_only_the_last_calls_keys():
     remark = qr.remark_operator()
     assert remark._regions == {}
     qr.lancaster_check(remark, [50, 500], k=90)
-    assert set(remark._regions) == {(50, 90), (500, 90)}
+    assert set(remark._regions) == {(50, 200000, 90, 0), (500, 200000, 90, 1)}
     qr.nonclosedness_probe(remark, _OPEN_EDGE, [50, 200])
-    assert set(remark._regions) == {(50, 180), (200, 180)}
+    assert set(remark._regions) == {(50, 20000, 180, 0), (200, 20000, 180, 1)}
     M = _block_plus_tail()
     qr.lancaster_check(M, [1, 2], m=400, k=90, seed=1)
     assert set(M._regions) == {(1, 400, 90, 1), (2, 400, 90, 2)}
@@ -550,16 +544,6 @@ def test_cached_regions_are_shared_and_read_only(remark):
                  "boundary_points", "thetas", "offsets"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(first.bilds[0], name)[0] = 0.0
-
-
-def test_slot_keeps_every_argument_check(remark):
-    # a diagonal region's key holds no m, yet m < 1 is rejected on a hit
-    qr.lancaster_check(remark, [50], k=90)
-    with pytest.raises(ValueError, match="m must be positive"):
-        qr.lancaster_check(remark, [50], m=0, k=90)
-    qr.nonclosedness_probe(remark, _OPEN_EDGE, [50])
-    with pytest.raises(ValueError, match="m must be positive"):
-        qr.nonclosedness_probe(remark, _OPEN_EDGE, [50], m=0)
 
 
 def test_probe_grid_is_upper_bilds_default():
