@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -900,47 +901,65 @@ class _PairPlan:
     ``triples`` (d, 3) are the selection bounds; ``index`` (d, s + t) is the
     merged support of x_p and y_p sorted by coordinate, padding last, and
     ``coeffs`` (d, s + t, 4) their unscaled entries in that order, with
-    ``from_x`` marking the columns that come from x_p; ``entries``
-    (d, s + t, s + t, 4) holds the operator entries on index x index.
+    ``from_x`` marking the columns that come from x_p.  ``grams`` (3, d, 4)
+    holds the three quadratic forms of the unscaled entries: the sums of
+    conj(c_a) T_ab c_b over the pairs (a, b) with both coordinates from x_p
+    (G_xx), one from each side in either order (G_mix) and both from y_p
+    (G_yy).  Real scalars commute with quaternions, so for real alpha, beta
+    the unnormalized <T z, z> of z = alpha x + beta y is
+    alpha^2 G_xx + alpha beta G_mix + beta^2 G_yy.
     """
 
     triples: np.ndarray
     index: np.ndarray
     coeffs: np.ndarray
     from_x: np.ndarray
-    entries: np.ndarray
+    grams: np.ndarray
 
 
 def _pair_plan(M: ModelOperator, x: _Picks, y: _Picks) -> _PairPlan:
-    """Selection triples, merged support order and operator entries of x_p and y_p.
+    """Selection triples, merged support order and quadratic forms of x_p and y_p.
 
-    All steps at once, against the operator entries on the picked supports.
-    The supports of x_p and y_p are disjoint (y_p avoids x_p's coordinates),
-    so z_p's support is their union.
+    All steps at once, against the operator entries on the picked supports,
+    gathered once.  The supports of x_p and y_p are disjoint (y_p avoids
+    x_p's coordinates), so z_p's support is their union.
     """
+    s = x.index.shape[1]
+    # x_p's coordinates, then y_p's: the entries' off-diagonal blocks are
+    # T[x, y] and T[y, x]; padded entries have zero coefficients, so they
+    # add nothing to any form
+    index = np.concatenate((x.index, y.index), axis=1)
+    coeffs = np.concatenate((x.coeffs, y.coeffs), axis=1)
+    entries = M._lookup(index[:, :, None], index[:, None, :])[0]
     rows, cols = y.index[:, :, None], x.index[:, None, :]
-    # padded entries have zero coefficients, so they add nothing to any form
     mids = np.stack(((rows == cols)[..., None] * Quaternion.one.to_array(),
-                     M._lookup(rows, cols)[0],
-                     qconj(M._lookup(cols, rows)[0])))
+                     entries[:, s:, :s], qconj(entries[:, :s, s:].swapaxes(1, 2))))
     # |<x, y>|, |<T x, y>| and |<T* x, y>|
     triples = qabs(_forms(y.coeffs, mids, x.coeffs)).T
-    index = np.concatenate((x.index, y.index), axis=1)
+    terms = qmul(qmul(qconj(coeffs)[:, :, None], entries), coeffs[:, None])
+    grams = np.stack((terms[:, :s, :s].sum(axis=(1, 2)),
+                      terms[:, :s, s:].sum(axis=(1, 2)) + terms[:, s:, :s].sum(axis=(1, 2)),
+                      terms[:, s:, s:].sum(axis=(1, 2))))
     order = np.argsort(np.where(index >= 0, index, _PAD), axis=1, kind="stable")
-    index = np.take_along_axis(index, order, axis=1)
-    coeffs = np.take_along_axis(np.concatenate((x.coeffs, y.coeffs), axis=1),
-                                order[:, :, None], axis=1)
-    return _PairPlan(triples=triples, index=index, coeffs=coeffs,
-                     from_x=order < x.index.shape[1],
-                     entries=M._lookup(index[:, :, None], index[:, None, :])[0])
+    return _PairPlan(triples=triples, index=np.take_along_axis(index, order, axis=1),
+                     coeffs=np.take_along_axis(coeffs, order[:, :, None], axis=1),
+                     from_x=order < s, grams=grams)
 
 
 def _pair_step(plan: _PairPlan, alpha: float, beta: float):
-    """z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>: (coeffs, values)."""
+    """z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>: (coeffs, values).
+
+    The values combine the plan's three forms with real weights; no
+    quaternion product is taken.
+    """
     coeffs = plan.coeffs * np.where(plan.from_x, alpha, beta)[:, :, None]
     norm = np.sqrt(np.einsum("psc,psc->p", coeffs, coeffs))
-    coeffs = coeffs * (1.0 / norm)[:, None, None]
-    return coeffs, _forms(coeffs, plan.entries, coeffs)
+    scale = 1.0 / norm
+    coeffs = coeffs * scale[:, None, None]
+    xx, mix, yy = plan.grams
+    values = (alpha * alpha * xx + alpha * beta * mix + beta * beta * yy) \
+        * (scale * scale)[:, None]
+    return coeffs, values
 
 
 class _Sweep:
@@ -949,16 +968,17 @@ class _Sweep:
     ``first`` is seq1's chain, which is the alpha = 1 run and the x of every
     interior alpha; ``alone`` is seq2's chain without forbidden rows, the
     alpha = 0 run; ``plan`` is the ``_PairPlan`` of x and of y, seq2's chain
-    avoiding x's coordinates.  At depth 200 the three take about 80 KB.  The
-    sequences are passed on every call and never kept, so a sweep holds no
-    reference to the operator that keeps it.  A chain that raises stores
-    nothing.  Threads that share a sweep at worst make a part twice; both
-    copies are equal, so either may be kept.
+    avoiding x's coordinates, with its three quadratic forms; the error
+    constant 2 + ||T|| is taken on the first run.  At depth 200 the three
+    parts take about 72 KB.  The sequences are passed on every call and
+    never kept, so a sweep holds no reference to the operator that keeps
+    it.  A chain that raises stores nothing.  Threads that share a sweep at
+    worst make a part twice; both copies are equal, so either may be kept.
     """
 
     def __init__(self, depth: int):
         self.eps = [1.0 / p for p in range(1, depth + 1)]
-        self._first = self._alone = self._plan = None
+        self._first = self._alone = self._plan = self._error_constant = None
 
     def first(self, seq1) -> _Picks:
         if self._first is None:
@@ -980,8 +1000,10 @@ class _Sweep:
     def run(self, M: ModelOperator, seq1, seq2, alpha: float) -> CombinationResult:
         """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass.
 
-        Only scaling, normalization and the values form depend on alpha.
-        The returned arrays are copies, never the sweep's own.
+        Only the scaling by alpha and beta, the normalization, the real
+        combination of the plan's three forms and the errors depend on
+        alpha; the operator is treated as immutable.  The returned arrays
+        are copies, never the sweep's own.
         """
         om1, om2 = seq1.target, seq2.target
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
@@ -994,10 +1016,12 @@ class _Sweep:
             plan = self.plan(M, seq1, seq2)
             coeffs, values = _pair_step(plan, alpha, beta)
             index, triples = plan.index.copy(), plan.triples.copy()
+        if self._error_constant is None:
+            self._error_constant = 2.0 + M.opnorm_bound()
         return CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
                                  coeffs=coeffs, values=values,
                                  errors=qabs(values - target.to_array()), triples=triples,
-                                 error_constant=2.0 + M.opnorm_bound())
+                                 error_constant=self._error_constant)
 
 
 def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaternion,
@@ -1008,22 +1032,26 @@ def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaterni
     within 1/p of their targets, the second pick is forced quasi-orthogonal to
     the first (disjoint support, so the selection triple vanishes exactly for
     diagonal tails), and z_p = alpha x + beta y is renormalized.  The value
-    error at step p is bounded by (2 + ||T||) / p.
+    error at step p is bounded by (2 + ||T||) / p.  alpha outside [0, 1] or
+    NaN, and a depth that is not a positive integer, raise ValueError.
 
     A sweep over alpha shares its alpha-independent work: the two pick
-    chains, the selection triples, the merged support order and the
-    operator entries on it.  Each operator keeps its last sweep, about 80 KB
-    at depth 200, for the last (om1, om2, depth), the endpoints compared by
-    their bytes (so -0.0 and 0.0 differ).  Consecutive calls on M with the
-    same three reuse it and any other call on M replaces it; the sweep lives
-    as long as M.  M is treated as immutable, as ``ModelOperator.validate``
-    already assumes.  The results are identical to a call with a fresh
-    sweep, each owns its arrays, and every argument check runs on every call.
+    chains, the selection triples, the merged support order, the three
+    quadratic forms G_xx, G_mix and G_yy of the unscaled picks and the error
+    constant.  Only the scaling, the normalization, the real combination
+    alpha^2 G_xx + alpha beta G_mix + beta^2 G_yy and the errors depend on
+    alpha.  Each operator keeps its last sweep, about 72 KB at depth 200,
+    for the last (om1, om2, depth), the endpoints compared by their bytes
+    (so -0.0 and 0.0 differ).  Consecutive calls on M with the same three
+    reuse it and any other call on M replaces it; the sweep lives as long
+    as M.  M is treated as immutable, as ``ModelOperator.validate`` already
+    assumes.  The results are identical to a call with a fresh sweep, each
+    owns its arrays, and every argument check runs on every call.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if depth < 1:
-        raise ValueError("depth must be positive")
+    if not isinstance(depth, numbers.Integral) or depth < 1:
+        raise ValueError(f"depth must be a positive integer, got {depth!r}")
     seq1, seq2 = TailBasisSequence(M, om1), TailBasisSequence(M, om2)
     key = (om1.to_array().tobytes(), om2.to_array().tobytes(), depth)
     if M._sweep is None or M._sweep[0] != key:

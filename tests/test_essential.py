@@ -1274,8 +1274,9 @@ def test_sparse_vectors_match_dense_evaluation():
         z.coeffs[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.6, math.sqrt(0.5), 1e-8, 1.0 - 1e-12])
 @pytest.mark.parametrize("empty_block", [False, True])
-def test_pair_combination_matches_the_per_vector_evaluator(empty_block):
+def test_pair_combination_matches_the_per_vector_evaluator(empty_block, alpha):
     # supports meeting block entries and the tail diagonal, padded to one width
     M = _mixed_support_operator()
     if empty_block:
@@ -1291,7 +1292,8 @@ def test_pair_combination_matches_the_per_vector_evaluator(empty_block):
                                 values=np.zeros((len(rows), 4)), errors=np.zeros(len(rows)))
 
     x, y = picks(xs), picks(ys)
-    alpha, beta = 0.6, 0.8
+    # beta as the sweep derives it; one weight may be tiny
+    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     plan = essential._pair_plan(M, x, y)
     triples, index = plan.triples, plan.index
     coeffs, values = essential._pair_step(plan, alpha, beta)
@@ -1561,7 +1563,8 @@ def test_writes_to_a_returned_run_do_not_reach_the_next(alpha):
 
 def test_sweep_walks_each_chain_once(monkeypatch):
     counts = {"chain": 0, "plan": 0}
-    chain, plan = qr.TailBasisSequence.chain, essential._pair_plan
+    chain, plan, qmul = qr.TailBasisSequence.chain, essential._pair_plan, essential.qmul
+    products = []
 
     def counted_chain(self, *args, **kwargs):
         counts["chain"] += 1
@@ -1573,11 +1576,17 @@ def test_sweep_walks_each_chain_once(monkeypatch):
 
     monkeypatch.setattr(qr.TailBasisSequence, "chain", counted_chain)
     monkeypatch.setattr(essential, "_pair_plan", counted_plan)
+    monkeypatch.setattr(essential, "qmul", lambda *args: products.append(1) or qmul(*args))
     M = seeded_model_operator(0)
     om1, om2 = _criterion4_endpoints(M)
     for alpha in _ALPHAS:
         qr.convex_combination_sequence(M, om1, om2, alpha, 200)
     assert counts == {"chain": 3, "plan": 1}
+    # the quadratic forms are the plan's: a warm interior alpha takes no product
+    products.clear()
+    for alpha in _ALPHAS[1:-1]:
+        qr.convex_combination_sequence(M, om1, om2, alpha, 200)
+    assert counts == {"chain": 3, "plan": 1} and products == []
     # endpoints are compared by their bytes, so a zero of the other sign
     # starts a new sweep
     qr.convex_combination_sequence(M, Quaternion(om1.w, om1.x, -0.0, 0.0), om2, 1.0, 200)
@@ -1587,14 +1596,18 @@ def test_sweep_walks_each_chain_once(monkeypatch):
 def test_sweep_caches_no_error(monkeypatch, remark):
     top, bottom = Quaternion(0, 0.5, 0, 0), Quaternion(0, -0.5, 0, 0)
     qr.convex_combination_sequence(remark, top, bottom, 0.5, 40)
+    kept = remark._sweep
     for _ in range(2):
         with pytest.raises(qr.MissingSequenceError):
             qr.convex_combination_sequence(remark, Quaternion(3.0), bottom, 0.5, 40)
         for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 qr.convex_combination_sequence(remark, top, bottom, bad, 40)
-        with pytest.raises(ValueError, match="depth"):
-            qr.convex_combination_sequence(remark, top, bottom, 0.5, 0)
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="depth"):
+                qr.convex_combination_sequence(remark, top, bottom, 0.5, bad)
+    # a rejected call stores no sweep
+    assert remark._sweep is kept
     # a chain that runs past the cap raises on every call of a new sweep,
     # and the sweep recovers once the cap is lifted
     monkeypatch.setattr(qr.TailBasisSequence, "MAX_SCAN", 30)
@@ -1604,6 +1617,11 @@ def test_sweep_caches_no_error(monkeypatch, remark):
     monkeypatch.undo()
     run = qr.convex_combination_sequence(remark, top, bottom, 0.5, 41)
     _assert_identical_runs(run, _cold_run(remark, top, bottom, 0.5, 41))
+    # a numpy integer is a depth, and keys the same sweep as the int
+    kept = remark._sweep
+    _assert_identical_runs(
+        qr.convex_combination_sequence(remark, top, bottom, 0.5, np.int64(41)), run)
+    assert remark._sweep is kept
 
 
 def test_alternating_sweeps_over_two_operators_keep_their_own_work(monkeypatch):
