@@ -31,82 +31,6 @@ def _sum_of_squares(flat: np.ndarray) -> float:
     return _sum_of_squares(flat[:n2]) + _sum_of_squares(flat[n2:])
 
 
-_LANE_PIECE = 128  # pieces np.sum adds in eight lanes instead of splitting
-_LEAF_ROWS = 4096  # pieces _leaf_sums lays out at once, 4 MB
-
-
-def _leaf_sums(lo, n, a, b, pos, squares) -> np.ndarray:
-    """np.sum of each piece [lo, lo + n), 8 <= n <= _LANE_PIECE, holding pos[a:b]."""
-    out = np.empty(len(lo))
-    for c0 in range(0, len(lo), _LEAF_ROWS):
-        rows = slice(c0, c0 + _LEAF_ROWS)
-        count = b[rows] - a[rows]
-        row = np.repeat(np.arange(len(count)), count)
-        entry = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - a[rows], count)
-        X = np.zeros((len(count), _LANE_PIECE))
-        X[row, pos[entry] - lo[rows][row]] = squares[entry]
-        # lanes cover the first n - n % 8 entries; at most seven follow them
-        body = n[rows] - n[rows] % 8
-        after = body[:, None] + np.arange(7)
-        rest = np.where(after < n[rows][:, None],
-                        np.take_along_axis(X, np.minimum(after, _LANE_PIECE - 1), axis=1), 0.0)
-        X[np.arange(_LANE_PIECE) >= body[:, None]] = 0.0
-        r = X[:, :8].copy()
-        for i in range(8, _LANE_PIECE, 8):
-            r += X[:, i:i + 8]
-        total = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-                 + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
-        for t in range(7):
-            total += rest[:, t]
-        out[rows] = total
-    return out
-
-
-def _sparse_sum(length: int, pos: np.ndarray, squares: np.ndarray) -> float:
-    """np.sum of a length-``length`` array, zero but for squares >= 0 at ascending pos, bit for bit.
-
-    An array of at most _SQUARES_PIECE entries is laid out and summed whole.
-    A longer one np.sum splits as _sum_of_squares says, down to pieces of
-    64 to _LANE_PIECE = 128 entries.  It adds such a piece in eight lanes,
-    lane j taking entries j, j + 8, ... left to right up to n - n % 8, joins
-    them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds
-    the last n % 8 entries left to right.  Adding 0 to a sum of squares
-    leaves it as it is, so only the pieces holding a position are walked,
-    one level of the split tree at a time, and a piece holding none adds 0.
-    """
-    if length <= _SQUARES_PIECE:
-        flat = np.zeros(length)
-        flat[pos] = squares
-        return float(np.sum(flat))
-    lo, n = np.zeros(1, dtype=np.int64), np.array([length], dtype=np.int64)
-    a, b = np.zeros(1, dtype=np.intp), np.array([len(pos)], dtype=np.intp)
-    levels = []
-    while len(lo):
-        leaf = n <= _LANE_PIECE
-        value = np.zeros(len(lo))
-        if leaf.any():
-            value[leaf] = _leaf_sums(lo[leaf], n[leaf], a[leaf], b[leaf], pos, squares)
-        inner = np.flatnonzero(~leaf)
-        n2 = n[inner] // 2 - n[inner] // 2 % 8
-        mid = np.searchsorted(pos, lo[inner] + n2)
-        # the children of split piece i are pieces 2i (left) and 2i + 1 (right)
-        lo, n, a, b = [np.repeat(x[inner], 2) for x in (lo, n, a, b)]
-        lo[1::2] += n2
-        n[0::2] = n2
-        n[1::2] -= n2
-        b[0::2] = a[1::2] = mid
-        held = b > a
-        child = np.where(held, np.cumsum(held) - 1, -1).reshape(-1, 2)
-        levels.append((value, inner, child))
-        lo, n, a, b = lo[held], n[held], a[held], b[held]
-    below = np.zeros(1)
-    for value, inner, child in reversed(levels):
-        halves = np.where(child >= 0, below[np.maximum(child, 0)], 0.0)
-        value[inner] = halves[:, 0] + halves[:, 1]
-        below = value
-    return float(below[0])
-
-
 class QMatrix:
     """An n x n matrix over the quaternions, read as an (n, n, 4) real array.
 
@@ -115,7 +39,8 @@ class QMatrix:
     leading b x b block with b = block_split(), (b, b, 4), and the diagonal
     tail past it, (n - b, 4).  Those build the array on the first read of
     arr and keep it; diagonal, entry, leading_block, principal, block_split
-    and frobenius read the factors and never build it.
+    and frobenius read the factors and never build it.  Both forms give the
+    same values byte for byte, and reject the same out-of-range indices.
     Matrices act on column vectors on the left; right H-linearity
     T(x q) = (T x) q holds entrywise because scalars multiply from the right.
     Every entry is finite: a NaN or infinite one raises ValueError.
@@ -218,11 +143,13 @@ class QMatrix:
         return self._block_size + self._tail.shape[0]
 
     def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """T[rows, cols] (..., 4) for broadcastable index arrays, from the factors."""
+        """T[rows, cols] (..., 4) for broadcastable index arrays in [0, n), in either form."""
         rows, cols = np.broadcast_arrays(rows, cols)
         if rows.size and not (min(rows.min(), cols.min()) >= 0
                               and max(rows.max(), cols.max()) < self.n):
             raise IndexError(f"matrix index out of range for n = {self.n}")
+        if self._tail is None:
+            return self._arr[rows, cols]
         b = self._block_size
         out = np.zeros(rows.shape + (4,))
         block = (rows < b) & (cols < b)
@@ -232,8 +159,6 @@ class QMatrix:
         return out
 
     def entry(self, i: int, j: int) -> Quaternion:
-        if self._tail is None:
-            return Quaternion.from_array(self._arr[i, j])
         return Quaternion.from_array(self._entries(np.array([i]), np.array([j]))[0])
 
     def diagonal(self) -> np.ndarray:
@@ -254,8 +179,6 @@ class QMatrix:
     def principal(self, coords) -> "QMatrix":
         """The principal submatrix T[coords][:, coords], a QMatrix holding its own array."""
         c = np.asarray(coords, dtype=np.intp).reshape(-1)
-        if self._tail is None:
-            return QMatrix._adopt(self._arr[np.ix_(c, c)])
         return QMatrix._adopt(self._entries(c[:, None], c[None, :]))
 
     # -- algebra -----------------------------------------------------------------
@@ -292,17 +215,22 @@ class QMatrix:
         return QMatrix(qconj(self.arr).transpose(1, 0, 2))
 
     def frobenius(self) -> float:
-        """sqrt(np.sum(arr * arr)) bit for bit, without forming arr * arr or, when factored, arr."""
+        """The Frobenius norm, sqrt(|T[:b, :b]|^2 + |diagonal past b|^2) with b = block_split().
+
+        Every entry outside those two parts is zero.  They are read from the
+        factors of a factored matrix and from arr otherwise, and each is
+        summed by _sum_of_squares, so both forms of a matrix agree bit for
+        bit, and a matrix with b = n gives sqrt(np.sum(arr * arr)) bit for
+        bit, without forming arr * arr.
+        """
+        b = self.block_split()
         if self._tail is None:
-            return float(np.sqrt(_sum_of_squares(self._arr.reshape(-1))))
-        b, n = self._block_size, self.n
-        # flat positions of the block's and the tail's entries in arr, ascending
-        rows = np.arange(b)
-        block = (4 * (rows[:, None] * n + rows))[..., None] + np.arange(4)
-        tail = (4 * (n + 1) * np.arange(b, n))[:, None] + np.arange(4)
-        values = np.concatenate([self._block.reshape(-1), self._tail.reshape(-1)])
-        return float(np.sqrt(_sparse_sum(4 * n * n, np.concatenate([block.ravel(), tail.ravel()]),
-                                         values * values)))
+            idx = np.arange(b, self.n)
+            block, tail = self._arr[:b, :b], self._arr[idx, idx]
+        else:
+            block, tail = self._block, self._tail
+        return float(np.sqrt(_sum_of_squares(block.reshape(-1))
+                             + _sum_of_squares(tail.reshape(-1))))
 
     def isclose(self, other: "QMatrix", tol: float = 1e-12) -> bool:
         return self.n == other.n and float(np.max(np.abs(self.arr - other.arr))) <= tol
@@ -343,10 +271,10 @@ class QMatrix:
         evaluation through the cheap block + diagonal-tail path.
         """
         if self._block_size is None:
-            nz = np.argwhere(np.any(self._arr != 0.0, axis=2))
-            off = nz[nz[:, 0] != nz[:, 1]]
-            b = 0 if off.size == 0 else int(off.max()) + 1
-            self._block_size = b
+            off = np.any(self._arr, axis=2)
+            np.fill_diagonal(off, False)
+            hit = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+            self._block_size = int(hit[-1]) + 1 if hit.size else 0
         return self._block_size
 
     def __repr__(self) -> str:

@@ -9,20 +9,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quatrange
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_lancaster_remark_demo_runs():
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / "lancaster_remark.py")],
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "N = 500: residual" in done.stdout
-    assert "4-vertex polygon" in done.stdout
+    if demo == "lancaster_remark.py":
+        assert "N = 500: residual" in done.stdout
+        assert "4-vertex polygon" in done.stdout
 
 
 def test_every_readme_api_bullet_names_an_export():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,45 @@ def test_frobenius_matches_the_full_square_sum_without_its_copy():
     assert peak <= 8 * qmatrix._SQUARES_PIECE + 4096
 
 
+def _frobenius_cases():
+    """Matrices with b < n, dense and factored, and the edge sizes."""
+    rng = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(1,)))
+    cases = [qr.QMatrix.zeros(0), qr.QMatrix(rng.standard_normal((1, 1, 4))),
+             qr.QMatrix.diag([I, J, Quaternion(3.0, 0.0, 0.0, 1e-9)])]
+    for n, b in [(2, 0), (5, 2), (40, 3), (300, 17)]:
+        arr = np.zeros((n, n, 4))
+        arr[:b, :b] = rng.standard_normal((b, b, 4))
+        idx = np.arange(b, n)
+        arr[idx, idx] = rng.standard_normal((n - b, 4)) * 10 ** rng.uniform(-6, 6, (n - b, 1))
+        cases.append(qr.QMatrix(arr))
+    cases += [qr.truncate(seeded_model_operator(s), N) for s in (0, 3) for N in (1, 60, 900)]
+    cases += [qr.truncate(qr.remark_operator(), N) for N in (1, 50, 5000)]
+    return cases
+
+
+def test_frobenius_of_a_block_plus_tail_matches_the_exact_square_sum():
+    for T in _frobenius_cases():
+        # every entry of a dense matrix; the two factors of a section, whose array may not fit
+        b = T.block_split()
+        parts = [T.arr] if T._tail is None else [T.leading_block(b).arr, T.diagonal()[b:]]
+        squares = np.concatenate([(x * x).ravel() for x in parts])
+        exact = math.sqrt(math.fsum(squares))
+        assert abs(T.frobenius() - exact) <= 1e-14 * exact, (T.n, T.block_split())
+
+
+def test_frobenius_of_a_section_costs_memory_linear_in_its_size():
+    N = 200_000
+    T = qr.truncate(qr.remark_operator(), N)
+    tracemalloc.start()
+    try:
+        T.frobenius()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * N
+    assert T._arr is None
+
+
 def test_block_split():
     assert qr.QMatrix.diag([I, J, K]).block_split() == 0
     block = random_qmatrix(11, 2)
@@ -114,6 +154,27 @@ def test_block_diag_split_is_the_scanned_split():
         assert T.block_split() == qr.QMatrix(T.arr).block_split()
     assert [qr.QMatrix.block_diag(b, np.ones((4, 4))).block_split() for b in blocks] \
         == [3, 0, 2, 0]
+    # the scan of a dense array against the split read from its nonzero positions
+    rng = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(2,)))
+    arrays = [np.zeros((0, 0, 4)), np.zeros((1, 1, 4)), rng.standard_normal((1, 1, 4)),
+              qr.QMatrix.diag([I, J, K, Quaternion(2.0)]).arr, rng.standard_normal((6, 6, 4))]
+    for i, j in [(0, 5), (5, 0), (2, 1)]:
+        single = np.zeros((6, 6, 4))
+        single[i, j] = (0.5, 0.0, 0.0, 0.0)
+        arrays.append(single)
+    k_only = np.zeros((6, 6, 4))
+    k_only[3, 1, 3] = -1e-300  # the entry's only nonzero part is k
+    arrays.append(k_only)
+    hollow = np.zeros((7, 7, 4))
+    hollow[:5, :5] = rng.standard_normal((5, 5, 4))
+    hollow[2, :] = 0.0  # a zero row inside the block
+    hollow[6, 6] = (1.0, 1.0, 0.0, 0.0)
+    arrays.append(hollow)
+    for arr in arrays:
+        nz = np.argwhere(np.any(arr != 0.0, axis=2))
+        off = nz[nz[:, 0] != nz[:, 1]]
+        assert qr.QMatrix(arr).block_split() == (0 if off.size == 0 else int(off.max()) + 1)
+    assert [qr.QMatrix(arr).block_split() for arr in arrays[-5:]] == [6, 6, 3, 4, 5]
 
 
 def test_diag_split_needs_no_scan(monkeypatch):
@@ -126,7 +187,7 @@ def test_diag_split_needs_no_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("block_split scanned the matrix")
 
-    monkeypatch.setattr(np, "argwhere", no_scan)
+    monkeypatch.setattr(np, "any", no_scan)
     assert T.block_split() == 0
 
 
@@ -218,28 +279,18 @@ def test_factored_section_equals_its_dense_form(name):
 
 def test_factored_accessors_reject_indices_past_the_matrix():
     T = qr.truncate(qr.remark_operator(), 5)
-    for bad in ([7], [-1], [0, 7]):
-        with pytest.raises(IndexError):
-            T.principal(bad)
-    with pytest.raises(IndexError):
-        T.entry(0, 7)
+    # both forms reject an index outside [0, n), a negative one included
     for S in (T, qr.QMatrix(T.arr)):
         with pytest.raises(IndexError):
             S.leading_block(8)
-
-
-def test_sparse_sum_matches_np_sum_bit_for_bit():
-    # frobenius of a factored matrix follows np.sum's pairwise summation over
-    # the positions that hold an entry; lengths past _SQUARES_PIECE walk the tree
-    rng = np.random.default_rng(np.random.SeedSequence(28, spawn_key=(2,)))
-    lengths = [1, 7, 8, 9, 127, 128, 129, 136, qmatrix._SQUARES_PIECE,
-               qmatrix._SQUARES_PIECE + 1] + rng.integers(1, 400000, 60).tolist()
-    for length in lengths:
-        held = rng.random(length) < rng.choice([0.0005, 0.01, 0.2, 1.0])
-        flat = np.zeros(length)
-        flat[held] = rng.random(held.sum()) * 10.0 ** rng.uniform(-8, 8, held.sum())
-        pos = np.flatnonzero(held)
-        assert qmatrix._sparse_sum(length, pos, flat[pos]) == np.sum(flat), length
+        for bad in ([7], [-1], [0, 7], [0, -5]):
+            with pytest.raises(IndexError):
+                S.principal(bad)
+        for i, j in [(0, 7), (7, 0), (-1, -1), (0, -1)]:
+            with pytest.raises(IndexError):
+                S.entry(i, j)
+        assert S.entry(6, 6).to_array().tolist() == [0.0, 0.25, 0.0, 0.0]
+        assert S.principal([]).n == 0
 
 
 # -- the quadratic pencil --------------------------------------------------------------
