@@ -17,7 +17,7 @@ import numpy as np
 from . import fileio
 from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
-from .geometry import signed_inner_distance
+from .geometry import near_any, signed_inner_distance
 from .lancaster import lancaster_check, nonclosedness_probe
 from .numrange import RealSectionError, bild_points, real_section, upper_bild
 from .spectra import s_spectrum
@@ -217,41 +217,6 @@ def _cmd_lancaster(args, out: Path) -> int:
     return 0
 
 
-def _near_any(points: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each point (p, 2) lies within tol of a target (t, 2), without a (p, t) array.
-
-    The test is the all-pairs one, sqrt(dx * dx + dy * dy) <= tol with
-    dx, dy = target - point, taken only on the targets of the point's 3 x 3
-    block of cells floor(x / side).  As in spectra._merge, side >= 2 tol,
-    so a target within tol lies at most half a cell away, and
-    side >= 2^-49 max |x|, so every quotient is below 2^50 and its rounding
-    moves it by at most 1/8 of a cell: the block holds every target the test
-    can accept, and each point's answer is the all-pairs answer.
-    """
-    near = np.zeros(len(points), dtype=bool)
-    if not (len(points) and len(targets)):
-        return near
-    scale = max(float(np.abs(points).max()), float(np.abs(targets).max()))
-    side = max(2.0 * tol, scale * 2.0 ** -49, sys.float_info.min)
-    # a cell as one complex key: complex numbers sort by real, then imaginary part
-    cell = np.floor(targets / side)
-    keys = cell[:, 0] + 1j * cell[:, 1]
-    order = np.argsort(keys)
-    keys, targets = keys[order], targets[order]
-    home = np.floor(points / side)
-    step = np.array([-1.0, 0.0, 1.0])
-    want = ((home[:, 0, None, None] + step[:, None])
-            + 1j * (home[:, 1, None, None] + step)).reshape(-1)
-    lo = np.searchsorted(keys, want, side="left")
-    count = np.searchsorted(keys, want, side="right") - lo
-    owner = np.repeat(np.arange(len(want)) // 9, count)
-    idx = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
-    dx = targets[idx, 0] - points[owner, 0]
-    dy = targets[idx, 1] - points[owner, 1]
-    near[owner[np.sqrt(dx * dx + dy * dy) <= tol]] = True
-    return near
-
-
 def _cmd_verify(args, out: Path) -> int:
     M = fileio.load_operator(args.input)
     checks = {}
@@ -266,7 +231,7 @@ def _cmd_verify(args, out: Path) -> int:
     tail_classes = bild_points(T.diagonal()[M.block_size:])
     # finite-section spheres must be tail diagonal classes, block spectrum,
     # or already inside the essential polygon
-    near_tail = _near_any(spheres.points(), tail_classes, 1e-6)
+    near_tail = near_any(spheres.points(), tail_classes, 1e-6)
     checks["sspec_accounted"] = all(
         near or signed_inner_distance(poly, s.point()) >= -max(args.tol, 1e-3)
         or (block_spec is not None and any(s.distance(b) <= 1e-6 for b in block_spec))

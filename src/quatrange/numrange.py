@@ -108,9 +108,10 @@ def _chi_values(u: np.ndarray, cu: np.ndarray) -> np.ndarray:
 def nr_sample(T: QMatrix, m: int, seed: int = 0) -> np.ndarray:
     """Values <Tx, x> at m uniformly sampled unit vectors, shape (m, 4).
 
-    Unit vectors are normalized Gaussian coordinate tuples; the output is
-    deterministic for a fixed seed and independent of chunking.  Every
-    value is taken on the complex adjoint matrix chi(T) (_chi_values).
+    Unit vectors are normalized Gaussian coordinate tuples, drawn in chunks
+    of _CHUNK_BUDGET // (4n); the output is deterministic for a fixed
+    (T, m, seed), but depends on the chunk size and is no prefix of a larger
+    m's.  Every value is taken on the complex adjoint matrix chi(T).
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -214,9 +215,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A diagonal tail entry d has the similarity sphere of d as its values, so
     the tail's support is the closed form max_k a_k cos(theta) + b_k sin(theta)
-    over its bild points (a_k, b_k).  A linear functional peaks at a vertex
-    of their convex hull, so only the hull's vertices are evaluated, a
-    (len(thetas), vertices) array, and the best one is the angle's point.
+    over its bild points (a_k, b_k), on their convex hull (_hull_support).
     Any 1-D angle array in [0, pi] is accepted, unsorted, with duplicates or
     empty; anything else, NaN included, raises ValueError.
     """
@@ -255,14 +254,22 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
         h = np.where(mirror, -ends[group, 0], ends[group, 1])
         points = end_points[group, np.where(mirror, 0, 1)]
     if b < n:
-        tail = convex_hull(bild_points(T.diagonal()[b:, :]))
-        reach = np.outer(np.cos(thetas), tail[:, 0]) + np.outer(np.sin(thetas), tail[:, 1])
-        best = np.argmax(reach, axis=1)
-        tail_h = reach[np.arange(len(thetas)), best]
+        tail_h, tail_points = _hull_support(convex_hull(bild_points(T.diagonal()[b:])), thetas)
         take = tail_h > h
         h = np.where(take, tail_h, h)
-        points[take] = tail[best[take]]
+        points[take] = tail_points[take]
     return h, points
+
+
+def _hull_support(hull: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support h(theta) of a point set from its convex hull, and a vertex attaining it.
+
+    A linear functional peaks at a hull vertex, so only the vertices are
+    evaluated, a (len(thetas), vertices) array; the best is the angle's point.
+    """
+    reach = np.outer(np.cos(thetas), hull[:, 0]) + np.outer(np.sin(thetas), hull[:, 1])
+    best = np.argmax(reach, axis=1)
+    return reach[np.arange(len(thetas)), best], hull[best]
 
 
 def support_offsets(T: QMatrix, thetas: np.ndarray) -> np.ndarray:
@@ -415,19 +422,20 @@ def _axis_pairs(lam: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def _diagonal_vertices(T: QMatrix) -> tuple[np.ndarray, list, list]:
-    """Polygon of the upper bild of a diagonal T, and a vector attaining each vertex.
+def _diagonal_vertices(d: np.ndarray, lam: np.ndarray,
+                       hull: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Polygon of the upper bild of diag(d), and a vector attaining each vertex.
 
-    Returns (poly, coords, xs): vertex v is attained at the unit vector with
-    entries xs[v] (shape (len(coords[v]), 4)) on the coordinates coords[v].
+    lam = bild_points(d) and hull = convex_hull(lam), which with the axis
+    points spans the polygon.  Returns (poly, coords, xs): vertex v is
+    attained at the unit vector with entries xs[v] (shape
+    (len(coords[v]), 4)) on the coordinates coords[v].
     """
-    d = T.diagonal()
-    lam = bild_points(d)
     pairs = _axis_pairs(lam)
-    axis = [((lam[k, 0] * lam[l, 1] + lam[l, 0] * lam[k, 1]) / (lam[k, 1] + lam[l, 1]), 0.0)
-            for k, l in pairs]
-    cands = np.vstack([lam, np.array(axis).reshape(-1, 2)])
-    poly = convex_hull(cands)
+    axis = np.array([((lam[k, 0] * lam[l, 1] + lam[l, 0] * lam[k, 1])
+                      / (lam[k, 1] + lam[l, 1]), 0.0) for k, l in pairs]).reshape(-1, 2)
+    poly = convex_hull(np.vstack([hull, axis]))
+    cands = np.vstack([lam, axis])
     # each vertex's candidate, the last of equal ones: a complex number sorts
     # by its real part, then its imaginary part, and a stable sort keeps
     # equal candidates in index order
@@ -499,23 +507,28 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
 
     The region is exact by a check, not by the argument alone: each
     vertex's vector is evaluated on chi of its principal submatrix, and the
-    polygon's support is compared with support_offsets on k equispaced
-    angles in [0, pi].  NumericalError is raised unless both agree within
-    1e-12 (1 + max |h|).  inner_points and the inner hull are then the
-    polygon itself; boundary_points holds the vertex attaining each angle's
-    support.  The outer polygon is the polygon widened by that tolerance
-    (the Minkowski sum with a square of half-width 1e-12 (1 + max |h|), cut
-    at b = 0), so it stays a superset when a vertex is rounded inward, as
-    _sampled_bild pads its offsets; hausdorff_gap is that pad times sqrt(2) at
-    most.  No vectors are sampled.
+    polygon's support, axis points included, is compared with h, the
+    support of lambda's convex hull as support_offsets takes it, on k
+    equispaced angles in [0, pi]; that one hull also spans the polygon.
+    NumericalError is raised unless both agree within 1e-12 (1 + max |h|).
+    inner_points and the inner hull are then the polygon itself;
+    boundary_points holds the vertex attaining each angle's support.  The
+    outer polygon is the polygon widened by that tolerance (the Minkowski
+    sum with a square of half-width 1e-12 (1 + max |h|), cut at b = 0), so
+    it stays a superset when a vertex is rounded inward, as _sampled_bild
+    pads its offsets; hausdorff_gap is that pad times sqrt(2) at most.  No
+    vectors are sampled.
     """
     if T.block_split() != 0:
         raise ValueError("diagonal_bild needs a diagonal matrix")
     if k < 3:
         raise ValueError("need at least three support angles")
-    poly, coords, xs = _diagonal_vertices(T)
+    d = T.diagonal()
+    lam = bild_points(d)
+    hull = convex_hull(lam)
+    poly, coords, xs = _diagonal_vertices(d, lam, hull)
     thetas = np.linspace(0.0, math.pi, k)
-    offsets = support_offsets(T, thetas)
+    offsets = _hull_support(hull, thetas)[0]
     scale = 1.0 + float(np.max(np.abs(offsets)))
     values = np.array([_subspace_values(T, c, x) for c, x in zip(coords, xs)])
     missed = float(np.abs(bild_points(values) - poly).max())

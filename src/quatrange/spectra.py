@@ -4,22 +4,23 @@ s_spectrum works from the summands of T = B + D, a dense leading block and a
 diagonal tail: one eigen solve of the block's complex adjoint chi(B), the
 tail's classes in closed form, and a pencil certificate that needs an SVD
 only for the block, and only when an eigenvector bound cannot settle it.
+Each distinct tail class is a sphere; only the block's candidates merge.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .eigen import NumericalError
+from .geometry import near_any
 from .qmatrix import QMatrix
 from .quaternion import SimilaritySphere
 
 __all__ = ["SphereSet", "s_spectrum"]
 
-_MERGE_TOL = 1e-6  # certified classes chained within this distance share a sphere
+_MERGE_TOL = 1e-6  # certified block classes chained within this distance share a sphere
 _SINGULAR_TOL = 1e-8  # pencil singularity threshold per unit of 1 + ||T||_F^2
 
 
@@ -47,52 +48,23 @@ def _merge(points: np.ndarray, tol: float) -> list[tuple[float, float]]:
     """First-fit merge: each point joins the least-index sphere whose running
     mean lies within tol (np.hypot), else it starts a new sphere.
 
-    A grid index keeps the scan near each point.  Every sphere with a finite
-    mean is binned by the cell floor(mean / side), re-binned when its mean
-    moves, and a point tests only the spheres of its 3 x 3 block of cells,
-    in index order.  side >= 2 tol, so a mean within tol of the point lies
-    at most half a cell away; side >= 2^-49 max |point|, so every quotient
-    is below 2^50 and its rounding moves it by at most 1/8 of a cell.  The
-    block therefore holds every sphere the test can accept, and the result
-    is the full scan's, mean for mean and bit for bit.  A non-finite point
-    or mean fails the test against anything, so it stays out of the index.
-    At tol = 0 the cells shrink to 2^-49 max |point|; equal points share one.
+    One np.hypot row tests a point against every mean so far.  A non-finite
+    point or mean fails the test against anything.
     """
-    finite = np.isfinite(points).all(axis=1)
-    scale = float(np.abs(points[finite]).max(initial=0.0))
-    side = max(2.0 * tol, scale * 2.0 ** -49, sys.float_info.min)
-    cells: dict[tuple[int, int], list[int]] = {}
-
-    def cell(a, b):
-        if math.isfinite(a) and math.isfinite(b):
-            return math.floor(a / side), math.floor(b / side)
-        return None
-
-    out: list[list[float]] = []
+    means = np.empty((len(points), 2))
     counts: list[int] = []
     for a, b in points:
-        key = cell(a, b)
-        near = [] if key is None else sorted(
-            idx for di in (-1, 0, 1) for dj in (-1, 0, 1)
-            for idx in cells.get((key[0] + di, key[1] + dj), ()))
-        for idx in near:
-            ca, cb = out[idx]
-            if np.hypot(ca - a, cb - b) <= tol:
-                c = counts[idx]
-                out[idx] = [(ca * c + a) / (c + 1), (cb * c + b) / (c + 1)]
-                counts[idx] += 1
-                old, new = cell(ca, cb), cell(*out[idx])
-                if new != old:
-                    cells[old].remove(idx)
-                    if new is not None:
-                        cells.setdefault(new, []).append(idx)
-                break
+        k = len(counts)
+        hit = np.flatnonzero(np.hypot(means[:k, 0] - a, means[:k, 1] - b) <= tol)
+        if len(hit):
+            idx = hit[0]
+            c = counts[idx]
+            means[idx] = (means[idx, 0] * c + a) / (c + 1), (means[idx, 1] * c + b) / (c + 1)
+            counts[idx] += 1
         else:
-            if key is not None:
-                cells.setdefault(key, []).append(len(out))
-            out.append([a, b])
+            means[k] = a, b
             counts.append(1)
-    return [(a, b) for a, b in out]
+    return [(a, b) for a, b in means[:len(counts)].tolist()]
 
 
 def s_spectrum(T: QMatrix) -> SphereSet:
@@ -106,10 +78,10 @@ def s_spectrum(T: QMatrix) -> SphereSet:
     chi(B) + chi(d_1) + ... + chi(d_k), so its eigenvalues are those of
     chi(B) and of each 2 x 2 block chi(d_k).  With d_k = alpha_k + v_k,
     chi(d_k) has the eigenvalues alpha_k +- i beta_k, beta_k = |v_k|: each
-    tail entry gives its class (alpha_k, beta_k) in closed form, counted
-    twice as in chi(T).  The block's candidates are the eigenvalues of the
-    2b x 2b matrix C = chi(B), one np.linalg.eig call, none when b = 0;
-    their conjugate pairs map to (Re, |Im|).
+    tail entry gives its class (alpha_k, beta_k) in closed form.  The
+    block's candidates are the eigenvalues of the 2b x 2b matrix C = chi(B),
+    one np.linalg.eig call, none when b = 0; their conjugate pairs map to
+    (Re, |Im|).
 
     Certificate.  Every candidate (a, b) is checked at its own class, before
     any merge: the pencil P(a, b) = chi(T)^2 - 2a chi(T) + (a^2 + b^2) I
@@ -135,9 +107,13 @@ def s_spectrum(T: QMatrix) -> SphereSet:
     2n x 2n matrix is formed.  Each comparison with singular_tol passes only
     on "<=", so a NaN from an overflow fails it.
 
-    Spheres.  The certified points are lexsorted and merged (_merge): each
-    sphere is the running mean of certified classes chained within
-    _MERGE_TOL, and is not checked again.
+    Spheres.  Each distinct tail class is one sphere, the class itself: the
+    classes are lexsorted and the first of each run of equal pairs is kept.
+    The block's certified candidates are lexsorted and merged (_merge): a
+    block sphere is the running mean of candidates chained within
+    _MERGE_TOL, and is not checked again.  A block sphere within _MERGE_TOL
+    of a tail class (geometry.near_any) is dropped, as the exact tail class
+    stands for it.
 
     A QMatrix holds finite entries by construction; NumericalError is
     raised when singular_tol overflows.
@@ -151,7 +127,10 @@ def s_spectrum(T: QMatrix) -> SphereSet:
     tail = T.diagonal()[nb:]
     alpha = tail[:, 0]
     beta = np.sqrt(np.sum(tail[:, 1:] ** 2, axis=1))
-    pts = np.repeat(np.stack([alpha, beta], axis=1), 2, axis=0)
+    classes = np.stack([alpha, beta], axis=1)[np.lexsort((beta, alpha))]
+    first = np.ones(len(classes), dtype=bool)
+    first[1:] = np.any(classes[1:] != classes[:-1], axis=1)
+    spheres = classes[first]
     if nb:
         rep = T.leading_block(nb).complex_rep()
         eigs, vecs = np.linalg.eig(rep)
@@ -171,7 +150,7 @@ def s_spectrum(T: QMatrix) -> SphereSet:
                 raise NumericalError(
                     f"eigenvalue candidate ({a:.6g}, {b:.6g}) fails the pencil "
                     f"singularity cross-check ({smallest:.3e} > {singular_tol:.3e})")
-        pts = np.vstack([block, pts])
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    return SphereSet(SimilaritySphere(float(a), float(b))
-                     for a, b in _merge(pts[order], _MERGE_TOL))
+        order = np.lexsort((block[:, 1], block[:, 0]))
+        merged = np.array(_merge(block[order], _MERGE_TOL))
+        spheres = np.vstack([spheres, merged[~near_any(merged, spheres, _MERGE_TOL)]])
+    return SphereSet(map(SimilaritySphere, *spheres.T.tolist()))

@@ -6,7 +6,7 @@ import pytest
 
 import quatrange as qr
 from quatrange import Quaternion, fileio, numrange
-from quatrange.cli import _near_any, main
+from quatrange.cli import main
 
 from conftest import seeded_model_operator
 
@@ -239,35 +239,6 @@ def _count(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, counted)
 
 
-def _near_all_pairs(points, targets, tol):
-    """The former verify test: every sphere against every tail class."""
-    dx = targets[None, :, 0] - points[:, :1]
-    dy = targets[None, :, 1] - points[:, 1:]
-    return np.sqrt(dx * dx + dy * dy).min(axis=1, initial=np.inf) <= tol
-
-
-def test_near_tail_test_matches_all_pairs_on_seeded_sections():
-    cases = []
-    for seed in range(8):
-        M = seeded_model_operator(seed)
-        for N in (1, 30, 400):
-            T = qr.truncate(M, N)
-            cases.append((qr.s_spectrum(T).points(), qr.bild_points(T.diagonal()[M.block_size:])))
-    T = qr.truncate(qr.remark_operator(), 2000)
-    cases.append((qr.s_spectrum(T).points(), qr.bild_points(T.diagonal()[2:])))
-    # points around tol from a target, on cell edges, and one or no target
-    rng = np.random.default_rng(np.random.SeedSequence(28, spawn_key=(3,)))
-    targets = np.round(rng.random((300, 2)) * 1e-4, 6)
-    shift = rng.normal(size=(300, 2))
-    shift *= rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0], (300, 1)) / np.hypot(*shift.T)[:, None]
-    cases += [(targets + 1e-6 * shift, targets), (targets[:1] + 1e-6 * shift, targets[:1]),
-              (targets, targets[:0]), (targets[:0], targets)]
-    for points, targets in cases:
-        for tol in (1e-6, 0.0, 1e-3):
-            assert np.array_equal(_near_any(points, targets, tol),
-                                  _near_all_pairs(points, targets, tol))
-
-
 def test_verify_samples_nothing_on_a_diagonal_section(tmp_path, monkeypatch):
     # the default section of the bundled operator is diagonal: its region is
     # diagonal_bild's exact polygon, so --samples changes nothing
@@ -304,11 +275,16 @@ def test_verify_samples_a_section_with_a_dense_block(tmp_path, monkeypatch):
 
 
 def test_verify_fails_numerically_when_the_closed_form_misses_h(tmp_path, monkeypatch):
-    # diagonal_bild compares its polygon's support with support_offsets; a
-    # shifted h breaks that check, so the run is a numerical failure
-    offsets = numrange.support_offsets
-    monkeypatch.setattr(numrange, "support_offsets",
-                        lambda T, thetas: offsets(T, thetas) + 1e-6)
+    # diagonal_bild compares its polygon's support with h, the support of the
+    # classes' hull (_hull_support); a shifted h breaks that check, so the run
+    # is a numerical failure
+    support = numrange._hull_support
+
+    def shifted(hull, thetas):
+        h, points = support(hull, thetas)
+        return h + 1e-6, points
+
+    monkeypatch.setattr(numrange, "_hull_support", shifted)
     out = tmp_path / "out"
     assert main(["verify", str(BUNDLED), "--out", str(out)]) == 3
     assert not (out / "summary.json").exists()

@@ -500,8 +500,16 @@ def test_diagonal_bild_pairs_distinct_indices():
     assert np.array_equal(poly, [[1.0, 0.0], [1.0, 1.0]])
 
 
+def _diagonal_vertices(T):
+    """numrange._diagonal_vertices on T's diagonal, its bild points and their hull."""
+    d = T.diagonal()
+    lam = qr.bild_points(d)
+    return numrange._diagonal_vertices(d, lam, qr.convex_hull(lam))
+
+
 def _reference_diagonal_vertices(T):
-    """The former _diagonal_vertices, which looked each vertex up in a dict of every candidate."""
+    """The former _diagonal_vertices: the hull of every candidate, each vertex looked up in a
+    dict of them."""
     d = T.diagonal()
     lam = qr.bild_points(d)
     pairs = numrange._axis_pairs(lam)
@@ -541,7 +549,7 @@ def test_diagonal_vertices_match_the_candidate_dict():
         elif trial % 4 == 3:
             vals = np.round(vals, 1)
         T = qr.QMatrix.diag(vals)
-        poly, coords, xs = numrange._diagonal_vertices(T)
+        poly, coords, xs = _diagonal_vertices(T)
         want_poly, want_coords, want_xs = _reference_diagonal_vertices(T)
         assert poly.tobytes() == want_poly.tobytes() and coords == want_coords
         assert [x.tobytes() for x in xs] == [x.tobytes() for x in want_xs]
@@ -578,7 +586,7 @@ def test_diagonal_bild_vertices_attained():
     ]
     pair_vertices = 0
     for T in matrices:
-        poly, coords, xs = numrange._diagonal_vertices(T)
+        poly, coords, xs = _diagonal_vertices(T)
         assert np.array_equal(qr.diagonal_bild(T).inner_hull, poly)
         for vertex, c, entries in zip(poly, coords, xs):
             x = np.zeros((T.n, 4))
@@ -594,8 +602,8 @@ def test_diagonal_bild_vertices_attained():
 def test_diagonal_bild_rejects_inexact_vertex(monkeypatch, fault):
     exact = numrange._diagonal_vertices
 
-    def perturbed(T):
-        poly, coords, xs = exact(T)
+    def perturbed(*args):
+        poly, coords, xs = exact(*args)
         v = next(i for i, c in enumerate(coords) if len(c) == 2)
         if fault == "vertex_moved":
             poly = poly.copy()
@@ -626,10 +634,10 @@ def test_vertex_check_catches_every_moved_vertex(monkeypatch):
     # its vector by that much, far above the 1e-12 (1 + max |h|) threshold
     exact = numrange._diagonal_vertices
     for T in _diagonal_tail_sections():
-        count = len(exact(T)[1])
+        count = len(_diagonal_vertices(T)[1])
         for v in range(count):
-            def moved(T, v=v):
-                poly, coords, xs = exact(T)
+            def moved(*args, v=v):
+                poly, coords, xs = exact(*args)
                 poly = poly.copy()
                 poly[v, 1] += 1e-9
                 return poly, coords, xs
@@ -831,9 +839,14 @@ def test_region_certificates_are_computed_where_read(monkeypatch, build):
 
 
 def test_section_bild_rejects_a_shifted_support(monkeypatch):
-    offsets = numrange.support_offsets
-    monkeypatch.setattr(numrange, "support_offsets",
-                        lambda T, thetas: offsets(T, thetas) + 1e-6)
+    # the tail's h comes from its classes' hull (_hull_support)
+    support = numrange._hull_support
+
+    def shifted(hull, thetas):
+        h, points = support(hull, thetas)
+        return h + 1e-6, points
+
+    monkeypatch.setattr(numrange, "_hull_support", shifted)
     with pytest.raises(NumericalError):
         qr.upper_bild(_block_plus_diagonal(), m=200, k=60)
 

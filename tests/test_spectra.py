@@ -54,9 +54,17 @@ def test_pencil_regular_away_from_spheres():
 
 
 def test_sphere_merging():
-    T = qr.QMatrix.diag([I, Quaternion(1e-9, 1.0, 0.0, 0.0)])
+    # a block's eigenclasses 1e-9 apart merge into one sphere ...
+    T = qr.QMatrix.from_quaternions([[I, Quaternion(1.0, 0.0, 0.0, 0.0)],
+                                     [Quaternion(0.0, 0.0, 0.0, 0.0),
+                                      Quaternion(1e-9, 1.0, 0.0, 0.0)]])
+    assert T.block_split() == 2
     spheres = qr.s_spectrum(T)
     assert len(spheres) == 1
+    assert spheres.points()[0] == pytest.approx((0.5e-9, 1.0), abs=1e-12)
+    # ... while two tail classes 1e-9 apart are exact, distinct spheres
+    T = qr.QMatrix.diag([I, Quaternion(1e-9, 1.0, 0.0, 0.0)])
+    assert qr.s_spectrum(T).points().tolist() == [[0.0, 1.0], [1e-9, 1.0]]
 
 
 def test_sspec_inside_outer_bild():
@@ -157,12 +165,19 @@ def test_cross_check_reports_the_full_pencil_minimum(monkeypatch):
 
 
 def _full_chi_s_spectrum(T, merge_tol=1e-6):
-    """Reference: eigenvalues of the whole chi(T) and one 2n x 2n SVD per sphere."""
+    """Reference: eigenvalues of the whole chi(T) and one 2n x 2n SVD per sphere.
+
+    Each distinct tail class is a sphere.  The eigenvalues farther than
+    merge_tol from every tail class merge first-fit into the others.
+    """
     rep = T.complex_rep()
     eigs = np.linalg.eigvals(rep)
     pts = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    merged = spectra._merge(pts[order], merge_tol)
+    classes = np.unique(qr.bild_points(T.diagonal()[T.block_split():]), axis=0)
+    gaps = np.hypot(pts[:, None, 0] - classes[:, 0], pts[:, None, 1] - classes[:, 1])
+    rest = pts[gaps.min(axis=1, initial=np.inf) > merge_tol]
+    order = np.lexsort((rest[:, 1], rest[:, 0]))
+    merged = np.vstack([classes, np.reshape(spectra._merge(rest[order], merge_tol), (-1, 2))])
     nf = T.frobenius()
     singular_tol = 1e-8 * (1.0 + nf * nf)
     rep2 = rep @ rep
@@ -170,7 +185,7 @@ def _full_chi_s_spectrum(T, merge_tol=1e-6):
     for a, b in merged:
         pencil = rep2 - (2.0 * a) * rep + (a * a + b * b) * eye
         assert np.linalg.svd(pencil, compute_uv=False)[-1] <= singular_tol
-    return np.array(merged, dtype=float).reshape(-1, 2)
+    return merged[np.lexsort((merged[:, 1], merged[:, 0]))]
 
 
 def _block_plus_diagonal_cases():
@@ -251,11 +266,11 @@ def test_rejects_a_non_finite_matrix_before_any_solve(monkeypatch, where, value)
     assert log == []
 
 
-# -- the grid-indexed merge -----------------------------------------------------------
+# -- the first-fit merge of the block's candidates -----------------------------------
 
 
 def _reference_merge(points, tol):
-    """The full first-fit scan over points x spheres that the grid index replaces."""
+    """The first-fit scan over points x spheres, one pair at a time."""
     out = []
     counts = []
     for a, b in points:
@@ -289,7 +304,8 @@ def _merge_inputs(monkeypatch, matrices):
     return seen
 
 
-def test_grid_merge_matches_the_scan_on_remark_sections_and_dense_blocks(monkeypatch):
+def test_merge_matches_the_scan_on_dense_blocks_not_remark_sections(monkeypatch):
+    # a diagonal section's classes are exact, so only the dense blocks reach _merge
     remark = qr.remark_operator()
     sections = [qr.truncate(remark, N) for N in (100, 500, 2000)]
     # the dense matrices of the benchmark's dense_blocks workload, default seed
@@ -300,10 +316,10 @@ def test_grid_merge_matches_the_scan_on_remark_sections_and_dense_blocks(monkeyp
         got = spectra._merge(points, tol)
         assert got == _reference_merge(points, tol)
         counts.append(len(got))
-    assert counts == [53, 258, 1012, 4, 30, 60]
+    assert counts == [4, 30, 60]
 
 
-def test_grid_merge_at_zero_tolerance_joins_only_equal_points():
+def test_merge_at_zero_tolerance_joins_only_equal_points():
     # the third 0.1 rounds the running mean to (0.1 * 2 + 0.1) / 3, one ulp
     # above 0.1, so the fourth starts a sphere of its own
     pts = np.array([[0.1, 0.3], [0.1, 0.3], [0.1, 0.3 + 2.0 ** -54], [-0.0, 0.0],
@@ -313,14 +329,14 @@ def test_grid_merge_at_zero_tolerance_joins_only_equal_points():
     assert got == _reference_merge(pts, 0.0)
     assert got == [(0.10000000000000002, 0.3), (0.1, 0.3 + 2.0 ** -54), (-0.0, 0.0),
                    (1e300, -1e300), (0.1, 0.3)]
-    # a zero scale at zero tolerance still bins every point
+    # equal points at zero tolerance share one sphere
     zeros = np.zeros((3, 2))
     assert spectra._merge(zeros, 0.0) == _reference_merge(zeros, 0.0) == [(0.0, 0.0)]
 
 
-def test_grid_merge_joins_across_a_cell_edge():
-    # tol = 5/16 gives cells of side 5/8; each pair sits exactly tol apart in
-    # binary (the diagonal one as a 3-4-5 triangle), a cell edge between them
+def test_merge_joins_points_exactly_tol_apart():
+    # each pair sits exactly tol apart in binary (the diagonal one as a
+    # 3-4-5 triangle)
     tol = 0.3125
     pts = np.array([[0.3125, 0.0], [0.625, 0.0], [3.0, 0.625], [3.0, 0.3125],
                     [-0.9375, -1.25], [-0.625, -1.25], [6.25, 6.25], [6.0625, 6.0]])
@@ -329,10 +345,10 @@ def test_grid_merge_joins_across_a_cell_edge():
     assert got == [(0.46875, 0.0), (3.0, 0.46875), (-0.78125, -1.25), (6.15625, 6.125)]
 
 
-def test_grid_merge_follows_a_mean_that_drifts_across_cells():
+def test_merge_follows_a_drifting_mean():
     # each point lies 0.9 tol to the right of the running mean, so the one
-    # sphere drifts across several cells; a point near its final mean must
-    # still find it although the sphere started in a cell two or more away
+    # sphere drifts by several tol; a point near its final mean must still
+    # find it although the sphere started two or more tol away
     tol = 0.25
     mean, count, pts = 0.0, 1, [(0.0, 0.0)]
     while mean < 4.0 * tol:
@@ -345,7 +361,7 @@ def test_grid_merge_follows_a_mean_that_drifts_across_cells():
     assert len(got) == 1 and got[0][0] > 4.0 * tol
 
 
-def test_grid_merge_matches_the_scan_on_seeded_clouds():
+def test_merge_matches_the_scan_on_seeded_clouds():
     rng = np.random.default_rng(16)
     for trial in range(200):
         n = int(rng.integers(1, 120))
@@ -367,8 +383,50 @@ def test_grid_merge_matches_the_scan_on_seeded_clouds():
 
 
 def test_s_spectrum_of_a_seeded_section_with_nearby_tail_classes():
-    # seed 2 is diagonal; at N = 50 its tail classes crowd within the merge tolerance,
-    # and each is certified at its own class before their running mean forms
+    # seed 2 is diagonal; at N = 50 its tail classes crowd within the merge
+    # tolerance, and each distinct class is a sphere of its own
     T = qr.truncate(seeded_model_operator(2), 50)
     assert T.block_split() == 0
-    assert len(qr.s_spectrum(T)) >= 1
+    classes = np.unique(qr.bild_points(T.diagonal()), axis=0)
+    assert len(classes) == 50
+    assert qr.s_spectrum(T).points().tobytes() == classes.tobytes()
+
+
+def test_remark_section_keeps_every_distinct_class():
+    # from N of about 3e5 on, distinct classes of the remark tail lie within
+    # the merge tolerance of each other; they stay apart
+    assert len(qr.s_spectrum(qr.truncate(qr.remark_operator(), 400_000))) == 200_191
+
+
+def test_crowded_and_repeated_tail_classes_are_exact_spheres():
+    # 40 classes 3e-7 apart on a line of slope 1/2, each entry repeated with
+    # its imaginary part turned from i to j and k
+    steps = 0.25 + 3e-7 * np.arange(40)
+    entries = np.zeros((120, 4))
+    entries[:, 0] = np.tile(steps, 3)
+    for c in range(3):
+        entries[40 * c:40 * (c + 1), 1 + c] = 0.5 * steps
+    T = qr.QMatrix.diag(entries)
+    want = np.stack([steps, 0.5 * steps], axis=1)
+    assert np.array_equal(qr.bild_points(T.diagonal()[80:]), want)
+    assert qr.s_spectrum(T).points().tobytes() == want.tobytes()
+
+
+def test_a_block_sphere_near_a_tail_class_is_the_tail_class():
+    # the block's eigenclasses are (0, 2) and (0.3, 0.4); the tail entry
+    # 0.3 + 0.4 k has the second class exactly, so it stands for the block's
+    block = np.zeros((2, 2, 4))
+    block[0, 0] = (0.3, 0.4, 0.0, 0.0)
+    block[0, 1] = (1.0, 0.0, 0.0, 0.0)
+    block[1, 1] = (0.0, 2.0, 0.0, 0.0)
+    for gap, count in ((0.0, 2), (2e-6, 3)):
+        tail = np.array([[0.3, 0.0, 0.0, 0.4 + gap]])
+        T = qr.QMatrix.block_diag(qr.QMatrix(block), tail)
+        assert T.block_split() == 2
+        pts = qr.s_spectrum(T).points()
+        assert len(pts) == count
+        assert pts[0] == pytest.approx((0.0, 2.0), abs=1e-12)
+        # the tail's class is a sphere bit for bit; a block sphere 2e-6 away stays
+        assert pts[-1].tobytes() == qr.bild_points(tail)[0].tobytes()
+        if gap:
+            assert pts[1] == pytest.approx((0.3, 0.4), abs=1e-12)
