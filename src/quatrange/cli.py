@@ -17,7 +17,7 @@ import numpy as np
 from . import fileio
 from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
-from .geometry import near_any, signed_inner_distance
+from .geometry import near_any, points_polygon_distance, signed_inner_distance
 from .lancaster import lancaster_check, nonclosedness_probe
 from .numrange import RealSectionError, bild_points, real_section, upper_bild
 from .spectra import s_spectrum
@@ -25,12 +25,12 @@ from .spectra import s_spectrum
 DEFAULT_SECTIONS = (50, 100, 200, 500)
 
 
-def _at_least_one(what: str):
+def _at_least(least: int, what: str):
     # argparse names the type function in its message for a non-integer
     def integer(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {value}")
         return value
     return integer
 
@@ -45,10 +45,10 @@ def _tolerance(text: str) -> float:
 # every option once: its flags and argparse settings, keyed by the name the
 # handlers read and the summary's config echoes
 _OPTIONS = {
-    "seed": (("--seed",), dict(type=int, default=0)),
-    "samples": (("--samples", "-m"), dict(type=_at_least_one("sample count"), default=20000)),
+    "seed": (("--seed",), dict(type=_at_least(0, "seed"), default=0)),
+    "samples": (("--samples", "-m"), dict(type=_at_least(1, "sample count"), default=20000)),
     "angles": (("--angles", "-k"), dict(type=int, default=360)),
-    "section": (("--section", "-N"), dict(type=_at_least_one("section size"), default=None)),
+    "section": (("--section", "-N"), dict(type=_at_least(1, "section size"), default=None)),
     "tol": (("--tol",), dict(type=_tolerance, default=1e-6)),
     "svg": (("--svg",), dict(action="store_true", help="also write an SVG plot")),
     "target": (("--target",), dict(
@@ -100,12 +100,12 @@ def _poly_rows(poly, kind):
 
 
 def _parse_reals(text: str, count: int, flag: str) -> list[float]:
-    """Exactly ``count`` comma-separated finite numbers, else ParseError."""
+    """Exactly ``count`` comma-separated finite numbers, read by float, else a ValueError."""
     parts = text.split(",")
     if len(parts) != count:
         raise fileio.ParseError(
             f"{flag} needs {count} comma-separated numbers, got {text!r}")
-    return [fileio._real(v) for v in parts]
+    return [fileio._real(float(v)) for v in parts]
 
 
 def _parse_polygon(text: str) -> np.ndarray:
@@ -142,12 +142,11 @@ def _cmd_bild(args, out: Path) -> int:
 
 def _cmd_sspec(args, out: Path) -> int:
     T = fileio.load_matrix(args.input)
-    spheres = s_spectrum(T)
-    fileio.write_csv(out / "sspec.csv", ["a", "b"],
-                     [(s.a, s.b) for s in spheres])
+    spheres = s_spectrum(T).points().tolist()
+    fileio.write_csv(out / "sspec.csv", ["a", "b"], spheres)
     summary = {
         "config": _config_dict(args),
-        "spheres": [[s.a, s.b] for s in spheres],
+        "spheres": spheres,
     }
     fileio.write_json(out / "summary.json", summary)
     return 0
@@ -226,16 +225,14 @@ def _cmd_verify(args, out: Path) -> int:
 
     n = 100 if args.section is None else args.section
     T = truncate(M, n)
-    spheres = s_spectrum(T)
-    block_spec = s_spectrum(M.block) if M.block_size else None
-    tail_classes = bild_points(T.diagonal()[M.block_size:])
-    # finite-section spheres must be tail diagonal classes, block spectrum,
-    # or already inside the essential polygon
-    near_tail = near_any(spheres.points(), tail_classes, 1e-6)
-    checks["sspec_accounted"] = all(
-        near or signed_inner_distance(poly, s.point()) >= -max(args.tol, 1e-3)
-        or (block_spec is not None and any(s.distance(b) <= 1e-6 for b in block_spec))
-        for s, near in zip(spheres, near_tail))
+    # finite-section spheres must be tail diagonal classes, lie within the
+    # tolerance of the essential polygon, or be block spectrum
+    spheres = s_spectrum(T).points()
+    rest = spheres[~near_any(spheres, bild_points(T.diagonal()[M.block_size:]), 1e-6)]
+    rest = rest[~(points_polygon_distance(poly, rest) <= max(args.tol, 1e-3))]
+    if M.block_size:
+        rest = rest[~near_any(rest, s_spectrum(M.block).points(), 1e-6)]
+    checks["sspec_accounted"] = not len(rest)
 
     # the section's region as lancaster builds it: a diagonal section's is its
     # exact polygon, so nothing is sampled there; otherwise the block is sampled

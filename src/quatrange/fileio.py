@@ -6,8 +6,8 @@ integer.  An operator file is the object
 ``{"block": matrix, "tail": {"kind": ...}, "limit_set": [...], "bound": r}``;
 an ``adjoint`` or ``affine`` tail wraps the spec of its base tail under
 ``"base"``.  A limit entry is either a sphere ``[a, b]`` or a segment
-``{"segment": {"a": a, "b0": b0, "b1": b1}}``.  Every number must be finite
-(``NaN``, ``Infinity`` and overflowing literals such as ``1e400`` are parse
+``{"segment": {"a": a, "b0": b0, "b1": b1}}``.  Every number must be a finite
+JSON number (``true``, ``"0.5"``, ``NaN``, ``Infinity`` and ``1e400`` are parse
 errors), and a matrix file must not be empty (an operator's block may be).
 
 All writers format floats with repr (shortest round-trip) and iterate in
@@ -51,14 +51,15 @@ class ParseError(ValueError):
 
 
 def _real(value) -> float:
-    """A finite float; json reads NaN/Infinity literals and 1e400 as non-finite."""
+    """A finite JSON number; json reads NaN/Infinity literals and 1e400 as non-finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"bad number {value!r}")
     try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad number {value!r}") from exc
-    if not math.isfinite(x):
-        raise ParseError(f"non-finite number {value!r}")
-    return x
+        if math.isfinite(x := float(value)):
+            return x
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    raise ParseError(f"non-finite number {value!r}")
 
 
 def _quaternion(obj) -> Quaternion:

@@ -184,7 +184,7 @@ def qabs(p: np.ndarray) -> np.ndarray:
 
 # -- similarity classes --------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SimilaritySphere:
     """The class [q] = {u* q u : |u| = 1}, stored as (Re q, |Im q|) with b >= 0."""
 

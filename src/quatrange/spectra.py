@@ -15,6 +15,7 @@ import numpy as np
 
 from .eigen import NumericalError
 from .geometry import near_any
+from .numrange import bild_points
 from .qmatrix import QMatrix
 from .quaternion import SimilaritySphere
 
@@ -25,22 +26,24 @@ _SINGULAR_TOL = 1e-8  # pencil singularity threshold per unit of 1 + ||T||_F^2
 
 
 class SphereSet:
-    """A finite union of similarity spheres, canonically sorted by (a, b)."""
+    """Similarity spheres as one read-only (s, 2) array of classes, stably lexsorted by (a, b)."""
 
-    def __init__(self, spheres):
-        self.spheres = tuple(sorted(spheres))
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        self._points = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        self._points.setflags(write=False)
 
     def __iter__(self):
-        return iter(self.spheres)
+        return (SimilaritySphere(a, b) for a, b in self._points.tolist())
 
     def __len__(self):
-        return len(self.spheres)
+        return len(self._points)
 
     def points(self) -> np.ndarray:
-        return np.array([s.point() for s in self.spheres]).reshape(-1, 2)
+        return self._points
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({s.a:.6g}, {s.b:.6g})" for s in self.spheres)
+        inner = ", ".join(f"({a:.6g}, {b:.6g})" for a, b in self._points.tolist())
         return f"SphereSet[{inner}]"
 
 
@@ -124,14 +127,13 @@ def s_spectrum(T: QMatrix) -> SphereSet:
         raise NumericalError("the pencil cross-check overflows: ||T||_F^2 is not finite")
 
     nb = T.block_split()
-    tail = T.diagonal()[nb:]
-    alpha = tail[:, 0]
-    beta = np.sqrt(np.sum(tail[:, 1:] ** 2, axis=1))
-    classes = np.stack([alpha, beta], axis=1)[np.lexsort((beta, alpha))]
+    classes = bild_points(T.diagonal()[nb:])
+    classes = classes[np.lexsort((classes[:, 1], classes[:, 0]))]
     first = np.ones(len(classes), dtype=bool)
     first[1:] = np.any(classes[1:] != classes[:-1], axis=1)
     spheres = classes[first]
     if nb:
+        alpha, beta = spheres.T  # min_k |p_k| over the distinct classes
         rep = T.leading_block(nb).complex_rep()
         eigs, vecs = np.linalg.eig(rep)
         block = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
@@ -153,4 +155,4 @@ def s_spectrum(T: QMatrix) -> SphereSet:
         order = np.lexsort((block[:, 1], block[:, 0]))
         merged = np.array(_merge(block[order], _MERGE_TOL))
         spheres = np.vstack([spheres, merged[~near_any(merged, spheres, _MERGE_TOL)]])
-    return SphereSet(map(SimilaritySphere, *spheres.T.tolist()))
+    return SphereSet(spheres)

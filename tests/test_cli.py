@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import quatrange as qr
-from quatrange import Quaternion, fileio, numrange
+from quatrange import Quaternion, cli, fileio, numrange, spectra
 from quatrange.cli import main
+from quatrange.geometry import near_any, signed_inner_distance
 
 from conftest import seeded_model_operator
 
@@ -228,6 +229,74 @@ def test_verify_the_bundled_operator_at_section_500(tmp_path):
     assert read_summary(out)["pass"] is True
 
 
+def _sspec_accounted_reference(M, T, spheres, tol):
+    """verify's per-sphere check before its array passes: each sphere is a tail
+    class, within max(tol, 1e-3) of the essential polygon, or a block sphere."""
+    poly = qr.essential_bild(M)
+    block_spec = qr.s_spectrum(M.block) if M.block_size else None
+    tail_classes = qr.bild_points(T.diagonal()[M.block_size:])
+    near_tail = near_any(spheres.points(), tail_classes, 1e-6)
+    return all(
+        near or signed_inner_distance(poly, s.point()) >= -max(tol, 1e-3)
+        or (block_spec is not None and any(s.distance(b) <= 1e-6 for b in block_spec))
+        for s, near in zip(spheres, near_tail))
+
+
+def _verify_sspec(tmp_path, monkeypatch, M, flags, section_spheres=None):
+    """Run verify on M; return its exit code, its sspec_accounted and the
+    reference's answer on the section spheres verify saw.  section_spheres,
+    if given, stands for the section's S-spectrum."""
+    seen = []
+
+    def spy(T):
+        spheres = spectra.s_spectrum(T) if seen or section_spheres is None else section_spheres
+        seen.append((T, spheres))
+        return spheres
+
+    monkeypatch.setattr(cli, "s_spectrum", spy)
+    path, out = tmp_path / "op.json", tmp_path / "out"
+    fileio.dump_operator(M, path)
+    code = main(["verify", str(path), *flags, "--out", str(out)])
+    T, spheres = seen[0]
+    want = _sspec_accounted_reference(M, T, spheres, 1e-6)
+    return code, read_summary(out)["checks"]["sspec_accounted"], want
+
+
+def test_sspec_accounted_matches_the_per_sphere_check(tmp_path, monkeypatch):
+    fast = ["--samples", "500", "--angles", "60"]
+    runs = [(fileio.load_operator(BUNDLED), ["--section", str(n)]) for n in (100, 2000)]
+    runs += [(seeded_model_operator(s), fast) for s in range(40)]
+    for M, flags in runs:
+        code, got, want = _verify_sspec(tmp_path, monkeypatch, M, flags)
+        assert (code, got, want) == (0, True, True)
+    # a block sphere (3, 1) away from the tail class (0, 1) and the essential
+    # polygon, the segment from (0, -1) to (0, 1): the crafted set's third
+    # sphere is accounted for only as block spectrum, its second only by the
+    # polygon's tolerance 1e-3; each extra sphere lies just past the tolerance
+    # that would account for it
+    M = qr.ModelOperator(qr.QMatrix.from_quaternions([[Quaternion(3, 1, 0, 0)]]),
+                         qr.ConstantTail(Quaternion(0, 1, 0, 0)),
+                         [qr.SimilaritySphere(0.0, 1.0)], bound=3.5)
+    accounted = [[0.0, 1.0], [0.0, 1.0005], [3.0, 1.0 + 5e-7]]
+    for extra, ok in (([], True), ([[3.0, 1.0 + 2e-6]], False), ([[0.0, 1.002]], False)):
+        crafted = qr.SphereSet(accounted + extra)
+        code, got, want = _verify_sspec(tmp_path, monkeypatch, M, fast, crafted)
+        assert (code, got, want) == (0 if ok else 1, ok, ok)
+
+
+def test_verify_fails_on_an_unaccounted_sphere(tmp_path, monkeypatch):
+    # one far sphere in the default section's S-spectrum fails the run
+    M = fileio.load_operator(BUNDLED)
+    far = np.vstack([qr.s_spectrum(qr.truncate(M, 100)).points(), [[5.0, 5.0]]])
+    assert _verify_sspec(tmp_path, monkeypatch, M, [], qr.SphereSet(far)) == (1, False, False)
+    out = tmp_path / "out"
+    summary = read_summary(out)
+    assert summary["checks"]["sspec_accounted"] is False
+    assert summary["pass"] is False
+    assert all(v for k, v in summary["checks"].items() if k != "sspec_accounted")
+    assert (out / "verify.csv").read_text().splitlines()[-1] == "sspec_accounted,False"
+
+
 def _count(monkeypatch, owner, name, log):
     """Wrap owner.name so each call appends (name, its m argument) to log."""
     func = getattr(owner, name)
@@ -301,6 +370,18 @@ def test_samples_below_one_are_rejected(matrix_file, remark_file, tmp_path, caps
         main([command, str(source), "--samples", samples, "--out", str(out)])
     assert exit_info.value.code == 2
     assert "sample count must be at least 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["bild", "lancaster", "verify"])
+def test_negative_seed_is_rejected(matrix_file, remark_file, tmp_path, capsys, command):
+    # a diagonal section draws nothing, so the seed is checked at the parse
+    source = matrix_file if command == "bild" else remark_file
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(source), "--seed", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -401,6 +482,49 @@ def test_non_finite_numbers_rejected(remark_file, tmp_path, literal):
         with pytest.raises(fileio.ParseError, match="non-finite"):
             fileio.load_operator(path)
         assert main(["essential", str(path), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("literal", ["true", "false", '"0.5"'],
+                         ids=["true", "false", "numeric_string"])
+def test_numbers_must_be_json_numbers(tmp_path, literal):
+    # json reads true as a bool, which float would take for 1.0
+    out = tmp_path / "out"
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"n": 1, "entries": [[[%s, 0, 0, 0]]]}' % literal)
+    with pytest.raises(fileio.ParseError, match="bad number"):
+        fileio.load_matrix(matrix)
+    assert main(["sspec", str(matrix), "--out", str(out)]) == 2
+
+    # key paths into otherwise valid operator files
+    operators = {"remark": qr.remark_operator(), "seeded": seeded_model_operator(0),
+                 "affine": qr.remark_operator().affine(2.0, 0.5)}
+    spots = [("remark", "block", "entries", 0, 0, 1), ("remark", "tail", "half"),
+             ("remark", "limit_set", 0, "segment", "a"),
+             ("remark", "limit_set", 0, "segment", "b0"), ("remark", "bound"),
+             ("seeded", "tail", "amplitude"), ("seeded", "tail", "targets", 0, 0),
+             ("seeded", "limit_set", 0, 0), ("seeded", "limit_set", 0, 1),
+             ("affine", "tail", "a"), ("affine", "tail", "b")]
+    for name, *spot in spots:
+        path = tmp_path / f"{name}.json"
+        fileio.dump_operator(operators[name], path)
+        data = json.loads(path.read_text())
+        node = data
+        for key in spot[:-1]:
+            node = node[key]
+        node[spot[-1]] = "X"
+        path.write_text(json.dumps(data).replace('"X"', literal))
+        with pytest.raises(fileio.ParseError, match="bad number"):
+            fileio.load_operator(path)
+        assert main(["essential", str(path), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_an_integer_beyond_the_float_range_is_non_finite(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"n": 1, "entries": [[[1%s, 0, 0, 0]]]}' % ("0" * 400))
+    with pytest.raises(fileio.ParseError, match="non-finite"):
+        fileio.load_matrix(matrix)
+    assert main(["sspec", str(matrix), "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"', "3"],

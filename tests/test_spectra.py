@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -392,10 +394,42 @@ def test_s_spectrum_of_a_seeded_section_with_nearby_tail_classes():
     assert qr.s_spectrum(T).points().tobytes() == classes.tobytes()
 
 
-def test_remark_section_keeps_every_distinct_class():
+def test_sphere_set_is_one_sorted_read_only_array():
+    # sorted() of the (a, b) pairs gives the same order, ties included:
+    # -0.0 and 0.0 tie in a, and the two (0, 1) rows keep their input order
+    pts = [(1.0, 0.5), (0.0, 1.0), (-1.0, 2.0), (1.0, 0.25), (-0.0, 1.0), (0.0, 0.5)]
+    spheres = qr.SphereSet(pts)
+    want = np.array(sorted(pts))
+    assert spheres.points().tobytes() == want.tobytes()
+    assert spheres.points() is spheres.points()
+    assert not spheres.points().flags.writeable
+    assert len(spheres) == 6
+    assert list(spheres) == [qr.SimilaritySphere(a, b) for a, b in want.tolist()]
+    assert repr(qr.SphereSet([(0.5, 1.0)])) == "SphereSet[(0.5, 1)]"
+    assert len(qr.SphereSet(np.zeros((0, 2)))) == 0
+    with pytest.raises(TypeError):
+        qr.SimilaritySphere(0.0, 1.0) < qr.SimilaritySphere(1.0, 0.0)
+
+
+def test_remark_section_keeps_every_distinct_class(monkeypatch):
     # from N of about 3e5 on, distinct classes of the remark tail lie within
     # the merge tolerance of each other; they stay apart
-    assert len(qr.s_spectrum(qr.truncate(qr.remark_operator(), 400_000))) == 200_191
+    T = qr.truncate(qr.remark_operator(), 400_000)
+    built = []
+    sphere = spectra.SimilaritySphere
+    monkeypatch.setattr(spectra, "SimilaritySphere",
+                        lambda *args: built.append(args) or sphere(*args))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spheres = qr.s_spectrum(T)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(spheres) == 200_191
+    # the set is its (s, 2) float array, 16 bytes a sphere, and no sphere objects
+    assert held <= 24 * len(spheres)
+    assert built == []
 
 
 def test_crowded_and_repeated_tail_classes_are_exact_spheres():
