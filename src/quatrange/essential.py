@@ -604,8 +604,9 @@ class SparseVec:
     ``scaled``, ``add``, ``inner``, ``op_inner`` and ``quad_value`` are the
     per-vector reference evaluator: one vector at a time, against the model
     operator's nonzero entries.  The library evaluates whole combination runs
-    as arrays (``_pair_plan`` and ``_pair_step``); these methods have no
-    library caller and are kept as the reference the tests compare against.
+    in closed form (``_pair_plan``): picks with disjoint tail supports have
+    zero triples and errors within 1/p.  These methods have no library
+    caller and are kept as the reference the tests compare against.
     """
 
     __slots__ = ("index", "coeffs")
@@ -845,8 +846,11 @@ class CombinationResult:
     ``coeffs`` (depth, s, 4) the matching entries (zero in the padding),
     ``values`` (depth, 4) the values <T z_p, z_p>, ``errors`` their distances
     to the target and ``triples`` (depth, 3) the selection bounds |<x, y>|,
-    |<T x, y>| and |<T* x, y>| (no rows when alpha is 0 or 1).  Through
-    ``chain`` a run is itself an essential sequence for its target.
+    |<T x, y>| and |<T* x, y>| (no rows when alpha is 0 or 1): exact zeros,
+    as x and y have disjoint supports in the diagonal tail, which also gives
+    errors[p - 1] <= alpha^2 e_x + beta^2 e_y <= 1/p for the picks' errors
+    e_x, e_y, up to rounding.  Through ``chain`` a run is itself an
+    essential sequence for its target.
     """
 
     target: Quaternion
@@ -888,77 +892,59 @@ class CombinationResult:
 _PAD = np.iinfo(np.intp).max  # sorts padding after every coordinate
 
 
-def _forms(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_ab conj(left_a) mid_ab right_b per step: (d, s, 4), (..., d, s, t, 4), (d, t, 4)."""
-    terms = qmul(qmul(qconj(left)[:, :, None], mid), right[:, None])
-    return terms.sum(axis=(-3, -2))
-
-
 @dataclass(frozen=True)
 class _PairPlan:
     """The alpha-independent part of a run's array pass, one row per step.
 
-    ``triples`` (d, 3) are the selection bounds; ``index`` (d, s + t) is the
-    merged support of x_p and y_p sorted by coordinate, padding last, and
-    ``coeffs`` (d, s + t, 4) their unscaled entries in that order, with
-    ``from_x`` marking the columns that come from x_p.  ``grams`` (3, d, 4)
-    holds the three quadratic forms of the unscaled entries: the sums of
-    conj(c_a) T_ab c_b over the pairs (a, b) with both coordinates from x_p
-    (G_xx), one from each side in either order (G_mix) and both from y_p
-    (G_yy).  Real scalars commute with quaternions, so for real alpha, beta
-    the unnormalized <T z, z> of z = alpha x + beta y is
-    alpha^2 G_xx + alpha beta G_mix + beta^2 G_yy.
+    ``index`` (d, s + t) is the merged support of x_p and y_p sorted by
+    coordinate, padding last, and ``coeffs`` (d, s + t, 4) their unscaled
+    entries in that order, with ``from_x`` marking the columns that come
+    from x_p; ``values`` holds the chains' (d, 4) values of x_p and of y_p.
+    The supports are disjoint and in the diagonal tail, so no entry of T
+    joins them: the selection triples are zeros, and the unnormalized
+    <T z, z> of z = alpha x + beta y is alpha^2 <T x, x> + beta^2 <T y, y>,
+    within alpha^2 e_x + beta^2 e_y <= 1/p of the target once normalized.
     """
 
-    triples: np.ndarray
     index: np.ndarray
     coeffs: np.ndarray
     from_x: np.ndarray
-    grams: np.ndarray
+    values: tuple[np.ndarray, np.ndarray]
 
 
 def _pair_plan(M: ModelOperator, x: _Picks, y: _Picks) -> _PairPlan:
-    """Selection triples, merged support order and quadratic forms of x_p and y_p.
+    """Merged support order of x_p and y_p, all steps at once, and their values.
 
-    All steps at once, against the operator entries on the picked supports,
-    gathered once.  The supports of x_p and y_p are disjoint (y_p avoids
-    x_p's coordinates), so z_p's support is their union.
+    Raises ValueError when a coordinate lies in the block or x_p and y_p
+    share one, as the closed form of _PairPlan then fails.
     """
     s = x.index.shape[1]
-    # x_p's coordinates, then y_p's: the entries' off-diagonal blocks are
-    # T[x, y] and T[y, x]; padded entries have zero coefficients, so they
-    # add nothing to any form
     index = np.concatenate((x.index, y.index), axis=1)
+    keys = np.where(index >= 0, index, _PAD)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    # sorted, a shared coordinate sits next to itself
+    shared = (keys[:, 1:] == keys[:, :-1]) & (keys[:, 1:] < _PAD)
+    if np.any(keys < M.block_size) or np.any(shared):
+        raise ValueError("a pair plan needs disjoint supports in the diagonal tail")
     coeffs = np.concatenate((x.coeffs, y.coeffs), axis=1)
-    entries = M._lookup(index[:, :, None], index[:, None, :])[0]
-    rows, cols = y.index[:, :, None], x.index[:, None, :]
-    mids = np.stack(((rows == cols)[..., None] * Quaternion.one.to_array(),
-                     entries[:, s:, :s], qconj(entries[:, :s, s:].swapaxes(1, 2))))
-    # |<x, y>|, |<T x, y>| and |<T* x, y>|
-    triples = qabs(_forms(y.coeffs, mids, x.coeffs)).T
-    terms = qmul(qmul(qconj(coeffs)[:, :, None], entries), coeffs[:, None])
-    grams = np.stack((terms[:, :s, :s].sum(axis=(1, 2)),
-                      terms[:, :s, s:].sum(axis=(1, 2)) + terms[:, s:, :s].sum(axis=(1, 2)),
-                      terms[:, s:, s:].sum(axis=(1, 2))))
-    order = np.argsort(np.where(index >= 0, index, _PAD), axis=1, kind="stable")
-    return _PairPlan(triples=triples, index=np.take_along_axis(index, order, axis=1),
+    return _PairPlan(index=np.take_along_axis(index, order, axis=1),
                      coeffs=np.take_along_axis(coeffs, order[:, :, None], axis=1),
-                     from_x=order < s, grams=grams)
+                     from_x=order < s, values=(x.values, y.values))
 
 
 def _pair_step(plan: _PairPlan, alpha: float, beta: float):
     """z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>: (coeffs, values).
 
-    The values combine the plan's three forms with real weights; no
-    quaternion product is taken.
+    The values weigh the picks' values by alpha^2 and beta^2; no quaternion
+    product is taken.
     """
     coeffs = plan.coeffs * np.where(plan.from_x, alpha, beta)[:, :, None]
     norm = np.sqrt(np.einsum("psc,psc->p", coeffs, coeffs))
     scale = 1.0 / norm
     coeffs = coeffs * scale[:, None, None]
-    xx, mix, yy = plan.grams
-    values = (alpha * alpha * xx + alpha * beta * mix + beta * beta * yy) \
-        * (scale * scale)[:, None]
+    vx, vy = plan.values
+    values = (alpha * alpha * vx + beta * beta * vy) * (scale * scale)[:, None]
     return coeffs, values
 
 
@@ -968,12 +954,12 @@ class _Sweep:
     ``first`` is seq1's chain, which is the alpha = 1 run and the x of every
     interior alpha; ``alone`` is seq2's chain without forbidden rows, the
     alpha = 0 run; ``plan`` is the ``_PairPlan`` of x and of y, seq2's chain
-    avoiding x's coordinates, with its three quadratic forms; the error
-    constant 2 + ||T|| is taken on the first run.  At depth 200 the three
-    parts take about 72 KB.  The sequences are passed on every call and
-    never kept, so a sweep holds no reference to the operator that keeps
-    it.  A chain that raises stores nothing.  Threads that share a sweep at
-    worst make a part twice; both copies are equal, so either may be kept.
+    avoiding x's coordinates; the error constant 2 + ||T|| is taken on the
+    first run.  At depth 200 the three parts take about 55 KB.  The
+    sequences are passed on every call and never kept, so a sweep holds no
+    reference to the operator that keeps it.  A chain that raises stores
+    nothing.  Threads that share a sweep at worst make a part twice; both
+    copies are equal, so either may be kept.
     """
 
     def __init__(self, depth: int):
@@ -1001,9 +987,9 @@ class _Sweep:
         """Steps p = 1 .. depth at eps = 1/p: one pick chain per sequence, one array pass.
 
         Only the scaling by alpha and beta, the normalization, the real
-        combination of the plan's three forms and the errors depend on
-        alpha; the operator is treated as immutable.  The returned arrays
-        are copies, never the sweep's own.
+        combination of the picks' values and the errors depend on alpha; the
+        operator is treated as immutable.  The returned arrays are copies,
+        never the sweep's own.
         """
         om1, om2 = seq1.target, seq2.target
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
@@ -1015,7 +1001,8 @@ class _Sweep:
         else:
             plan = self.plan(M, seq1, seq2)
             coeffs, values = _pair_step(plan, alpha, beta)
-            index, triples = plan.index.copy(), plan.triples.copy()
+            # _pair_plan proved the supports disjoint in the diagonal tail
+            index, triples = plan.index.copy(), np.zeros((len(plan.index), 3))
         if self._error_constant is None:
             self._error_constant = 2.0 + M.opnorm_bound()
         return CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
@@ -1029,18 +1016,20 @@ def convex_combination_sequence(M: ModelOperator, om1: Quaternion, om2: Quaterni
     """Unit vectors z_p with <T z_p, z_p> -> alpha^2 om1 + beta^2 om2.
 
     At step p both ingredient sequences are advanced until their values sit
-    within 1/p of their targets, the second pick is forced quasi-orthogonal to
-    the first (disjoint support, so the selection triple vanishes exactly for
-    diagonal tails), and z_p = alpha x + beta y is renormalized.  The value
-    error at step p is bounded by (2 + ||T||) / p.  alpha outside [0, 1] or
-    NaN, and a depth that is not a positive integer, raise ValueError.
+    within 1/p of their targets, the second pick is forced orthogonal to the
+    first by a disjoint support, and z_p = alpha x + beta y is renormalized.
+    Both picks lie in the diagonal tail, so the selection triple is exactly
+    zero and, as alpha^2 + beta^2 = 1, the error at step p is at most
+    alpha^2 e_x + beta^2 e_y <= 1/p (e_x, e_y the picks' errors) up to
+    rounding, inside the (2 + ||T||) / p of error_constant.  alpha outside
+    [0, 1] or NaN, and a depth that is not a positive integer, raise
+    ValueError.
 
     A sweep over alpha shares its alpha-independent work: the two pick
-    chains, the selection triples, the merged support order, the three
-    quadratic forms G_xx, G_mix and G_yy of the unscaled picks and the error
-    constant.  Only the scaling, the normalization, the real combination
-    alpha^2 G_xx + alpha beta G_mix + beta^2 G_yy and the errors depend on
-    alpha.  Each operator keeps its last sweep, about 72 KB at depth 200,
+    chains, the merged support order and the error constant.  Only the
+    scaling, the normalization, the real combination
+    alpha^2 <T x, x> + beta^2 <T y, y> and the errors depend on alpha.
+    Each operator keeps its last sweep, about 55 KB at depth 200,
     for the last (om1, om2, depth), the endpoints compared by their bytes
     (so -0.0 and 0.0 differ).  Consecutive calls on M with the same three
     reuse it and any other call on M replaces it; the sweep lives as long

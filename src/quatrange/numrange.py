@@ -603,7 +603,7 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
         ends = _real_ends(B, seed, 1e-6)
     except RealSectionError:
         ends = np.empty((0, 2))
-    tail = diagonal_bild(QMatrix.diag(T.diagonal()[b:]), k=k)
+    tail = diagonal_bild(QMatrix.block_diag(QMatrix.zeros(0), T.diagonal()[b:]), k=k)
     hull = convex_hull(np.vstack([block.inner_hull, ends, tail.inner_hull * (1.0, -1.0)]))
     cut = clip_polygon(clip_polygon(hull, (0.0, -1.0), 0.0), (0.0, 1.0), 0.0)
     Q = convex_hull(np.vstack([block.inner_hull, ends, tail.inner_hull,

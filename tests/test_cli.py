@@ -297,6 +297,17 @@ def test_verify_fails_on_an_unaccounted_sphere(tmp_path, monkeypatch):
     assert (out / "verify.csv").read_text().splitlines()[-1] == "sspec_accounted,False"
 
 
+def test_verify_exits_3_when_memory_runs_out(tmp_path, monkeypatch, capsys):
+    # a crowded section's S-spectrum can outgrow memory; that is a numerical
+    # failure, not a failed verification
+    def exhausted(T):
+        raise MemoryError("Unable to allocate 1.5 GiB")
+
+    monkeypatch.setattr(cli, "s_spectrum", exhausted)
+    assert main(["verify", str(BUNDLED), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.strip() == "out of memory: Unable to allocate 1.5 GiB"
+
+
 def _count(monkeypatch, owner, name, log):
     """Wrap owner.name so each call appends (name, its m argument) to log."""
     func = getattr(owner, name)

@@ -1,6 +1,6 @@
 """Smoke tests: the narrative demos run end to end, the README names real API,
-every private helper has a caller in the library, and every settable option
-is listed."""
+every private helper has a caller in the library, every settable option is
+listed, and every source file parses as Python 3.10."""
 
 import ast
 import os
@@ -128,3 +128,18 @@ def test_settable_options_are_the_listed_ones():
     assert len(found) == len(set(found))
     assert set(found) == SETTABLE_OPTIONS
     assert len(SETTABLE_OPTIONS) == 33
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject and CI support Python 3.10, whose grammar lacks later syntax
+    # (except*, PEP 695 type parameters, ...)
+    paths = [path for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) >= 20
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failed == []

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from quatrange import Quaternion
 from quatrange import essential
 from quatrange.essential import Tail
 from quatrange.geometry import minkowski_sum, signed_inner_distance
-from quatrange.quaternion import qconj, qconjugator, qmul
+from quatrange.quaternion import qabs, qconj, qconjugator, qmul
 
 from conftest import random_qmatrix, seeded_model_operator
 
@@ -1274,29 +1275,101 @@ def test_sparse_vectors_match_dense_evaluation():
         z.coeffs[0, 0] = 1.0
 
 
+# -- the general pair plan, kept as the reference of the closed form --------------------
+
+
+def _reference_forms(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_ab conj(left_a) mid_ab right_b per step: (d, s, 4), (..., d, s, t, 4), (d, t, 4)."""
+    terms = qmul(qmul(qconj(left)[:, :, None], mid), right[:, None])
+    return terms.sum(axis=(-3, -2))
+
+
+@dataclass(frozen=True)
+class _ReferencePairPlan:
+    """The general pair plan: triples, merged support order and three quadratic forms.
+
+    ``grams`` (3, d, 4) holds the sums of conj(c_a) T_ab c_b of the unscaled
+    entries over the pairs (a, b) with both coordinates from x_p (G_xx), one
+    from each side in either order (G_mix) and both from y_p (G_yy).
+    """
+
+    triples: np.ndarray
+    index: np.ndarray
+    coeffs: np.ndarray
+    from_x: np.ndarray
+    grams: np.ndarray
+
+
+def _reference_pair_plan(M, x, y) -> _ReferencePairPlan:
+    """Selection triples, merged support order and quadratic forms of x_p and y_p.
+
+    All steps at once, against the operator entries on the picked supports,
+    gathered once, so it holds for supports anywhere in the model space.
+    """
+    s = x.index.shape[1]
+    # x_p's coordinates, then y_p's: the entries' off-diagonal blocks are
+    # T[x, y] and T[y, x]; padded entries have zero coefficients, so they
+    # add nothing to any form
+    index = np.concatenate((x.index, y.index), axis=1)
+    coeffs = np.concatenate((x.coeffs, y.coeffs), axis=1)
+    entries = M._lookup(index[:, :, None], index[:, None, :])[0]
+    rows, cols = y.index[:, :, None], x.index[:, None, :]
+    mids = np.stack(((rows == cols)[..., None] * Quaternion.one.to_array(),
+                     entries[:, s:, :s], qconj(entries[:, :s, s:].swapaxes(1, 2))))
+    # |<x, y>|, |<T x, y>| and |<T* x, y>|
+    triples = qabs(_reference_forms(y.coeffs, mids, x.coeffs)).T
+    terms = qmul(qmul(qconj(coeffs)[:, :, None], entries), coeffs[:, None])
+    grams = np.stack((terms[:, :s, :s].sum(axis=(1, 2)),
+                      terms[:, :s, s:].sum(axis=(1, 2)) + terms[:, s:, :s].sum(axis=(1, 2)),
+                      terms[:, s:, s:].sum(axis=(1, 2))))
+    order = np.argsort(np.where(index >= 0, index, essential._PAD), axis=1, kind="stable")
+    return _ReferencePairPlan(triples=triples, index=np.take_along_axis(index, order, axis=1),
+                              coeffs=np.take_along_axis(coeffs, order[:, :, None], axis=1),
+                              from_x=order < s, grams=grams)
+
+
+def _reference_pair_step(plan: _ReferencePairPlan, alpha: float, beta: float):
+    """z_p = alpha x_p + beta y_p, normalized, with <T z_p, z_p>: (coeffs, values)."""
+    coeffs = plan.coeffs * np.where(plan.from_x, alpha, beta)[:, :, None]
+    norm = np.sqrt(np.einsum("psc,psc->p", coeffs, coeffs))
+    scale = 1.0 / norm
+    coeffs = coeffs * scale[:, None, None]
+    xx, mix, yy = plan.grams
+    values = (alpha * alpha * xx + alpha * beta * mix + beta * beta * yy) \
+        * (scale * scale)[:, None]
+    return coeffs, values
+
+
+_PAIR_SUPPORTS = ([[0, 5], [2, 9], [1, -1], [3, -1]],
+                  [[1, 2, 7], [0, 12, -1], [4, 6, 8], [4, -1, -1]])
+
+
+def _random_picks(M, rows, rng):
+    """Picks on the given padded supports, random entries, values <T v, v> by SparseVec."""
+    index = np.array(rows, dtype=np.intp)
+    coeffs = rng.standard_normal(index.shape + (4,)) * (index >= 0)[..., None]
+    values = np.array([qr.SparseVec(i[i >= 0], c[i >= 0]).quad_value(M).to_array()
+                       for i, c in zip(index, coeffs)])
+    return essential._Picks(cursor=0, index=index, coeffs=coeffs, values=values,
+                            errors=np.zeros(len(rows)))
+
+
 @pytest.mark.parametrize("alpha", [0.6, math.sqrt(0.5), 1e-8, 1.0 - 1e-12])
 @pytest.mark.parametrize("empty_block", [False, True])
 def test_pair_combination_matches_the_per_vector_evaluator(empty_block, alpha):
-    # supports meeting block entries and the tail diagonal, padded to one width
+    # the general reference plan on supports meeting block entries and the
+    # tail diagonal, padded to one width
     M = _mixed_support_operator()
     if empty_block:
         M = qr.ModelOperator(qr.QMatrix.zeros(0), M.tail, M.limit_set, M.bound)
     rng = np.random.default_rng(46)
-    xs = [[0, 5], [2, 9], [1, -1], [3, -1]]
-    ys = [[1, 2, 7], [0, 12, -1], [4, 6, 8], [4, -1, -1]]
-
-    def picks(rows):
-        index = np.array(rows, dtype=np.intp)
-        coeffs = rng.standard_normal(index.shape + (4,)) * (index >= 0)[..., None]
-        return essential._Picks(cursor=0, index=index, coeffs=coeffs,
-                                values=np.zeros((len(rows), 4)), errors=np.zeros(len(rows)))
-
-    x, y = picks(xs), picks(ys)
+    xs, ys = _PAIR_SUPPORTS
+    x, y = _random_picks(M, xs, rng), _random_picks(M, ys, rng)
     # beta as the sweep derives it; one weight may be tiny
     beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    plan = essential._pair_plan(M, x, y)
+    plan = _reference_pair_plan(M, x, y)
     triples, index = plan.triples, plan.index
-    coeffs, values = essential._pair_step(plan, alpha, beta)
+    coeffs, values = _reference_pair_step(plan, alpha, beta)
     for p in range(len(xs)):
         keep_x, keep_y = x.index[p] >= 0, y.index[p] >= 0
         xv = qr.SparseVec(x.index[p][keep_x], x.coeffs[p][keep_x])
@@ -1311,6 +1384,34 @@ def test_pair_combination_matches_the_per_vector_evaluator(empty_block, alpha):
         assert np.all(index[p, width:] == -1) and np.all(coeffs[p, width:] == 0.0)
         assert np.max(np.abs(coeffs[p, :width] - z.coeffs)) <= 1e-12
         assert abs(Quaternion.from_array(values[p]) - z.quad_value(M)) <= 1e-12
+    if empty_block:
+        # every coordinate is a tail one, so the closed form holds as well
+        closed = essential._pair_plan(M, x, y)
+        assert closed.index.tobytes() == index.tobytes()
+        closed_coeffs, closed_values = essential._pair_step(closed, alpha, beta)
+        assert closed_coeffs.tobytes() == coeffs.tobytes()
+        assert np.max(np.abs(closed_values - values)) <= 1e-12
+
+
+def test_pair_plan_raises_off_the_tail_or_on_a_shared_coordinate():
+    M = _mixed_support_operator()  # block coordinates 0, 1 and 2
+    empty = qr.ModelOperator(qr.QMatrix.zeros(0), M.tail, M.limit_set, M.bound)
+    rng = np.random.default_rng(48)
+    xs, ys = _PAIR_SUPPORTS
+    bad = [(M, xs, ys),  # block coordinates on both sides
+           (M, [[5, 9]], [[2, -1]]),  # one block coordinate, in y
+           (empty, [[5, 9]], [[9, 12]]),  # a shared tail coordinate
+           (empty, [[0, -1], [4, 7]], [[3, -1], [7, -1]]),  # shared in the second step
+           (M, [[3, 4]], [[4, -1]])]  # shared, next to the first tail coordinate
+    for op, x_rows, y_rows in bad:
+        x, y = _random_picks(op, x_rows, rng), _random_picks(op, y_rows, rng)
+        with pytest.raises(ValueError, match="disjoint supports in the diagonal tail"):
+            essential._pair_plan(op, x, y)
+    # the first tail coordinate is block_size, and padding on both sides is
+    # no shared coordinate
+    plan = essential._pair_plan(M, _random_picks(M, [[3, -1]], rng),
+                                _random_picks(M, [[4, -1, -1]], rng))
+    assert plan.index.tolist() == [[3, 4, -1, -1, -1]]
 
 
 def test_model_entries_lookup():
@@ -1474,6 +1575,94 @@ def test_three_vertex_membership_combination_matches_the_step_loop():
     assert run.index.shape == (80, 3) and np.all(run.index >= 0)
 
 
+def _reference_sweep_run(M, seq1, seq2, alpha, depth):
+    """_Sweep.run on a fresh sweep, with the general pair plan in place of the closed form."""
+    eps = [1.0 / p for p in range(1, depth + 1)]
+    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    target = seq1.target * (alpha * alpha) + seq2.target * (beta * beta)
+    if beta == 0.0 or alpha == 0.0:
+        picks = (seq1 if beta == 0.0 else seq2).chain(eps)
+        index, coeffs, values = picks.index, picks.coeffs, picks.values
+        triples = np.zeros((0, 3))
+    else:
+        x = seq1.chain(eps)
+        plan = _reference_pair_plan(M, x, seq2.chain(eps, forbidden=x.index.tolist()))
+        coeffs, values = _reference_pair_step(plan, alpha, beta)
+        index, triples = plan.index, plan.triples
+    return qr.CombinationResult(target=target, alpha=alpha, beta=beta, index=index,
+                                coeffs=coeffs, values=values,
+                                errors=qabs(values - target.to_array()), triples=triples,
+                                error_constant=2.0 + M.opnorm_bound())
+
+
+def _assert_matches_reference_plan(run, ref):
+    for name in ("index", "coeffs", "triples"):
+        a, b = getattr(run, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert run.values.shape == ref.values.shape
+    assert np.max(np.abs(run.values - ref.values), initial=0.0) <= 2e-15
+
+
+def test_closed_form_runs_match_the_reference_plan_on_the_convexity_operators():
+    # criterion 4's 220 runs
+    for seed in range(20):
+        M = seeded_model_operator(seed)
+        om1, om2 = _criterion4_endpoints(M)
+        for alpha in _ALPHAS:
+            run = qr.convex_combination_sequence(M, om1, om2, alpha, 200)
+            ref = _reference_sweep_run(M, qr.TailBasisSequence(M, om1),
+                                       qr.TailBasisSequence(M, om2), alpha, 200)
+            _assert_matches_reference_plan(run, ref)
+            assert np.all(run.triples == 0.0)
+
+
+_TRIANGLE_TARGETS = [Quaternion(0.0, 1.0, 0, 0), Quaternion(-1.0, 0.0, 0, 0),
+                     Quaternion(1.0, 0.0, 0, 0)]
+
+
+@pytest.mark.parametrize("point", [(0.1, 0.2), (-0.3, 0.3), (0.4, 0.1), (0.0, 0.6),
+                                   (-0.05, 0.05)])
+def test_closed_form_runs_match_the_reference_plan_on_three_vertex_membership(point):
+    M = qr.ModelOperator(qr.QMatrix.zeros(0), qr.DecayingPeriodicTail(_TRIANGLE_TARGETS, 0.1),
+                         [qr.csim(t) for t in _TRIANGLE_TARGETS], bound=1.3)
+    pt = np.array(point)
+    parts = [(Quaternion(float(v[0]), float(v[1]), 0.0, 0.0), lam)
+             for v, lam in essential._decompose(qr.essential_bild(M), pt) if lam > 1e-12]
+    assert len(parts) == 3
+    (v1, l1), (v2, l2), (v3, _) = parts
+    depth = essential._MEMBERSHIP_DEPTH
+    a1, a2 = math.sqrt(l1 / (l1 + l2)), math.sqrt(l1 + l2)
+    # the route we_membership takes
+    stage1 = qr.convex_combination_sequence(M, v1, v2, a1, depth)
+    run = essential._Sweep(depth).run(M, stage1, qr.TailBasisSequence(M, v3), a2)
+    ref1 = _reference_sweep_run(M, qr.TailBasisSequence(M, v1), qr.TailBasisSequence(M, v2),
+                                a1, depth)
+    ref = _reference_sweep_run(M, ref1, qr.TailBasisSequence(M, v3), a2, depth)
+    _assert_matches_reference_plan(stage1, ref1)
+    _assert_matches_reference_plan(run, ref)
+    assert run.index.shape == (depth, 3) and np.all(run.triples == 0.0)
+    assert qr.we_membership(M, Quaternion(*point, 0.0, 0.0))
+
+
+def test_combination_error_is_within_the_weighted_pick_errors():
+    # disjoint tail picks and alpha^2 + beta^2 = 1: |value_p - target| is at
+    # most alpha^2 e_x + beta^2 e_y <= 1/p, far inside (2 + ||T||) / p
+    for seed in range(20):
+        M = seeded_model_operator(seed)
+        om1, om2 = _criterion4_endpoints(M)
+        seq1, seq2 = qr.TailBasisSequence(M, om1), qr.TailBasisSequence(M, om2)
+        eps = [1.0 / p for p in range(1, 201)]
+        x = seq1.chain(eps)
+        y = seq2.chain(eps, forbidden=x.index.tolist())
+        for alpha in _ALPHAS[1:-1]:
+            run = qr.convex_combination_sequence(M, om1, om2, alpha, 200)
+            a2, b2 = alpha * alpha, run.beta * run.beta
+            weighted = a2 * x.errors + b2 * y.errors
+            assert np.all(run.errors <= weighted + 1e-14)
+            assert np.all(weighted <= (a2 + b2) * np.array(eps) * (1.0 + 1e-9) + 1e-15)
+            assert np.all(run.errors * np.arange(1, 201) <= 1.0 + 1e-12)
+
+
 # -- sweeps over alpha share their alpha-independent work ---------------------------------
 
 
@@ -1572,8 +1761,15 @@ def test_sweep_walks_each_chain_once(monkeypatch):
 
     def counted_plan(*args):
         counts["plan"] += 1
-        return plan(*args)
+        before = len(products)
+        made = plan(*args)
+        plan_products.append(len(products) - before)
+        return made
 
+    plan_products, lookups = [], []
+    lookup = qr.ModelOperator._lookup
+    monkeypatch.setattr(qr.ModelOperator, "_lookup",
+                        lambda *args: lookups.append(1) or lookup(*args))
     monkeypatch.setattr(qr.TailBasisSequence, "chain", counted_chain)
     monkeypatch.setattr(essential, "_pair_plan", counted_plan)
     monkeypatch.setattr(essential, "qmul", lambda *args: products.append(1) or qmul(*args))
@@ -1582,7 +1778,9 @@ def test_sweep_walks_each_chain_once(monkeypatch):
     for alpha in _ALPHAS:
         qr.convex_combination_sequence(M, om1, om2, alpha, 200)
     assert counts == {"chain": 3, "plan": 1}
-    # the quadratic forms are the plan's: a warm interior alpha takes no product
+    # the cold plan is the closed form: it takes no product and reads no entry
+    assert plan_products == [0] and lookups == []
+    # the picks' values are the chains': a warm interior alpha takes no product
     products.clear()
     for alpha in _ALPHAS[1:-1]:
         qr.convex_combination_sequence(M, om1, om2, alpha, 200)
