@@ -47,7 +47,7 @@ def _tolerance(text: str) -> float:
 _OPTIONS = {
     "seed": (("--seed",), dict(type=_at_least(0, "seed"), default=0)),
     "samples": (("--samples", "-m"), dict(type=_at_least(1, "sample count"), default=20000)),
-    "angles": (("--angles", "-k"), dict(type=int, default=360)),
+    "angles": (("--angles", "-k"), dict(type=_at_least(3, "angle count"), default=360)),
     "section": (("--section", "-N"), dict(type=_at_least(1, "section size"), default=None)),
     "tol": (("--tol",), dict(type=_tolerance, default=1e-6)),
     "svg": (("--svg",), dict(action="store_true", help="also write an SVG plot")),
@@ -216,6 +216,31 @@ def _cmd_lancaster(args, out: Path) -> int:
     return 0
 
 
+def _sspec_accounted(M, T, poly, tol: float) -> bool:
+    """Whether every S-spectrum sphere of the section T is a tail diagonal
+    class, lies within max(tol, 1e-3) of the essential polygon poly, or is
+    within 1e-6 of the block's S-spectrum.
+
+    Its N-sized arrays are freed on return, before verify builds the
+    section's region, which sets the run's peak memory.
+    """
+    spheres = s_spectrum(T).points()
+    # s_spectrum copies each tail class into its set, so a tail sphere is an
+    # exact match; the set's rows are sorted as complex keys a + bi
+    keys = spheres.view(complex).ravel()
+    classes = bild_points(T.diagonal()[M.block_size:]).view(complex).ravel()
+    at = np.searchsorted(keys, classes)
+    found = at < len(keys)
+    at = at[found]
+    is_class = np.zeros(len(keys), dtype=bool)
+    is_class[at[keys[at] == classes[found]]] = True
+    rest = spheres[~is_class]
+    rest = rest[~(points_polygon_distance(poly, rest) <= max(tol, 1e-3))]
+    if M.block_size:
+        rest = rest[~near_any(rest, s_spectrum(M.block).points(), 1e-6)]
+    return not len(rest)
+
+
 def _cmd_verify(args, out: Path) -> int:
     M = fileio.load_operator(args.input)
     checks = {}
@@ -225,14 +250,7 @@ def _cmd_verify(args, out: Path) -> int:
 
     n = 100 if args.section is None else args.section
     T = truncate(M, n)
-    # finite-section spheres must be tail diagonal classes, lie within the
-    # tolerance of the essential polygon, or be block spectrum
-    spheres = s_spectrum(T).points()
-    rest = spheres[~near_any(spheres, bild_points(T.diagonal()[M.block_size:]), 1e-6)]
-    rest = rest[~(points_polygon_distance(poly, rest) <= max(args.tol, 1e-3))]
-    if M.block_size:
-        rest = rest[~near_any(rest, s_spectrum(M.block).points(), 1e-6)]
-    checks["sspec_accounted"] = not len(rest)
+    checks["sspec_accounted"] = _sspec_accounted(M, T, poly, args.tol)
 
     # the section's region as lancaster builds it: a diagonal section's is its
     # exact polygon, so nothing is sampled there; otherwise the block is sampled

@@ -1,4 +1,4 @@
-"""Planar geometry: hulls, half-plane intersections, Hausdorff distances, near points.
+"""Planar geometry: hulls, half-plane intersections, Hausdorff distances, an all-pairs near test.
 
 Polygons are (V, 2) float arrays in counterclockwise order starting from the
 lexicographically smallest vertex.  Degenerate polygons with one (point) or
@@ -22,9 +22,6 @@ __all__ = [
     "near_any",
     "DegenerateRegionError",
 ]
-
-_NEAR_CHUNK = 65536  # points per pass of near_any, which bounds its 9-cell expansion
-
 
 class DegenerateRegionError(RuntimeError):
     """Raised when a half-plane intersection collapses to the empty set."""
@@ -278,38 +275,15 @@ def minkowski_sum(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def near_any(points: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each point (p, 2) lies within tol of a target (t, 2), without a (p, t) array.
+    """Whether each point (p, 2) lies within tol of a target (t, 2).
 
-    The test is the all-pairs one, sqrt(dx * dx + dy * dy) <= tol with
-    dx, dy = target - point, taken only on the targets of the point's 3 x 3
-    block of cells floor(x / side).  side >= 2 tol, so a target within tol
-    lies at most half a cell away, and side >= 2^-49 max |x|, so every
-    quotient is below 2^50 and its rounding moves it by at most 1/8 of a
-    cell: the block holds every target the test can accept, and each
-    point's answer is the all-pairs answer.  The points go in chunks of
-    _NEAR_CHUNK, so their 9 cell keys each are not all formed at once.
+    The all-pairs test sqrt(dx * dx + dy * dy) <= tol with
+    dx, dy = target - point, one pass over the targets per point: O(p t)
+    time and O(t) memory, meant for few points.
     """
     near = np.zeros(len(points), dtype=bool)
-    if not (len(points) and len(targets)):
-        return near
-    scale = max(float(np.abs(points).max()), float(np.abs(targets).max()))
-    side = max(2.0 * tol, scale * 2.0 ** -49, np.finfo(float).tiny)
-    # a cell as one complex key: complex numbers sort by real, then imaginary part
-    cell = np.floor(targets / side)
-    keys = cell[:, 0] + 1j * cell[:, 1]
-    order = np.argsort(keys)
-    keys, targets = keys[order], targets[order]
-    step = np.array([-1.0, 0.0, 1.0])
-    for lo in range(0, len(points), _NEAR_CHUNK):
-        chunk = points[lo:lo + _NEAR_CHUNK]
-        home = np.floor(chunk / side)
-        want = ((home[:, 0, None, None] + step[:, None])
-                + 1j * (home[:, 1, None, None] + step)).reshape(-1)
-        first = np.searchsorted(keys, want, side="left")
-        count = np.searchsorted(keys, want, side="right") - first
-        owner = np.repeat(np.arange(len(want)) // 9, count)
-        idx = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
-        dx = targets[idx, 0] - chunk[owner, 0]
-        dy = targets[idx, 1] - chunk[owner, 1]
-        near[lo + owner[np.sqrt(dx * dx + dy * dy) <= tol]] = True
+    for i, (a, b) in enumerate(points.tolist()):
+        dx = targets[:, 0] - a
+        dy = targets[:, 1] - b
+        near[i] = (np.sqrt(dx * dx + dy * dy) <= tol).any()
     return near

@@ -436,15 +436,11 @@ def _diagonal_vertices(d: np.ndarray, lam: np.ndarray,
                       / (lam[k, 1] + lam[l, 1]), 0.0) for k, l in pairs]).reshape(-1, 2)
     poly = convex_hull(np.vstack([hull, axis]))
     cands = np.vstack([lam, axis])
-    # each vertex's candidate, the last of equal ones: a complex number sorts
-    # by its real part, then its imaginary part, and a stable sort keeps
-    # equal candidates in index order
+    # each vertex's candidate, the last of equal ones, read as complex keys
     keys = cands.view(complex).ravel()
-    order = np.argsort(keys, kind="stable")
-    at = np.searchsorted(keys[order], np.ascontiguousarray(poly).view(complex).ravel(),
-                         side="right") - 1
     coords, xs = [], []
-    for i in order[at].tolist():
+    for v in np.ascontiguousarray(poly).view(complex).ravel().tolist():
+        i = int(np.flatnonzero(keys == v)[-1])
         if i < len(lam):
             coords.append((i,))
             xs.append(np.array([[1.0, 0.0, 0.0, 0.0]]))

@@ -26,11 +26,20 @@ _SINGULAR_TOL = 1e-8  # pencil singularity threshold per unit of 1 + ||T||_F^2
 
 
 class SphereSet:
-    """Similarity spheres as one read-only (s, 2) array of classes, stably lexsorted by (a, b)."""
+    """Similarity spheres as one read-only (s, 2) array of classes, stably sorted by (a, b).
+
+    Each class is held once: of a run of equal rows (0.0 and -0.0 are equal)
+    the first in input order is kept.
+    """
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        self._points = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        # a row as one complex key a + bi: complex numbers sort by the real
+        # part, then the imaginary part
+        keys = np.ascontiguousarray(points, dtype=float).reshape(-1, 2).view(complex).ravel()
+        keys = np.sort(keys, kind="stable")
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self._points = keys[first].view(float).reshape(-1, 2)
         self._points.setflags(write=False)
 
     def __iter__(self):
@@ -110,13 +119,12 @@ def s_spectrum(T: QMatrix) -> SphereSet:
     2n x 2n matrix is formed.  Each comparison with singular_tol passes only
     on "<=", so a NaN from an overflow fails it.
 
-    Spheres.  Each distinct tail class is one sphere, the class itself: the
-    classes are lexsorted and the first of each run of equal pairs is kept.
-    The block's certified candidates are lexsorted and merged (_merge): a
-    block sphere is the running mean of candidates chained within
-    _MERGE_TOL, and is not checked again.  A block sphere within _MERGE_TOL
-    of a tail class (geometry.near_any) is dropped, as the exact tail class
-    stands for it.
+    Spheres.  Each distinct tail class is one sphere, the class itself, held
+    once by SphereSet.  The block's certified candidates are lexsorted and
+    merged (_merge): a block sphere is the running mean of candidates
+    chained within _MERGE_TOL, and is not checked again.  A block sphere
+    within _MERGE_TOL of a tail class (geometry.near_any, over at most 2b
+    block spheres) is dropped, as the exact tail class stands for it.
 
     A QMatrix holds finite entries by construction; NumericalError is
     raised when singular_tol overflows.
@@ -127,13 +135,9 @@ def s_spectrum(T: QMatrix) -> SphereSet:
         raise NumericalError("the pencil cross-check overflows: ||T||_F^2 is not finite")
 
     nb = T.block_split()
-    classes = bild_points(T.diagonal()[nb:])
-    classes = classes[np.lexsort((classes[:, 1], classes[:, 0]))]
-    first = np.ones(len(classes), dtype=bool)
-    first[1:] = np.any(classes[1:] != classes[:-1], axis=1)
-    spheres = classes[first]
+    spheres = bild_points(T.diagonal()[nb:])
     if nb:
-        alpha, beta = spheres.T  # min_k |p_k| over the distinct classes
+        alpha, beta = spheres.T  # min_k |p_k| over the tail classes
         rep = T.leading_block(nb).complex_rep()
         eigs, vecs = np.linalg.eig(rep)
         block = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)

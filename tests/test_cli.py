@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 import quatrange as qr
 from quatrange import Quaternion, cli, fileio, numrange, spectra
 from quatrange.cli import main
-from quatrange.geometry import near_any, signed_inner_distance
+from quatrange.geometry import signed_inner_distance
 
 from conftest import seeded_model_operator
 
@@ -235,7 +239,7 @@ def _sspec_accounted_reference(M, T, spheres, tol):
     poly = qr.essential_bild(M)
     block_spec = qr.s_spectrum(M.block) if M.block_size else None
     tail_classes = qr.bild_points(T.diagonal()[M.block_size:])
-    near_tail = near_any(spheres.points(), tail_classes, 1e-6)
+    near_tail = [bool((np.hypot(*(tail_classes - s.point()).T) <= 1e-6).any()) for s in spheres]
     return all(
         near or signed_inner_distance(poly, s.point()) >= -max(tol, 1e-3)
         or (block_spec is not None and any(s.distance(b) <= 1e-6 for b in block_spec))
@@ -284,6 +288,23 @@ def test_sspec_accounted_matches_the_per_sphere_check(tmp_path, monkeypatch):
         assert (code, got, want) == (0 if ok else 1, ok, ok)
 
 
+def test_verify_on_a_crowded_tail_holds_no_pair_list(tmp_path):
+    # a decaying-periodic tail crowds its classes within 1e-6 of each other;
+    # verify matches them by identity, so its memory stays linear in N
+    path, out = tmp_path / "op.json", tmp_path / "out"
+    fileio.dump_operator(seeded_model_operator(1), path)
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path), "--section", "5000", "--samples", "500",
+                     "--angles", "60", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert read_summary(out)["checks"]["sspec_accounted"] is True
+    assert peak <= 4096 * 5000
+
+
 def test_verify_fails_on_an_unaccounted_sphere(tmp_path, monkeypatch):
     # one far sphere in the default section's S-spectrum fails the run
     M = fileio.load_operator(BUNDLED)
@@ -306,6 +327,26 @@ def test_verify_exits_3_when_memory_runs_out(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "s_spectrum", exhausted)
     assert main(["verify", str(BUNDLED), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.strip() == "out of memory: Unable to allocate 1.5 GiB"
+
+
+def test_the_module_entry_point_sets_the_process_exit_status(tmp_path):
+    # the other tests read main()'s return value; this one the child's status
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(BUNDLED.parents[2] / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def run(out, *flags):
+        return subprocess.run([sys.executable, "-m", "quatrange.cli", "verify", str(BUNDLED),
+                               *flags, "--out", str(tmp_path / out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("ok")
+    assert done.returncode == 0, done.stderr
+    assert read_summary(tmp_path / "ok")["pass"] is True
+    done = run("parse", "--angles", "2")
+    assert done.returncode == 2
+    assert "angle count must be at least 3, got 2" in done.stderr
+    assert not (tmp_path / "parse").exists()
 
 
 def _count(monkeypatch, owner, name, log):
@@ -381,6 +422,20 @@ def test_samples_below_one_are_rejected(matrix_file, remark_file, tmp_path, caps
         main([command, str(source), "--samples", samples, "--out", str(out)])
     assert exit_info.value.code == 2
     assert "sample count must be at least 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["bild", "lancaster", "verify"])
+@pytest.mark.parametrize("angles", ["2", "0", "-1"])
+def test_angles_below_three_are_rejected(matrix_file, remark_file, tmp_path, capsys,
+                                         command, angles):
+    # checked at the parse, before essential_bild or s_spectrum runs
+    source = matrix_file if command == "bild" else remark_file
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(source), "--angles", angles, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"angle count must be at least 3, got {angles}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

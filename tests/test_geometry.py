@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import quatrange as qr
-from quatrange import geometry
 from quatrange.geometry import (
     DegenerateRegionError,
     _monotone_chain,
@@ -249,13 +248,13 @@ def test_minkowski_sum():
 
 
 def _near_all_pairs(points, targets, tol):
-    """The all-pairs test near_any replaces: every point against every target."""
+    """The all-pairs test in one (p, t) array: every point against every target."""
     dx = targets[None, :, 0] - points[:, :1]
     dy = targets[None, :, 1] - points[:, 1:]
     return np.sqrt(dx * dx + dy * dy).min(axis=1, initial=np.inf) <= tol
 
 
-def test_near_any_matches_all_pairs_on_seeded_sections(monkeypatch):
+def test_near_any_matches_all_pairs_on_seeded_sections():
     cases = []
     for seed in range(8):
         M = seeded_model_operator(seed)
@@ -264,22 +263,14 @@ def test_near_any_matches_all_pairs_on_seeded_sections(monkeypatch):
             cases.append((qr.s_spectrum(T).points(), qr.bild_points(T.diagonal()[M.block_size:])))
     T = qr.truncate(qr.remark_operator(), 2000)
     cases.append((qr.s_spectrum(T).points(), qr.bild_points(T.diagonal()[2:])))
-    # points around tol from a target, on cell edges, and one or no target
+    # points around tol from a target, and one or no target
     rng = np.random.default_rng(np.random.SeedSequence(28, spawn_key=(3,)))
     targets = np.round(rng.random((300, 2)) * 1e-4, 6)
     shift = rng.normal(size=(300, 2))
     shift *= rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0], (300, 1)) / np.hypot(*shift.T)[:, None]
     cases += [(targets + 1e-6 * shift, targets), (targets[:1] + 1e-6 * shift, targets[:1]),
               (targets, targets[:0]), (targets[:0], targets)]
-    # more points than one chunk, around a few targets
-    many = (np.repeat(targets[:3], 23_000, axis=0)
-            + 1e-6 * np.resize(shift, (69_000, 2)) * np.linspace(0.9, 1.1, 69_000)[:, None])
-    assert len(many) > geometry._NEAR_CHUNK
-    cases.append((many, targets[:3]))
-    # every case in the default chunks; all but the large one in chunks of 7 too
-    for chunk, chunked in ((geometry._NEAR_CHUNK, cases), (7, cases[:-1])):
-        monkeypatch.setattr(geometry, "_NEAR_CHUNK", chunk)
-        for points, targets in chunked:
-            for tol in (1e-6, 0.0, 1e-3):
-                assert np.array_equal(near_any(points, targets, tol),
-                                      _near_all_pairs(points, targets, tol))
+    for points, targets in cases:
+        for tol in (1e-6, 0.0, 1e-3):
+            assert np.array_equal(near_any(points, targets, tol),
+                                  _near_all_pairs(points, targets, tol))

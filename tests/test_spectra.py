@@ -396,15 +396,19 @@ def test_s_spectrum_of_a_seeded_section_with_nearby_tail_classes():
 
 def test_sphere_set_is_one_sorted_read_only_array():
     # sorted() of the (a, b) pairs gives the same order, ties included:
-    # -0.0 and 0.0 tie in a, and the two (0, 1) rows keep their input order
+    # -0.0 and 0.0 tie in a, so the two (0, 1) rows are one class, and the
+    # first in input order is kept
     pts = [(1.0, 0.5), (0.0, 1.0), (-1.0, 2.0), (1.0, 0.25), (-0.0, 1.0), (0.0, 0.5)]
     spheres = qr.SphereSet(pts)
-    want = np.array(sorted(pts))
+    want = np.array([(-1.0, 2.0), (0.0, 0.5), (0.0, 1.0), (1.0, 0.25), (1.0, 0.5)])
     assert spheres.points().tobytes() == want.tobytes()
     assert spheres.points() is spheres.points()
     assert not spheres.points().flags.writeable
-    assert len(spheres) == 6
+    assert len(spheres) == 5
     assert list(spheres) == [qr.SimilaritySphere(a, b) for a, b in want.tolist()]
+    # an exactly repeated row is held once
+    repeated = qr.SphereSet([(0.5, 1.0), (2.0, 0.0), (0.5, 1.0), (-0.0, 1.0), (0.5, 1.0)])
+    assert repeated.points().tobytes() == np.array([(-0.0, 1.0), (0.5, 1.0), (2.0, 0.0)]).tobytes()
     assert repr(qr.SphereSet([(0.5, 1.0)])) == "SphereSet[(0.5, 1)]"
     assert len(qr.SphereSet(np.zeros((0, 2)))) == 0
     with pytest.raises(TypeError):
