@@ -228,7 +228,7 @@ def _sspec_accounted(M, T, poly, tol: float) -> bool:
     # s_spectrum copies each tail class into its set, so a tail sphere is an
     # exact match; the set's rows are sorted as complex keys a + bi
     keys = spheres.view(complex).ravel()
-    classes = bild_points(T.diagonal()[M.block_size:]).view(complex).ravel()
+    classes = bild_points(M.tail.prefix(T.n - M.block_size)).view(complex).ravel()
     at = np.searchsorted(keys, classes)
     found = at < len(keys)
     at = at[found]

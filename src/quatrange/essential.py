@@ -520,9 +520,10 @@ def truncate(M: ModelOperator, N: int) -> QMatrix:
     """Finite section diag(block, s_1, ..., s_N) of a model operator.
 
     The section is held as its factors (QMatrix.block_diag): the block's
-    leading block_split() rows and the diagonal past them, the block's then
-    s_1 .. s_N, O(N) in all.  Its (n, n, 4) array is built only when arr is
-    read.
+    own leading block_split() rows, shared with it, and the diagonal tail
+    past them, the block's then s_1 .. s_N, O(N) in all, which
+    diagonal_tail() reads uncopied.  Its (n, n, 4) array is built only
+    when arr is read.
     """
     if N < 1:
         raise ValueError("section size must be at least 1")

@@ -46,8 +46,7 @@ def _prune_interior(pts: np.ndarray) -> np.ndarray:
         return pts
     dirs = np.array([(1, 0), (0, 1), (1, 1), (1, -1),
                      (-1, 0), (0, -1), (-1, -1), (-1, 1)], dtype=float)
-    proj = pts @ dirs.T
-    corners = pts[np.unique(np.argmax(proj, axis=0))]
+    corners = pts[np.unique([np.argmax(pts @ d) for d in dirs])]
     if len(corners) < 3:
         return pts
     order = np.argsort(np.arctan2(corners[:, 1] - corners[:, 1].mean(),
@@ -56,10 +55,11 @@ def _prune_interior(pts: np.ndarray) -> np.ndarray:
     d = np.roll(ring, -1, axis=0) - ring
     if np.any((d * d).sum(axis=1) < 1e-300):
         return pts
-    cross = (d[None, :, 0] * (pts[:, 1:2] - ring[None, :, 1])
-             - d[None, :, 1] * (pts[:, 0:1] - ring[None, :, 0]))
     orient = 1.0 if _ring_area(ring) > 0 else -1.0
-    inside = np.all(orient * cross > 1e-12, axis=1)
+    # one ring edge at a time, so no (N, ring) array is formed
+    inside = np.ones(len(pts), dtype=bool)
+    for (ax, ay), (dx, dy) in zip(ring.tolist(), d.tolist()):
+        inside &= orient * (dx * (pts[:, 1] - ay) - dy * (pts[:, 0] - ax)) > 1e-12
     return pts[~inside]
 
 
@@ -102,12 +102,19 @@ def convex_hull(points) -> np.ndarray:
         raise ValueError("convex hull of an empty point set")
     pts = _prune_interior(pts)
     pts = np.unique(pts, axis=0)  # lexicographic sort + dedupe
+    finite = np.isfinite(np.ptp(pts, axis=0)).all()
+    if finite:
+        # a point between two others on one vertical line is never a vertex,
+        # so each run of equal a keeps its two ends
+        a = pts[:, 0]
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:-1] = (a[1:-1] != a[:-2]) | (a[1:-1] != a[2:])
+        pts = pts[keep]
     if pts.shape[0] <= 2:
         return pts
-    # on one vertical or horizontal line with finite differences every
-    # cross product of the chain is 0, so it keeps the first and last point
-    if np.isfinite(pts[-1] - pts[0]).all() and (
-            np.all(pts[:, 0] == pts[0, 0]) or np.all(pts[:, 1] == pts[0, 1])):
+    # on one horizontal line with finite differences every cross product of
+    # the chain is 0, so it keeps the first and last point
+    if finite and np.all(pts[:, 1] == pts[0, 1]):
         return pts[[0, -1]]
     return _monotone_chain(pts)
 

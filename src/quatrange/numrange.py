@@ -254,7 +254,7 @@ def _support_points(T: QMatrix, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
         h = np.where(mirror, -ends[group, 0], ends[group, 1])
         points = end_points[group, np.where(mirror, 0, 1)]
     if b < n:
-        tail_h, tail_points = _hull_support(convex_hull(bild_points(T.diagonal()[b:])), thetas)
+        tail_h, tail_points = _hull_support(convex_hull(bild_points(T.diagonal_tail())), thetas)
         take = tail_h > h
         h = np.where(take, tail_h, h)
         points[take] = tail_points[take]
@@ -519,7 +519,7 @@ def diagonal_bild(T: QMatrix, k: int = 180) -> BildRegion:
         raise ValueError("diagonal_bild needs a diagonal matrix")
     if k < 3:
         raise ValueError("need at least three support angles")
-    d = T.diagonal()
+    d = T.diagonal_tail()
     lam = bild_points(d)
     hull = convex_hull(lam)
     poly, coords, xs = _diagonal_vertices(d, lam, hull)
@@ -599,7 +599,7 @@ def upper_bild(T: QMatrix, m: int = 20000, k: int = 180, seed: int = 0) -> BildR
         ends = _real_ends(B, seed, 1e-6)
     except RealSectionError:
         ends = np.empty((0, 2))
-    tail = diagonal_bild(QMatrix.block_diag(QMatrix.zeros(0), T.diagonal()[b:]), k=k)
+    tail = diagonal_bild(QMatrix.block_diag(QMatrix.zeros(0), T.diagonal_tail()), k=k)
     hull = convex_hull(np.vstack([block.inner_hull, ends, tail.inner_hull * (1.0, -1.0)]))
     cut = clip_polygon(clip_polygon(hull, (0.0, -1.0), 0.0), (0.0, 1.0), 0.0)
     Q = convex_hull(np.vstack([block.inner_hull, ends, tail.inner_hull,
@@ -668,7 +668,7 @@ def _interest_coordinates(T: QMatrix) -> list[int]:
     b = T.block_split()
     chosen = list(range(min(b, 6)))
     if b < n:
-        pts = bild_points(T.diagonal()[b:, :])
+        pts = bild_points(T.diagonal_tail())
         dirs = np.stack([np.cos(np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)),
                          np.sin(np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False))],
                         axis=1)

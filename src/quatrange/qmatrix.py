@@ -32,41 +32,47 @@ def _sum_of_squares(flat: np.ndarray) -> float:
 
 
 class QMatrix:
-    """An n x n matrix over the quaternions, read as an (n, n, 4) real array.
+    """An n x n matrix over the quaternions, held as its block and its diagonal tail.
 
-    QMatrix(arr) and the dense constructors hold that array.  diag and
-    block_diag, and so every finite section, hold only their factors: the
-    leading b x b block with b = block_split(), (b, b, 4), and the diagonal
-    tail past it, (n - b, 4).  Those build the array on the first read of
-    arr and keep it; diagonal, entry, leading_block, principal, block_split
-    and frobenius read the factors and never build it.  Both forms give the
-    same values byte for byte, and reject the same out-of-range indices.
+    With b = block_split(), T holds the leading b x b block, (b, b, 4), and
+    the diagonal past it, (n - b, 4), both read-only; every other entry is
+    zero.  QMatrix(arr) finds b once, at construction, and keeps its array
+    as the one arr returns; diag, block_diag, zeros and identity hold only
+    the factors, and arr builds the (n, n, 4) array on its first read.
+    diagonal, diagonal_tail, entry, leading_block, principal, block_split
+    and frobenius read the factors and never build it.  Indices outside
+    [0, n) raise IndexError.
     Matrices act on column vectors on the left; right H-linearity
     T(x q) = (T x) q holds entrywise because scalars multiply from the right.
     Every entry is finite: a NaN or infinite one raises ValueError.
     """
 
-    __slots__ = ("_arr", "_block", "_tail", "_block_size")
+    __slots__ = ("_arr", "_block", "_tail")
 
     def __init__(self, arr):
         a = np.asarray(arr, dtype=float)
         if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 4:
             raise ValueError("QMatrix expects an (n, n, 4) array")
         _check_finite(a)
-        a = a.copy()
-        a.setflags(write=False)
-        self._arr = a
-        self._block = self._tail = None
-        self._block_size = None
+        self._hold(a.copy())
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Hold a fresh (n, n, 4) float array, read-only and uncopied, and its factors."""
+        arr.setflags(write=False)
+        off = np.any(arr, axis=2)
+        np.fill_diagonal(off, False)
+        hit = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+        b = int(hit[-1]) + 1 if hit.size else 0
+        idx = np.arange(b, arr.shape[0])
+        tail = arr[idx, idx]
+        tail.setflags(write=False)
+        self._arr, self._block, self._tail = arr, arr[:b, :b], tail
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "QMatrix":
         """Hold a fresh (n, n, 4) float array built in this module, read-only and uncopied."""
-        arr.setflags(write=False)
         out = cls.__new__(cls)
-        out._arr = arr
-        out._block = out._tail = None
-        out._block_size = None
+        out._hold(arr)
         return out
 
     @classmethod
@@ -75,22 +81,20 @@ class QMatrix:
         block.setflags(write=False)
         tail.setflags(write=False)
         out = cls.__new__(cls)
-        out._arr = None
-        out._block, out._tail = block, tail
-        out._block_size = block.shape[0]
+        out._arr, out._block, out._tail = None, block, tail
         return out
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zeros(n: int) -> "QMatrix":
-        return QMatrix._adopt(np.zeros((n, n, 4)))
+        return QMatrix._factored(np.zeros((0, 0, 4)), np.zeros((n, 4)))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        arr = np.zeros((n, n, 4))
-        arr[np.arange(n), np.arange(n), 0] = 1.0
-        return QMatrix._adopt(arr)
+        tail = np.zeros((n, 4))
+        tail[:, 0] = 1.0
+        return QMatrix._factored(np.zeros((0, 0, 4)), tail)
 
     @staticmethod
     def diag(entries) -> "QMatrix":
@@ -112,22 +116,20 @@ class QMatrix:
     def block_diag(block: "QMatrix", tail_entries: np.ndarray) -> "QMatrix":
         """Direct sum of a dense block and a diagonal with entries (k, 4), held as factors.
 
-        Every off-diagonal entry lies in the block, so T's split b is the
-        block's: the factors are the block's leading b x b block and its
-        diagonal past b followed by the tail.
+        Every off-diagonal entry lies in the block, so T's split is the
+        block's: the factors are the block's own, its tail followed by the
+        given entries.
         """
-        tail = np.array(tail_entries, dtype=float).reshape(-1, 4)
-        _check_finite(tail)
-        b = block.block_split()
-        return QMatrix._factored(block.leading_block(b)._arr,
-                                 np.concatenate([block.diagonal()[b:], tail]))
+        entries = np.asarray(tail_entries, dtype=float).reshape(-1, 4)
+        _check_finite(entries)
+        return QMatrix._factored(block._block, np.concatenate([block._tail, entries]))
 
     # -- basic accessors ---------------------------------------------------------
 
     @property
     def arr(self) -> np.ndarray:
         if self._arr is None:
-            b, n = self._block_size, self.n
+            b, n = self.block_split(), self.n
             arr = np.zeros((n, n, 4))
             arr[:b, :b] = self._block
             idx = np.arange(b, n)
@@ -138,19 +140,15 @@ class QMatrix:
 
     @property
     def n(self) -> int:
-        if self._tail is None:
-            return self._arr.shape[0]
-        return self._block_size + self._tail.shape[0]
+        return self._block.shape[0] + self._tail.shape[0]
 
     def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """T[rows, cols] (..., 4) for broadcastable index arrays in [0, n), in either form."""
+        """T[rows, cols] (..., 4) for broadcastable index arrays in [0, n)."""
         rows, cols = np.broadcast_arrays(rows, cols)
         if rows.size and not (min(rows.min(), cols.min()) >= 0
                               and max(rows.max(), cols.max()) < self.n):
             raise IndexError(f"matrix index out of range for n = {self.n}")
-        if self._tail is None:
-            return self._arr[rows, cols]
-        b = self._block_size
+        b = self.block_split()
         out = np.zeros(rows.shape + (4,))
         block = (rows < b) & (cols < b)
         out[block] = self._block[rows[block], cols[block]]
@@ -162,18 +160,17 @@ class QMatrix:
         return Quaternion.from_array(self._entries(np.array([i]), np.array([j]))[0])
 
     def diagonal(self) -> np.ndarray:
-        if self._tail is None:
-            idx = np.arange(self.n)
-            return self._arr[idx, idx, :]
-        idx = np.arange(self._block_size)
+        idx = np.arange(self.block_split())
         return np.concatenate([self._block[idx, idx, :], self._tail])
+
+    def diagonal_tail(self) -> np.ndarray:
+        """The diagonal past block_split(), (n - b, 4): the held read-only tail, uncopied."""
+        return self._tail
 
     def leading_block(self, b: int) -> "QMatrix":
         """T[:b, :b], a QMatrix holding its own array."""
         if not 0 <= b <= self.n:
             raise IndexError(f"leading block size {b} out of range for n = {self.n}")
-        if self._tail is None:
-            return QMatrix._adopt(self._arr[:b, :b].copy())
         return self.principal(np.arange(b))
 
     def principal(self, coords) -> "QMatrix":
@@ -217,20 +214,12 @@ class QMatrix:
     def frobenius(self) -> float:
         """The Frobenius norm, sqrt(|T[:b, :b]|^2 + |diagonal past b|^2) with b = block_split().
 
-        Every entry outside those two parts is zero.  They are read from the
-        factors of a factored matrix and from arr otherwise, and each is
-        summed by _sum_of_squares, so both forms of a matrix agree bit for
-        bit, and a matrix with b = n gives sqrt(np.sum(arr * arr)) bit for
-        bit, without forming arr * arr.
+        Every entry outside those two factors is zero.  Each is summed by
+        _sum_of_squares, so a matrix with b = n gives sqrt(np.sum(arr * arr))
+        bit for bit, without forming arr * arr.
         """
-        b = self.block_split()
-        if self._tail is None:
-            idx = np.arange(b, self.n)
-            block, tail = self._arr[:b, :b], self._arr[idx, idx]
-        else:
-            block, tail = self._block, self._tail
-        return float(np.sqrt(_sum_of_squares(block.reshape(-1))
-                             + _sum_of_squares(tail.reshape(-1))))
+        return float(np.sqrt(_sum_of_squares(self._block.reshape(-1))
+                             + _sum_of_squares(self._tail.reshape(-1))))
 
     def isclose(self, other: "QMatrix", tol: float = 1e-12) -> bool:
         return self.n == other.n and float(np.max(np.abs(self.arr - other.arr))) <= tol
@@ -270,12 +259,7 @@ class QMatrix:
         vanish; b = 0 means T is diagonal.  Used to route quadratic-form
         evaluation through the cheap block + diagonal-tail path.
         """
-        if self._block_size is None:
-            off = np.any(self._arr, axis=2)
-            np.fill_diagonal(off, False)
-            hit = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
-            self._block_size = int(hit[-1]) + 1 if hit.size else 0
-        return self._block_size
+        return self._block.shape[0]
 
     def __repr__(self) -> str:
         return f"QMatrix(n={self.n})"

@@ -135,7 +135,7 @@ def s_spectrum(T: QMatrix) -> SphereSet:
         raise NumericalError("the pencil cross-check overflows: ||T||_F^2 is not finite")
 
     nb = T.block_split()
-    spheres = bild_points(T.diagonal()[nb:])
+    spheres = bild_points(T.diagonal_tail())
     if nb:
         alpha, beta = spheres.T  # min_k |p_k| over the tail classes
         rep = T.leading_block(nb).complex_rep()

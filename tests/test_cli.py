@@ -305,6 +305,20 @@ def test_verify_on_a_crowded_tail_holds_no_pair_list(tmp_path):
     assert peak <= 4096 * 5000
 
 
+def test_verify_reads_a_large_section_in_linear_memory(tmp_path):
+    # the section's tail is read where it is held, never copied whole
+    # beside the N-sized arrays that verify needs
+    N = 200_000
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(BUNDLED), "--section", str(N), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 180 * N
+
+
 def test_verify_fails_on_an_unaccounted_sphere(tmp_path, monkeypatch):
     # one far sphere in the default section's S-spectrum fails the run
     M = fileio.load_operator(BUNDLED)

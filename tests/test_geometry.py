@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,82 @@ def test_axis_parallel_hull_matches_the_chain_byte_for_byte():
                 want = _monotone_chain(want)
             got = convex_hull(pts)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _exact_chain(pts):
+    """Monotone chain in exact rational arithmetic, collinear points dropped."""
+    q = sorted({(Fraction(a), Fraction(b)) for a, b in pts.tolist()})
+    if len(q) <= 2:
+        return q
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(q)[:-1] + chain(q[::-1])[:-1]
+
+
+def test_hull_of_crowded_vertical_lines_is_the_exact_hull():
+    # two to four vertical lines, each with a crowd of points a few ulps
+    # apart at its bottom and at its top and a few points between; every
+    # line's two ends are vertices.  In floating point the chain's cross
+    # products cannot order points an ulp apart on one line, and only the
+    # two ends of each line reach it
+    rng = np.random.default_rng(np.random.SeedSequence(38, spawn_key=(2,)))
+
+    def crowd(y, k):
+        ys = [y]
+        for step in rng.integers(-2, 3, k):
+            ys.append(np.nextafter(ys[-1], np.inf * step) if step else ys[-1])
+        return ys
+
+    for _ in range(200):
+        xs = rng.uniform(-1.0, 1.0, int(rng.integers(2, 5)))
+        c = rng.uniform(0.2, 1.0, 2)
+        pts = []
+        for x in xs:
+            lo, hi = c[0] * x * x - 1.0, 1.0 - c[1] * x * x
+            ys = crowd(lo, int(rng.integers(1, 8))) + crowd(hi, int(rng.integers(1, 8)))
+            pts += [(x, y) for y in ys + rng.uniform(lo, hi, int(rng.integers(0, 4))).tolist()]
+        pts = np.array(pts)[rng.permutation(len(pts))]
+        assert convex_hull(pts).tolist() == [[float(a), float(b)] for a, b in _exact_chain(pts)]
+
+
+def test_hull_prune_keeps_the_interior_mask_and_linear_memory():
+    def reference(pts):
+        # the eight extremes and the strict-inside test as (N, 8) arrays
+        dirs = np.array([(1, 0), (0, 1), (1, 1), (1, -1),
+                         (-1, 0), (0, -1), (-1, -1), (-1, 1)], dtype=float)
+        corners = pts[np.unique(np.argmax(pts @ dirs.T, axis=0))]
+        ring = corners[np.argsort(np.arctan2(corners[:, 1] - corners[:, 1].mean(),
+                                             corners[:, 0] - corners[:, 0].mean()))]
+        d = np.roll(ring, -1, axis=0) - ring
+        cross = (d[None, :, 0] * (pts[:, 1:2] - ring[None, :, 1])
+                 - d[None, :, 1] * (pts[:, 0:1] - ring[None, :, 0]))
+        x, y = ring[:, 0], ring[:, 1]
+        orient = 1.0 if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0 else -1.0
+        return pts[~np.all(orient * cross > 1e-12, axis=1)]
+
+    rng = np.random.default_rng(np.random.SeedSequence(38, spawn_key=(3,)))
+    sets = [rng.standard_normal((500, 2)) * 10 ** rng.uniform(-6, 6),
+            np.round(rng.standard_normal((400, 2)), 1),
+            qr.bild_points(qr.truncate(seeded_model_operator(1), 3000).diagonal_tail())]
+    for pts in sets:
+        assert _prune_interior(pts).tobytes() == reference(pts).tobytes()
+    N = 200_000
+    pts = rng.standard_normal((N, 2))
+    tracemalloc.start()
+    try:
+        kept = _prune_interior(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) < N and peak <= 48 * N
 
 
 def test_hull_single_point():

@@ -111,9 +111,8 @@ def _frobenius_cases():
 
 def test_frobenius_of_a_block_plus_tail_matches_the_exact_square_sum():
     for T in _frobenius_cases():
-        # every entry of a dense matrix; the two factors of a section, whose array may not fit
-        b = T.block_split()
-        parts = [T.arr] if T._tail is None else [T.leading_block(b).arr, T.diagonal()[b:]]
+        # the two factors, read apart from frobenius: a section's array may not fit
+        parts = [T.leading_block(T.block_split()).arr, T.diagonal_tail()]
         squares = np.concatenate([(x * x).ravel() for x in parts])
         exact = math.sqrt(math.fsum(squares))
         assert abs(T.frobenius() - exact) <= 1e-14 * exact, (T.n, T.block_split())
@@ -140,6 +139,44 @@ def test_block_split():
     assert split <= 2
     full = random_qmatrix(12, 4)
     assert full.block_split() == 4
+
+
+def test_diagonal_tail_is_the_held_tail_uncopied():
+    # b = 0, 0 < b < n, b = n and n = 0, built each way a matrix can be
+    rng = np.random.default_rng(np.random.SeedSequence(38, spawn_key=(1,)))
+    lower = np.zeros((4, 4, 4))
+    lower[2, 0] = (1.0, 0.0, 2.0, 0.0)
+    lower[np.arange(4), np.arange(4)] = rng.standard_normal((4, 4))
+    dense = qr.QMatrix(rng.standard_normal((3, 3, 4)))
+    cases = [(qr.QMatrix(lower), 3), (dense, 3), (qr.QMatrix(np.zeros((0, 0, 4))), 0),
+             (qr.QMatrix(qr.QMatrix.diag([I, J]).arr), 0),
+             (qr.QMatrix.diag([I, J, K]), 0), (qr.QMatrix.diag([]), 0),
+             (qr.QMatrix.block_diag(dense, np.ones((2, 4))), 3),
+             (qr.QMatrix.block_diag(qr.QMatrix(lower), np.ones((2, 4))), 3),
+             (qr.QMatrix.block_diag(qr.QMatrix.zeros(0), np.ones((2, 4))), 0),
+             (qr.QMatrix.block_diag(dense, np.zeros((0, 4))), 3),
+             (qr.truncate(qr.remark_operator(), 9), 0),
+             (qr.truncate(seeded_model_operator(1), 9), 2)]
+    for T, b in cases:
+        tail = T.diagonal_tail()
+        assert T.block_split() == b and tail.shape == (T.n - b, 4)
+        assert tail.tobytes() == T.diagonal()[b:].tobytes()
+        assert tail.tobytes() == T.arr[np.arange(b, T.n), np.arange(b, T.n)].tobytes()
+        assert not tail.flags.writeable
+        assert tail.size == 0 or np.shares_memory(tail, T._tail)
+
+
+def test_a_negative_zero_outside_the_factors_reads_as_zero():
+    # the split scan counts -0.0 as zero, so the entry lies outside both
+    # factors; arr keeps the array as given
+    arr = np.zeros((3, 3, 4))
+    arr[:, :, 0] = np.eye(3)
+    arr[2, 1, 3] = -0.0
+    T = qr.QMatrix(arr)
+    assert T.block_split() == 0 and np.signbit(T.arr[2, 1, 3])
+    for got in (T.entry(2, 1).to_array(), T.principal([1, 2]).arr[1, 0],
+                T.leading_block(3).arr[2, 1]):
+        assert got.tolist() == [0.0, 0.0, 0.0, 0.0] and not np.signbit(got).any()
 
 
 def test_block_diag_split_is_the_scanned_split():
@@ -279,7 +316,8 @@ def test_factored_section_equals_its_dense_form(name):
 
 def test_factored_accessors_reject_indices_past_the_matrix():
     T = qr.truncate(qr.remark_operator(), 5)
-    # both forms reject an index outside [0, n), a negative one included
+    # a section and a matrix built from its array reject an index outside
+    # [0, n), a negative one included
     for S in (T, qr.QMatrix(T.arr)):
         with pytest.raises(IndexError):
             S.leading_block(8)
