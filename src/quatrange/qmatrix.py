@@ -59,14 +59,13 @@ class QMatrix:
     def _hold(self, arr: np.ndarray) -> None:
         """Hold a fresh (n, n, 4) float array, read-only and uncopied, and its factors."""
         arr.setflags(write=False)
-        off = np.any(arr, axis=2)
-        np.fill_diagonal(off, False)
-        hit = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
-        b = int(hit[-1]) + 1 if hit.size else 0
-        idx = np.arange(b, arr.shape[0])
-        tail = arr[idx, idx]
-        tail.setflags(write=False)
-        self._arr, self._block, self._tail = arr, arr[:b, :b], tail
+        n = arr.shape[0]
+        flat = arr.reshape(n * n, 4)  # entry (i, j) is row i n + j, the diagonal every n + 1
+        off = flat.any(axis=1)
+        off[::n + 1] = False
+        hit = np.flatnonzero(off)
+        b = max(int(hit[-1]) // n, int((hit % n).max())) + 1 if hit.size else 0
+        self._arr, self._block, self._tail = arr, arr[:b, :b], flat[b * (n + 1)::n + 1]
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "QMatrix":
