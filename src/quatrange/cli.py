@@ -17,7 +17,7 @@ import numpy as np
 from . import fileio
 from .eigen import NumericalError
 from .essential import ValidationError, essential_bild, truncate
-from .geometry import near_any, points_polygon_distance, signed_inner_distance
+from .geometry import near_any, points_polygon_distance, signed_inner_distance, sorted_rows_in
 from .lancaster import lancaster_check, nonclosedness_probe
 from .numrange import RealSectionError, bild_points, real_section, upper_bild
 from .spectra import s_spectrum
@@ -226,15 +226,9 @@ def _sspec_accounted(M, T, poly, tol: float) -> bool:
     """
     spheres = s_spectrum(T).points()
     # s_spectrum copies each tail class into its set, so a tail sphere is an
-    # exact match; the set's rows are sorted as complex keys a + bi
-    keys = spheres.view(complex).ravel()
-    classes = bild_points(M.tail.prefix(T.n - M.block_size)).view(complex).ravel()
-    at = np.searchsorted(keys, classes)
-    found = at < len(keys)
-    at = at[found]
-    is_class = np.zeros(len(keys), dtype=bool)
-    is_class[at[keys[at] == classes[found]]] = True
-    rest = spheres[~is_class]
+    # exact match
+    classes = bild_points(M.tail.prefix(T.n - M.block_size))
+    rest = spheres[~sorted_rows_in(spheres, classes)]
     rest = rest[~(points_polygon_distance(poly, rest) <= max(tol, 1e-3))]
     if M.block_size:
         rest = rest[~near_any(rest, s_spectrum(M.block).points(), 1e-6)]

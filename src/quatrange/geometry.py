@@ -20,6 +20,7 @@ __all__ = [
     "hausdorff_convex",
     "minkowski_sum",
     "near_any",
+    "sorted_rows_in",
     "DegenerateRegionError",
 ]
 
@@ -27,12 +28,25 @@ class DegenerateRegionError(RuntimeError):
     """Raised when a half-plane intersection collapses to the empty set."""
 
 
-def _canonical(vertices: np.ndarray) -> np.ndarray:
-    """Rotate a CCW vertex list to start at the lexicographic minimum."""
-    if len(vertices) <= 1:
-        return vertices
-    start = np.lexsort((vertices[:, 1], vertices[:, 0]))[0]
-    return np.roll(vertices, -start, axis=0)
+def _sorted_distinct(points) -> np.ndarray:
+    """Rows (a, b) stably sorted as complex keys a + bi, the first of each run of
+    equal rows kept (0.0 equals -0.0); rows with a NaN sort last and never merge."""
+    keys = np.ascontiguousarray(points, dtype=float).reshape(-1, 2).view(complex).ravel()
+    keys = np.sort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first].view(float).reshape(-1, 2)
+
+
+def sorted_rows_in(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask over the rows of table, as _sorted_distinct returns it: which
+    equal a row of rows, one binary search per row."""
+    keys, probe = table.view(complex).ravel(), np.ascontiguousarray(rows).view(complex).ravel()
+    at = np.searchsorted(keys, probe)
+    found = at < len(keys)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[at[found][keys[at[found]] == probe[found]]] = True
+    return mask
 
 
 def _prune_interior(pts: np.ndarray) -> np.ndarray:
@@ -69,7 +83,8 @@ def _ring_area(ring: np.ndarray) -> float:
 
 
 def _monotone_chain(pts: np.ndarray) -> np.ndarray:
-    """Hull of lexicographically sorted distinct points (np.unique order), at least three."""
+    """Hull of at least three distinct points in _sorted_distinct order; the
+    lower chain starts at the least point and keeps both ends."""
 
     def chain(seq):
         out = []
@@ -84,24 +99,16 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 0:
-        return pts[:1]
-    if hull.shape[0] <= 2:
-        uniq = np.unique(hull, axis=0)
-        return uniq
-    return _canonical(hull)
+    return np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
 
 
 def convex_hull(points) -> np.ndarray:
-    """Convex hull via the monotone chain, collinear points dropped."""
+    """Convex hull via the monotone chain, collinear points dropped: CCW from the
+    least vertex, or one or two sorted ones; of equal points the first is kept."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("convex hull of an empty point set")
-    pts = _prune_interior(pts)
-    pts = np.unique(pts, axis=0)  # lexicographic sort + dedupe
+    pts = _sorted_distinct(_prune_interior(pts))
     finite = np.isfinite(np.ptp(pts, axis=0)).all()
     if finite:
         # a point between two others on one vertical line is never a vertex,
@@ -169,7 +176,7 @@ def halfplane_intersection(constraints, bound: float) -> np.ndarray:
         if len(poly) == 0:
             raise DegenerateRegionError("half-plane intersection is empty")
     poly = _dedupe_ring(poly, 1e-12 * (1.0 + r))
-    return convex_hull(poly) if len(poly) >= 3 else _canonical(np.unique(poly, axis=0))
+    return convex_hull(poly)
 
 
 def upper_support_polygon(thetas, offsets) -> np.ndarray:
@@ -194,7 +201,7 @@ def upper_support_polygon(thetas, offsets) -> np.ndarray:
                      np.maximum((c[:-1] * h[1:] - c[1:] * h[:-1]) / det, 0.0)], axis=1)
     poly = convex_hull(np.vstack([(h[0], 0.0), meet, (-h[-1], 0.0)]))
     poly = _dedupe_ring(poly, 1.5e-12 * (1.0 + float(np.abs(h).max())))
-    return poly if len(poly) >= 3 else _canonical(np.unique(poly, axis=0))
+    return poly if len(poly) >= 3 else convex_hull(poly)
 
 
 def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

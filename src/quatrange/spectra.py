@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .eigen import NumericalError
-from .geometry import near_any
+from .geometry import _sorted_distinct, near_any
 from .numrange import bild_points
 from .qmatrix import QMatrix
 from .quaternion import SimilaritySphere
@@ -28,18 +28,12 @@ _SINGULAR_TOL = 1e-8  # pencil singularity threshold per unit of 1 + ||T||_F^2
 class SphereSet:
     """Similarity spheres as one read-only (s, 2) array of classes, stably sorted by (a, b).
 
-    Each class is held once: of a run of equal rows (0.0 and -0.0 are equal)
-    the first in input order is kept.
+    Each class is held once by convex_hull's rule (geometry._sorted_distinct):
+    of a run of equal rows (0.0 and -0.0 are equal) the first is kept.
     """
 
     def __init__(self, points):
-        # a row as one complex key a + bi: complex numbers sort by the real
-        # part, then the imaginary part
-        keys = np.ascontiguousarray(points, dtype=float).reshape(-1, 2).view(complex).ravel()
-        keys = np.sort(keys, kind="stable")
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        self._points = keys[first].view(float).reshape(-1, 2)
+        self._points = _sorted_distinct(points)
         self._points.setflags(write=False)
 
     def __iter__(self):

@@ -19,6 +19,8 @@ from quatrange.geometry import (
     points_in_polygon,
     points_polygon_distance,
     signed_inner_distance,
+    sorted_rows_in,
+    upper_support_polygon,
 )
 
 from conftest import seeded_model_operator
@@ -71,11 +73,78 @@ def test_axis_parallel_hull_matches_the_chain_byte_for_byte():
     cases.append(np.column_stack([t, 0.3 * t + 0.1]))
     for pts in cases:
         with np.errstate(over="ignore", invalid="ignore"):  # the non-finite cases
-            want = np.unique(_prune_interior(pts), axis=0)
+            want = _prune_interior(pts)
+            want = want[np.lexsort((want[:, 1], want[:, 0]))]  # stable
+            want = want[np.r_[True, np.any(want[1:] != want[:-1], axis=1)]]
             if len(want) > 2:
                 want = _monotone_chain(want)
             got = convex_hull(pts)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_equal_points_keep_the_first_in_input_order():
+    # 40 rows (numpy's default sort is not stable past 16) on the unit
+    # square's corners and edge midpoints, with mixed 0.0 / -0.0; of equal
+    # rows the hull, the sphere set and the degenerate polygons keep the first
+    rng = np.random.default_rng(np.random.SeedSequence(39, spawn_key=(1,)))
+    base = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (0.0, 0.5)]
+    pts = np.array([base[i] for i in rng.integers(0, len(base), 40)])
+    pts = np.where((pts == 0.0) & (rng.random(pts.shape) < 0.5), -0.0, pts)
+    first = {}
+    for row in map(tuple, pts.tolist()):
+        first.setdefault(row, row)  # 0.0 == -0.0 and they hash alike
+    want = np.array([first[c] for c in base[:4]])
+    assert convex_hull(pts).tobytes() == want.tobytes()
+    spheres = qr.SphereSet(pts).points()
+    assert spheres.tobytes() == np.array(sorted(first.values())).tobytes()
+    # the exact lookup in the sorted set: a zero matches either sign, and a
+    # row that is not in the set matches nothing
+    probe = np.array([(-0.0, -0.0), (0.5, 0.5), (1.0, -0.0), (2.0, 0.0)])
+    assert sorted_rows_in(spheres, probe).tolist() == [
+        row in [(0.0, 0.0), (1.0, 0.0)] for row in map(tuple, spheres.tolist())]
+    # a degenerate upper support polygon: every offset a signed zero, so the
+    # hull's input is (h_0, 0), meeting points at the origin and (-h_k, 0)
+    h = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+    got = upper_support_polygon(np.linspace(0.0, np.pi, 40), h)
+    assert got.tobytes() == np.array([(h[0], 0.0)]).tobytes()
+    # a half-plane intersection that collapses to a segment on b = 0 is
+    # returned as its two sorted ends, with the signs the clip made
+    seg = halfplane_intersection([(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)], 2.0)
+    assert seg.tolist() == [[-2.0, 0.0], [2.0, 0.0]]
+    assert seg.tobytes() == convex_hull(seg[::-1]).tobytes()
+
+
+def test_hull_starts_at_its_least_vertex_counterclockwise():
+    # what the sorted input gives every hull: the least vertex first, positive
+    # area from three vertices on, one or two vertices sorted and distinct
+    rng = np.random.default_rng(np.random.SeedSequence(39, spawn_key=(2,)))
+    for trial in range(400):
+        count = int(rng.integers(1, 60))
+        kind = trial % 4
+        if kind == 0:  # random
+            pts = rng.standard_normal((count, 2))
+        elif kind == 1:  # rounded to a coarse grid: ties and signed zeros
+            pts = np.round(rng.uniform(-1.0, 1.0, (count, 2)) * 2.0) / 2.0
+        elif kind == 2:  # on a line that is not axis-parallel, up to rounding
+            t = rng.standard_normal(count)
+            pts = np.column_stack([t, rng.uniform(-2.0, 2.0) * t + rng.standard_normal()])
+        else:  # a few distinct points, each many times
+            few = rng.standard_normal((int(rng.integers(1, 5)), 2))
+            pts = few[rng.integers(0, len(few), count)]
+        hull = convex_hull(pts)
+        rows = list(map(tuple, hull.tolist()))
+        assert rows[0] == min(rows)
+        if len(hull) <= 2:
+            assert rows == sorted(set(rows))
+            continue
+        x, y = hull[:, 0], hull[:, 1]
+        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+        if kind == 2:
+            # the chain's rounded cross products can keep a sliver of points
+            # a few ulps off the line, whose area has either sign
+            assert abs(area) <= 1e-12 * (1.0 + np.abs(pts).max()) ** 2
+        else:
+            assert area > 0.0
 
 
 def _exact_chain(pts):
